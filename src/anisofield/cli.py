@@ -31,7 +31,7 @@ from .fractal import dimension_report, gneiting_dimensions
 from .kriging import Observations, krige
 from .models import legitimacy_check, model_from_dict, model_to_dict
 from .quadrature import QuadratureSpec
-from .simulate import Grid, SynthesisSpec, multi_copy_field
+from .simulate import Grid, multi_copy_field
 from .smoothness import ms_derivative_report
 from .variogram import gneiting_from_dict, gneiting_to_dict, variogram_table
 from .verify import format_table, run_suites
@@ -90,8 +90,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, metavar="S", help="base seed (default 0)")
     p.add_argument("--realizations", type=int, metavar="R",
                    help="independent copies (default 1)")
-    p.add_argument("--threads", type=int, metavar="T",
-                   help="evaluation threads (default ANISOFIELD_THREADS or 1)")
     p.add_argument("--format", choices=("csv", "afld"),
                    help="output format (default: afld when --out ends in "
                         ".afld or .afld1, else csv)")
@@ -122,6 +120,10 @@ def _build_parser():
     p.add_argument("--suite", metavar="NAME",
                    help="fbm, exponents, simulation, kriging, dims, "
                         "smoothness, derivative, modulus, or all (default)")
+    # config values go through the same conversions as the flags
+    for p in sub.choices.values():
+        p.set_defaults(_types={a.dest: a.type for a in p._actions
+                               if a.type is not None})
     return parser
 
 
@@ -130,6 +132,13 @@ def _resolve(args, name, required=False):
     value = getattr(args, name, None)
     if value is None:
         value = getattr(args, "_config", {}).get(name)
+        convert = getattr(args, "_types", {}).get(name)
+        if value is not None and convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                raise ModelError(f"config key {name!r}: {value!r} is not a "
+                                 f"valid {convert.__name__}") from None
     if value is None:
         value = _DEFAULTS.get(name)
     if value is None and required:
@@ -247,13 +256,11 @@ def _cmd_simulate(args):
     quad = _quad_spec(args)
     model = _load_model(args)
     grid = _parse_grid(_resolve(args, "grid", required=True))
-    seed = int(_resolve(args, "seed"))
-    lattice = int(_resolve(args, "lattice"))
-    channels = int(_resolve(args, "realizations"))
-    threads = _resolve(args, "threads")
-    spec = SynthesisSpec(threads=None if threads is None else int(threads))
+    seed = _resolve(args, "seed")
+    lattice = _resolve(args, "lattice")
+    channels = _resolve(args, "realizations")
     sample = multi_copy_field(model, grid, lattice=lattice, channels=channels,
-                              seed=seed, spec=spec)
+                              seed=seed)
     out = _resolve(args, "out", required=True)
     fmt = _resolve(args, "format")
     if fmt is None:

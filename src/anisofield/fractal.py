@@ -233,7 +233,7 @@ def estimate_hurst(fs, axis, max_lag=None):
     vals = np.asarray(table.values)
     keep = vals > 0
     if np.count_nonzero(keep) < 2:
-        raise ValueError("fewer than two usable lags: the field is degenerate "
+        raise ModelError("fewer than two usable lags: the field is degenerate "
                          "along this axis")
     x = np.log(lags[keep])
     y = np.log(vals[keep])

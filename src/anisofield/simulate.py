@@ -29,15 +29,23 @@ across channels) so that no grid lag can align with cell spacing.  Only
 the half-space lambda_0 > 0 is enumerated; the mirror cells are folded
 into the masses.
 
+Both the lattice and the grid are tensor products, so the sum factors
+axis by axis.  With C_k = sqrt(2 F_k) (xi_k - i eta_k) and per-axis
+phases theta_a = t_a lambda_a, the telescoped identity
+
+    e^{i sum_a theta_a} - 1 = sum_a (e^{i theta_a} - 1) prod_{b<a} e^{i theta_b}
+
+turns X(t) = Re sum_k C_k (e^{i<t, lambda_k>} - 1) into one term per
+axis, each a chain of per-axis contractions of C with cos and sin
+tables.  Every term carries the factor e^{i theta_a} - 1, which is
+exactly 0 at t_a = 0, so the origin stays pinned without special cases.
+
 Randomness is counter-based: channel c of seed s draws its coefficients
 from an independent stream keyed (s, c), and the jitter stream has its
-own key, so any channel can be regenerated alone and thread count never
-changes the output.
+own key, so any channel can be regenerated alone.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +110,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """Tuning knobs for the frequency lattice and its evaluation.
+    """Tuning knobs for the frequency lattice.
 
     oversample scales the lattice cutoff relative to the grid Nyquist;
     None picks 64 for rough fields (some H_j < 1) and 8 for smooth ones.
@@ -117,9 +125,6 @@ class SynthesisSpec:
     octaves: int = 24
     mass_nodes: int = 3
     jitter: bool = True
-    grid_chunk: int = 256
-    cell_chunk: int = 16384
-    threads: int = None
     freq_cap: float = None
 
     def __post_init__(self):
@@ -129,10 +134,6 @@ class SynthesisSpec:
             raise ModelError("octaves must lie in [4, 60]")
         if not 2 <= self.mass_nodes <= 8:
             raise ModelError("mass_nodes must lie in [2, 8]")
-        if self.grid_chunk < 1 or self.cell_chunk < 1:
-            raise ModelError("chunk sizes must be positive")
-        if self.threads is not None and self.threads < 1:
-            raise ModelError("threads must be positive")
         if self.freq_cap is not None and not self.freq_cap > 0:
             raise ModelError("freq_cap must be positive")
 
@@ -165,16 +166,6 @@ def _check_seed(seed):
     if not 0 <= seed < 2**63:
         raise ModelError("seed must be a nonnegative 63-bit integer")
     return seed
-
-
-def _resolve_threads(threads):
-    if threads is None:
-        env = os.environ.get("ANISOFIELD_THREADS", "")
-        threads = int(env) if env.strip() else 1
-    threads = int(threads)
-    if threads < 1:
-        raise ModelError("thread count must be positive")
-    return min(threads, 64)
 
 
 def _axis_partition(cutoff, cells, octaves):
@@ -341,24 +332,40 @@ def _active_axes(grid):
             if grid.shape[j] > 1 or grid.origin[j] != 0.0]
 
 
-def _flatten_lattice(active_axes):
-    """Frequency rows: the tensor product of the active-axis representatives."""
-    if not active_axes:
-        return np.zeros((1, 0))
-    mesh = np.meshgrid(*active_axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _contract(table, x, axis):
+    """Apply an (n, K) table along `axis` of x as one real GEMM."""
+    front = np.moveaxis(x, axis, 0)
+    out = table @ front.reshape(front.shape[0], -1)
+    return np.moveaxis(out.reshape(table.shape[:1] + front.shape[1:]), 0, axis)
 
 
-def _evaluate_chunk(points, lambdas, c_cos, c_sin, cell_chunk):
-    out = np.zeros((points.shape[0], c_cos.shape[-1]))
-    for a in range(0, lambdas.shape[0], cell_chunk):
-        b = min(a + cell_chunk, lambdas.shape[0])
-        phases = points @ lambdas[a:b].T
-        cosp = np.cos(phases)
-        cosp -= 1.0
-        sinp = np.sin(phases, out=phases)
-        out += cosp @ c_cos[a:b]
-        out += sinp @ c_sin[a:b]
+def _evaluate(tables, re_c, im_c):
+    """Re sum_k (re_c - i im_c)_k (e^{i<t, lambda_k>} - 1) over the grid.
+
+    tables holds one (cos, sin) pair of (points, cells) arrays per axis;
+    re_c and im_c have one axis per table.  Term a of the telescoped sum
+    sums the axes above a, contracts axis a with e^{i theta} - 1 and the
+    axes below it with e^{i theta}, keeping only the real part at the
+    last contraction.
+    """
+    ndim = len(tables)
+    out = np.zeros(())
+    for a in reversed(range(ndim)):
+        if a < ndim - 1:
+            re_c = re_c.sum(axis=a + 1)
+            im_c = im_c.sum(axis=a + 1)
+        re, im = re_c, im_c
+        for b in reversed(range(a + 1)):
+            cos, sin = tables[b]
+            if b == a:
+                cos = cos - 1.0
+            if b == 0:
+                re = _contract(cos, re, 0) + _contract(sin, im, 0)
+            else:
+                re, im = (_contract(cos, re, b) + _contract(sin, im, b),
+                          _contract(cos, im, b) - _contract(sin, re, b))
+        term = re.reshape(re.shape + (1,) * (ndim - 1 - a))
+        out = term if a == ndim - 1 else out + term
     return out
 
 
@@ -405,36 +412,22 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
         # their cells fold into one normal draw of the summed mass
         masses = masses.sum(axis=inactive)
     amp = np.sqrt(2.0 * masses)
-    lambdas = _flatten_lattice([axes[j] for j in active])
-    c_cos = np.empty((lambdas.shape[0], channels))
-    c_sin = np.empty((lambdas.shape[0], channels))
+    tables = []
+    for j in active:
+        phases = np.multiply.outer(grid.axis_coords(j), axes[j])
+        tables.append((np.cos(phases), np.sin(phases)))
+    # one channel at a time: BLAS rounding depends on the GEMM shape, so
+    # channels as GEMM columns would let the channel count move the bits
+    out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
     for c in range(channels):
         rng = np.random.Generator(np.random.Philox(key=(seed, c)))
         draws = rng.standard_normal(masses.shape + (2,))
-        c_cos[:, c] = (amp * draws[..., 0]).ravel()
-        c_sin[:, c] = (amp * draws[..., 1]).ravel()
-
-    points = grid.points()[:, active]
-    nthreads = _resolve_threads(spec.threads)
-    chunks = [(a, min(a + spec.grid_chunk, points.shape[0]))
-              for a in range(0, points.shape[0], spec.grid_chunk)]
-    out = np.empty((points.shape[0], channels))
-
-    def fill(bounds):
-        a, b = bounds
-        out[a:b] = _evaluate_chunk(points[a:b], lambdas, c_cos, c_sin,
-                                   spec.cell_chunk)
-
-    if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        for bounds in chunks:
-            fill(bounds)
+        out[..., c] = _evaluate(tables, amp * draws[..., 0],
+                                amp * draws[..., 1])
 
     meta = {"method": "spectral-lattice", "lattice": lattice,
             "n_cells": n_cells, "jitter": bool(spec.jitter),
-            "threads": nthreads, "model": model_to_dict(model), **info}
+            "model": model_to_dict(model), **info}
     return FieldSample(grid=grid, values=out.reshape(grid.shape + (channels,)),
                        seed=seed, metadata=meta)
 

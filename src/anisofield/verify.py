@@ -40,12 +40,13 @@ class CriterionResult:
 
 def _finish(name, passed, details, t0):
     return CriterionResult(name=name, passed=bool(passed),
-                           details=tuple(details), seconds=time.time() - t0)
+                           details=tuple(details),
+                           seconds=time.monotonic() - t0)
 
 
 def suite_fbm():
     """Variogram round trip: the normalized fbm density gives |h|^{2H}."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     worst_all = 0.0
     for dims in (1, 2):
@@ -58,7 +59,7 @@ def suite_fbm():
                 worst = max(worst, abs(value - r ** (2 * hurst)) / r ** (2 * hurst))
             details.append(f"H={hurst} N={dims}: worst rel {worst:.2e}")
             worst_all = max(worst_all, worst)
-    elapsed = time.time() - t0
+    elapsed = time.monotonic() - t0
     passed = worst_all <= 0.01 and elapsed < 60.0
     details.append(f"gate: rel <= 1e-2 and runtime < 60s (took {elapsed:.1f}s)")
     return _finish("fbm", passed, details, t0)
@@ -82,7 +83,7 @@ def _partial_density_integral(beta, gamma, radius):
 
 def suite_exponents():
     """Exponent identity over random draws plus boundary divergence."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -132,7 +133,7 @@ def _simulation_case(model, grid, axis, lattice, n_seeds, ref_quad):
 
 def suite_simulation():
     """Empirical variograms of seeded realizations track quadrature."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     worst_all = 0.0
     grid1 = Grid(origin=(0.0,), spacing=(1.0 / 64,), shape=(65,))
@@ -146,7 +147,7 @@ def suite_simulation():
     worst = _simulation_case(model, grid2, 0, 512, 500, None)
     worst_all = max(worst_all, worst)
     details.append(f"canonical line: worst rel {worst:.3f}")
-    elapsed = time.time() - t0
+    elapsed = time.monotonic() - t0
     passed = worst_all <= 0.10 and elapsed < 300.0
     details.append(f"gate: rel <= 0.10 at lags <= domain/4, 500 seeds each, "
                    f"runtime < 300s (took {elapsed:.1f}s)")
@@ -155,7 +156,7 @@ def suite_simulation():
 
 def suite_kriging():
     """Brownian conditional variances, interpolation, error scaling."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     ok = True
 
@@ -200,7 +201,7 @@ def suite_kriging():
 
 def suite_dims():
     """Piecewise dimension tables against brute-force minimization."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     ok = True
     rng = np.random.default_rng(5)
@@ -249,7 +250,7 @@ def suite_dims():
 
 def suite_smoothness():
     """Differentiability classification and threshold strictness."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     ok = True
     rng = np.random.default_rng(7)
@@ -297,7 +298,7 @@ def suite_smoothness():
 
 def suite_derivative():
     """Spectral derivative moments against difference quotients of v."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     ok = True
     model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
@@ -334,7 +335,7 @@ def suite_derivative():
 
 def suite_modulus():
     """Increment maxima stay bounded by the modulus envelope shape."""
-    t0 = time.time()
+    t0 = time.monotonic()
     details = []
     ok = True
     for hurst in (0.5, 0.3):

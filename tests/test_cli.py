@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,21 @@ def test_simulate_reruns_are_byte_identical(tmp_path, bm_model, capsys):
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert "wrote" in capsys.readouterr().out
+
+
+def test_simulate_output_ignores_thread_environment(tmp_path, bm_model,
+                                                   monkeypatch):
+    args = ["simulate", "--model", bm_model, "--grid", "0:1:8",
+            "--lattice", "64", "--seed", "3"]
+    out_env, out_plain = tmp_path / "env.csv", tmp_path / "plain.csv"
+    monkeypatch.setenv("ANISOFIELD_THREADS", "abc")
+    assert main(args + ["--out", str(out_env)]) == 0
+    monkeypatch.delenv("ANISOFIELD_THREADS")
+    assert main(args + ["--out", str(out_plain)]) == 0
+    assert out_env.read_bytes() == out_plain.read_bytes()
+    first = out_plain.read_text().splitlines()[0]
+    assert first.startswith("# provenance: ")
+    assert "threads" not in json.loads(first[len("# provenance: "):])
 
 
 def test_simulate_afld_agrees_with_csv(tmp_path, bm_model):
@@ -141,6 +158,18 @@ def test_exit_code_1_for_bad_grid(bm_model, tmp_path, capsys):
     assert main(["simulate", "--model", bm_model, "--grid", "0:1",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "start:stop:count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("panels", "abc")])
+def test_exit_code_1_for_mistyped_config_value(tmp_path, bm_model, capsys,
+                                                key, value):
+    config = tmp_path / "config.json"
+    write_json(config, {key: value})
+    assert main(["simulate", "--model", bm_model, "--config", str(config),
+                 "--grid", "0:1:8", "--lattice", "64",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(key) in err
 
 
 def test_exit_code_1_for_unknown_suite(capsys):

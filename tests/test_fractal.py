@@ -7,7 +7,7 @@ from anisofield.fractal import (EMPTY, UNDETERMINED, clamp_exponents,
                                 gneiting_dimensions, graph_dimension,
                                 level_set_dimension, range_dimension)
 from anisofield.models import canonical_c, fbm, smoothness_exponents
-from anisofield.simulate import Grid, multi_copy_field
+from anisofield.simulate import FieldSample, Grid, multi_copy_field
 from anisofield.variogram import GneitingModel
 
 
@@ -165,3 +165,10 @@ def test_hurst_estimate_saturates_on_smooth_axis():
     result = estimate_hurst(fs, 1)
     assert result.estimate >= 0.9
     assert result.saturated
+
+
+def test_hurst_estimate_rejects_degenerate_field():
+    grid = Grid(origin=(0.0,), spacing=(1.0 / 64,), shape=(65,))
+    fs = FieldSample(grid=grid, values=np.zeros((65, 1)), seed=0)
+    with pytest.raises(ModelError, match="degenerate"):
+        estimate_hurst(fs, 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from anisofield import simulate
 from anisofield.errors import ModelError
 from anisofield.models import canonical_c, fbm
 from anisofield.simulate import (FieldSample, Grid, SynthesisSpec,
@@ -44,8 +45,8 @@ def test_grid_validation():
 
 def test_synthesis_spec_validation():
     for bad in (dict(octaves=3), dict(octaves=61), dict(mass_nodes=1),
-                dict(mass_nodes=9), dict(oversample=-1.0), dict(threads=0),
-                dict(freq_cap=0.0), dict(grid_chunk=0)):
+                dict(mass_nodes=9), dict(oversample=-1.0),
+                dict(freq_cap=0.0)):
         with pytest.raises(ModelError):
             SynthesisSpec(**bad)
 
@@ -89,21 +90,61 @@ def test_origin_is_pinned_exactly():
     assert np.all(fs2.values[1, 1] == 0.0)
 
 
-def test_bit_identical_across_thread_counts():
-    grid = Grid(origin=(0.0,), spacing=(1.0 / 599,), shape=(600,))
-    one = multi_copy_field(BM, grid, lattice=512, channels=2, seed=11,
-                           spec=SynthesisSpec(threads=1))
-    eight = multi_copy_field(BM, grid, lattice=512, channels=2, seed=11,
-                             spec=SynthesisSpec(threads=8))
-    assert np.array_equal(one.values, eight.values)
-    assert one.metadata["threads"] == 1
-    assert eight.metadata["threads"] == 8
+def _direct_sum(model, grid, lattice, channels, seed):
+    """Reference synthesis: the trig sum over every (point, cell) pair."""
+    axes, masses, _ = simulate._lattice(model, grid, lattice, seed,
+                                        SynthesisSpec())
+    active = [j for j in range(grid.ndim)
+              if grid.shape[j] > 1 or grid.origin[j] != 0.0]
+    masses = masses.sum(axis=tuple(j for j in range(grid.ndim)
+                                   if j not in active))
+    amp = np.sqrt(2.0 * masses).ravel()
+    mesh = np.meshgrid(*[axes[j] for j in active], indexing="ij")
+    lambdas = np.stack([m.ravel() for m in mesh], axis=-1)
+    phases = grid.points()[:, active] @ lambdas.T
+    out = np.empty((grid.npoints, channels))
+    for c in range(channels):
+        rng = np.random.Generator(np.random.Philox(key=(seed, c)))
+        draws = rng.standard_normal(masses.shape + (2,)).reshape(-1, 2)
+        out[:, c] = ((np.cos(phases) - 1.0) @ (amp * draws[:, 0])
+                     + np.sin(phases) @ (amp * draws[:, 1]))
+    return out.reshape(grid.shape + (channels,))
 
 
-def test_thread_count_from_environment(monkeypatch):
-    monkeypatch.setenv("ANISOFIELD_THREADS", "4")
-    fs = sample_field(BM, GRID65, lattice=256, seed=11)
-    assert fs.metadata["threads"] == 4
+@pytest.mark.parametrize("model, grid, channels, origins", [
+    # 2-D, origin off the grid
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(0.3, -0.7), spacing=(0.2, 0.15), shape=(6, 5)), 2, 0),
+    # 2-D with an inactive second axis
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(-0.4, 0.0), spacing=(0.1, 0.5), shape=(7, 1)), 2, 1),
+    # 3-D through the origin
+    (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
+     Grid(origin=(-0.2, 0.0, -0.5), spacing=(0.1, 0.2, 0.25), shape=(4, 3, 3)),
+     3, 1),
+])
+def test_separable_evaluation_matches_direct_sum(model, grid, channels,
+                                                 origins):
+    fs = multi_copy_field(model, grid, lattice=16, channels=channels, seed=4)
+    np.testing.assert_allclose(fs.values,
+                               _direct_sum(model, grid, 16, channels, 4),
+                               rtol=0.0, atol=1e-12)
+    at_origin = np.all(grid.points() == 0.0, axis=1).reshape(grid.shape)
+    assert np.count_nonzero(at_origin) == origins
+    assert np.all(fs.values[at_origin] == 0.0)
+
+
+@pytest.mark.parametrize("model, grid, many", [
+    (BM, GRID65, 300),
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(0.0, 0.0), spacing=(1.0 / 24, 1.0 / 24), shape=(24, 24)), 40),
+])
+def test_channel_prefix_is_bitwise_for_any_channel_count(model, grid, many):
+    joint = multi_copy_field(model, grid, lattice=64, channels=many, seed=1)
+    for channels in (1, 2, 3):
+        part = multi_copy_field(model, grid, lattice=64, channels=channels,
+                                seed=1)
+        assert np.array_equal(part.values, joint.values[..., :channels])
 
 
 def test_repeat_call_is_deterministic():
