@@ -14,7 +14,7 @@ from .fractal import (EMPTY, UNDETERMINED, DimensionReport, HurstEstimate,
                       clamp_exponents, dimension_report, estimate_hurst,
                       gneiting_dimensions, graph_dimension,
                       level_set_dimension, range_dimension)
-from .kriging import (KrigingResult, Observations, krige,
+from .kriging import (KrigingResult, Observations, krige, krige_many,
                       prediction_error_envelope, scaling_exponent_check)
 from .models import (Legitimacy, SmoothnessExponents, SpectralModel,
                      canonical_c, evaluate_density, fbm, legitimacy_check,
@@ -44,7 +44,8 @@ __all__ = [
     "clamp_exponents", "dimension_report", "estimate_hurst",
     "gneiting_dimensions", "graph_dimension", "level_set_dimension",
     "range_dimension",
-    "KrigingResult", "Observations", "krige", "prediction_error_envelope",
+    "KrigingResult", "Observations", "krige", "krige_many",
+    "prediction_error_envelope",
     "scaling_exponent_check",
     "Legitimacy", "SmoothnessExponents", "SpectralModel", "canonical_c",
     "evaluate_density", "fbm", "legitimacy_check", "model_from_dict",

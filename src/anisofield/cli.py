@@ -28,7 +28,7 @@ from .errors import (AnisoFieldError, FileFormatError, ModelError)
 from .fileio import (read_csv, read_json, write_field_afld, write_field_csv,
                      write_json, write_prediction_csv, write_variogram_csv)
 from .fractal import dimension_report, gneiting_dimensions
-from .kriging import Observations, krige
+from .kriging import Observations, krige_many
 from .models import legitimacy_check, model_from_dict, model_to_dict
 from .quadrature import QuadratureSpec
 from .simulate import Grid, multi_copy_field
@@ -289,11 +289,9 @@ def _cmd_krige(args):
     targets = read_csv(_resolve(args, "targets", required=True))
     if targets.shape[1] != model.dims:
         raise ModelError(f"target rows need {model.dims} columns")
-    predictions, variances = [], []
-    for site in targets:
-        result = krige(obs, site, quad)
-        predictions.append(result.prediction)
-        variances.append(result.variance)
+    results = krige_many(obs, targets, quad)
+    predictions = [r.prediction for r in results]
+    variances = [r.variance for r in results]
     out = _resolve(args, "out", required=True)
     write_prediction_csv(out, targets, predictions, variances,
                          _provenance(quad, model_doc=model_to_dict(model)))

@@ -92,8 +92,8 @@ def read_csv(path, min_columns=1):
     """Read a numeric CSV as a 2-D array.
 
     Comment lines starting with ``#`` are skipped, as is one optional
-    non-numeric header row.  All remaining rows must be numeric and of
-    equal width.
+    non-numeric header row.  All remaining rows must be finite numbers
+    and of equal width.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -115,7 +115,10 @@ def read_csv(path, min_columns=1):
     if width < min_columns:
         raise FileFormatError(
             f"{path}: expected at least {min_columns} columns, found {width}")
-    return np.asarray(rows)
+    rows = np.asarray(rows)
+    if not np.all(np.isfinite(rows)):
+        raise FileFormatError(f"{path}: non-finite value in numeric rows")
+    return rows
 
 
 def write_variogram_csv(path, table, provenance=None):

@@ -10,8 +10,14 @@ the pinned value zero).
 The prediction-variance envelope brackets the kriging variance between
 min_k sum_j |u_j - t^k_j|^(2 H_j) and min_k sum_j sigma_j(|u_j - t^k_j|),
 with k running over the observation sites and the origin.
+
+The covariance matrix depends only on the observation sites, so
+:func:`krige_many` assembles and factors it once for a whole batch of
+targets and takes every variogram from one cache of distinct lags;
+:func:`krige` is the batch of one.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,25 +95,33 @@ class KrigingResult:
     meta: dict = field(default_factory=dict)
 
 
-class _VariogramCache:
-    """Memoizes v on sign-canonicalized lags within one kriging call."""
+def _variogram_lookup(model, quad):
+    """(v, err) on sign-canonicalized lags, memoized for one kriging batch.
 
-    def __init__(self, model, quad):
-        self.model = model
-        self.quad = quad
-        self.table = {}
+    Zero lags return (0, 0) without a quadrature.  ``cache_info()`` of the
+    returned lookup counts the quadratures run (misses) and the nonzero
+    lags served from the memo (hits).
+    """
 
-    def __call__(self, lag):
+    @functools.lru_cache(maxsize=None)
+    def canonical(key):
+        return variogram_numeric(model, np.array(key), quad)
+
+    def lookup(lag):
         lag = np.asarray(lag, dtype=float)
-        canon = lag if (lag[lag != 0].size == 0 or lag[lag != 0][0] > 0) else -lag
-        key = tuple(canon)
-        if key not in self.table:
-            self.table[key] = variogram_numeric(self.model, canon, self.quad)[0]
-        return self.table[key]
+        nonzero = lag[lag != 0]
+        if nonzero.size == 0:
+            return 0.0, 0.0
+        return canonical(tuple(lag if nonzero[0] > 0 else -lag))
+
+    lookup.cache_info = canonical.cache_info
+    return lookup
 
 
-def _pinned_covariance(vcache, s, t):
-    return 0.5 * (vcache(s) + vcache(t) - vcache(s - t))
+def _pinned_covariance(lookup, s, t):
+    """C(s, t) and the worst variogram error estimate behind it."""
+    (vs, es), (vt, et), (vd, ed) = lookup(s), lookup(t), lookup(s - t)
+    return 0.5 * (vs + vt - vd), max(es, et, ed)
 
 
 def _factor_with_jitter(matrix):
@@ -143,41 +157,88 @@ def krige(obs, u, quad=None):
     Returns
     -------
     KrigingResult
-        Prediction c(u)^T Sigma^{-1} Z, variance C(u,u) - c(u)^T Sigma^{-1} c(u)
-        (clamped at zero; values below -1e-10 raise), the solved weights
-        and the jitter that was needed.
+        As :func:`krige_many` returns for the one-row batch ``[u]``.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (obs.model.dims,):
         raise ModelError(f"target site must have {obs.model.dims} coordinates")
-    vcache = _VariogramCache(obs.model, quad)
+    return krige_many(obs, u[None, :], quad)[0]
+
+
+def krige_many(obs, targets, quad=None):
+    """Simple-kriging predictions at every row of ``targets``.
+
+    The covariance matrix Sigma of the observations is assembled and
+    factored once; every target then solves against that factor with its
+    own covariance vector c(u).  All variograms come from one cache, so
+    each distinct lag costs one quadrature per batch.
+
+    Parameters
+    ----------
+    obs : Observations
+    targets : array_like, shape (m, dims)
+    quad : QuadratureSpec, optional
+        Settings for the variogram quadrature behind the covariances.
+
+    Returns
+    -------
+    list of KrigingResult
+        One per target: prediction c(u)^T Sigma^{-1} Z, variance
+        C(u,u) - c(u)^T Sigma^{-1} c(u) (clamped at zero; values below
+        -1e-10 raise), the solved weights and the jitter that was needed.
+        ``meta`` holds ``variogram_evals`` (distinct quadratures in the
+        batch), ``cache_hits`` (variogram lookups the cache served) and
+        ``max_variogram_err`` (worst error estimate behind this result).
+    """
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != obs.model.dims:
+        raise ModelError(
+            f"targets must be rows of {obs.model.dims} coordinates")
+    if not np.all(np.isfinite(targets)):
+        raise ModelError("target sites must be finite")
+    lookup = _variogram_lookup(obs.model, quad)
     n = len(obs)
-    if n == 0:
-        variance = vcache(u)
-        return KrigingResult(site=u, prediction=0.0, variance=max(0.0, variance),
-                             weights=np.zeros(0))
     sigma = np.empty((n, n))
+    sigma_err = 0.0
     for i in range(n):
         for k in range(i, n):
-            sigma[i, k] = sigma[k, i] = _pinned_covariance(
-                vcache, obs.sites[i], obs.sites[k])
-    cvec = np.array([_pinned_covariance(vcache, u, site) for site in obs.sites])
-    try:
-        factor, jitter = _factor_with_jitter(sigma)
-    except FactorizationError as exc:
-        pair = _closest_pair(obs.sites)
-        raise FactorizationError(
-            f"{exc} (closest sites: {pair[0].tolist()} and {pair[1].tolist()})",
-            min_eigenvalue=exc.min_eigenvalue) from None
-    weights = scipy.linalg.cho_solve(factor, cvec)
-    prediction = float(weights @ obs.values)
-    variance = float(vcache(u) - cvec @ weights)
-    if variance < _VARIANCE_FLOOR:
-        raise ConsistencyError(
-            f"kriging variance {variance:g} fell below the {_VARIANCE_FLOOR:g} floor")
-    return KrigingResult(site=u, prediction=prediction,
-                         variance=max(0.0, variance), weights=weights,
-                         jitter=jitter)
+            value, err = _pinned_covariance(lookup, obs.sites[i], obs.sites[k])
+            sigma[i, k] = sigma[k, i] = value
+            sigma_err = max(sigma_err, err)
+    factor, jitter = None, 0.0
+    if n:
+        try:
+            factor, jitter = _factor_with_jitter(sigma)
+        except FactorizationError as exc:
+            pair = _closest_pair(obs.sites)
+            raise FactorizationError(
+                f"{exc} (closest sites: {pair[0].tolist()} and "
+                f"{pair[1].tolist()})", min_eigenvalue=exc.min_eigenvalue) from None
+    solved = []
+    for u in targets:
+        prior, err = lookup(u)
+        if n == 0:
+            prediction, variance, weights = 0.0, prior, np.zeros(0)
+        else:
+            cov = [_pinned_covariance(lookup, u, site) for site in obs.sites]
+            cvec = np.array([c for c, _ in cov])
+            err = max(err, sigma_err, *(e for _, e in cov))
+            weights = scipy.linalg.cho_solve(factor, cvec)
+            prediction = float(weights @ obs.values)
+            variance = float(prior - cvec @ weights)
+        if variance < _VARIANCE_FLOOR:
+            raise ConsistencyError(
+                f"kriging variance {variance:g} fell below the "
+                f"{_VARIANCE_FLOOR:g} floor")
+        solved.append((u, prediction, variance, weights, float(err)))
+    info = lookup.cache_info()
+    return [KrigingResult(site=u, prediction=prediction,
+                          variance=max(0.0, variance), weights=weights,
+                          jitter=jitter,
+                          meta={"variogram_evals": info.misses,
+                                "cache_hits": info.hits,
+                                "max_variogram_err": err})
+            for u, prediction, variance, weights, err in solved]
 
 
 def _closest_pair(sites):

@@ -96,24 +96,28 @@ def auto_truncation(freqs):
     return min(1e4, 64.0 * max(1.0, 1.0 / nz.min()))
 
 
-def _inner_axis(L, freq, panels_budget, depth, order):
-    """Graded GL nodes and weights on [0, L] for one axis."""
+def _inner_panels(L, freq, panels_budget, depth):
+    """Midpoints and half-widths of the graded panels on [0, L] for one axis."""
     cap = math.inf if freq == 0 else 10.0 / abs(freq)
     cap = max(cap, 4.0 * L / panels_budget)
-    x, w = _gauss(order)
-    nodes, weights = [], []
+    mids, halves = [], []
     hi = L
     for level in range(depth + 1):
         lo = 0.0 if level == depth else hi * 0.5
         width = hi - lo
         nsub = 1 if not math.isfinite(cap) or width <= cap else math.ceil(width / cap)
         edges = np.linspace(lo, hi, nsub + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes.append((mid[:, None] + half[:, None] * x).ravel())
-        weights.append((half[:, None] * w).ravel())
+        mids.append(0.5 * (edges[1:] + edges[:-1]))
+        halves.append(0.5 * np.diff(edges))
         hi = lo
-    return np.concatenate(nodes), np.concatenate(weights)
+    return np.concatenate(mids), np.concatenate(halves)
+
+
+def _inner_axis(panels, order):
+    """GL nodes and weights of one order on the panels of _inner_panels."""
+    mid, half = panels
+    x, w = _gauss(order)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _outer_axis(L, depth, order):
@@ -204,9 +208,10 @@ def spectral_integral(parts, n_dims, freqs, quad=None, sq_axis=None, increment=F
 
     L = quad.truncation if quad.truncation is not None else auto_truncation(freqs)
     depth = _DEPTH[n_dims]
+    panels = [_inner_panels(L, freqs[a], quad.panels, depth) for a in range(n_dims)]
 
     def one_pass(order):
-        axes_in = [_inner_axis(L, freqs[a], quad.panels, depth, order) for a in range(n_dims)]
+        axes_in = [_inner_axis(p, order) for p in panels]
         axis_out = _outer_axis(L, depth, order)
         n_nodes = math.prod(a[0].size for a in axes_in)
         if n_nodes > _MAX_TENSOR_NODES:

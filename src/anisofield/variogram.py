@@ -53,6 +53,8 @@ def variogram_numeric(model, h, quad=None):
     h = np.asarray(h, dtype=float)
     if h.shape != (model.dims,):
         raise ModelError(f"lag must have shape ({model.dims},)")
+    if not np.all(np.isfinite(h)):
+        raise ModelError("lag must be finite")
     if np.all(h == 0):
         return 0.0, 0.0
     value, err = spectral_integral(density_parts(model), model.dims, h, quad,

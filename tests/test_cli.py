@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from anisofield.cli import main
-from anisofield.fileio import read_csv, read_field_afld, read_json, write_csv, write_json
-from anisofield.models import canonical_c, fbm, model_to_dict
+from anisofield.fileio import (format_float, read_csv, read_field_afld,
+                               read_json, write_csv, write_json)
+from anisofield.kriging import Observations, krige
+from anisofield.models import canonical_c, fbm, model_from_dict, model_to_dict
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import variogram_table
 
@@ -128,7 +130,7 @@ def test_krige_interpolation_and_extrapolation(tmp_path, bm_model):
     obs_path = tmp_path / "obs.csv"
     write_csv(obs_path, ["t_1", "value"], [[1.0, 0.7]])
     targets_path = tmp_path / "targets.csv"
-    write_csv(targets_path, ["t_1"], [[1.0], [2.0]])
+    write_csv(targets_path, ["t_1"], [[1.0], [2.0], [0.5]])
     out = tmp_path / "pred.csv"
     assert main(["krige", "--model", bm_model, "--obs", str(obs_path),
                  "--targets", str(targets_path), "--out", str(out)]
@@ -138,6 +140,16 @@ def test_krige_interpolation_and_extrapolation(tmp_path, bm_model):
     assert rows[0, 2] == pytest.approx(0.0, abs=1e-8)
     assert rows[1, 1] == pytest.approx(0.7, abs=1e-6)
     assert rows[1, 2] == pytest.approx(1.0, abs=1e-4)
+    assert rows[2, 1] == pytest.approx(0.35, abs=1e-6)
+    assert rows[2, 2] == pytest.approx(0.25, abs=1e-4)
+    obs = Observations(sites=[[1.0]], values=[0.7],
+                       model=model_from_dict(read_json(bm_model)))
+    quad = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
+                          rel_tol=0.01)
+    for row in rows:
+        result = krige(obs, row[:1], quad)
+        assert row[1] == float(format_float(result.prediction))
+        assert row[2] == float(format_float(result.variance))
 
 
 def test_verify_suite_exits_zero(capsys):
@@ -190,6 +202,24 @@ def test_exit_code_3_for_missing_file(tmp_path, capsys):
     assert main(["analyze", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r.json")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_exit_code_3_for_non_finite_rows(tmp_path, capsys, cell):
+    model = tmp_path / "plane.json"
+    write_json(model, model_to_dict(canonical_c(beta=(1.0, 2.0), gamma=4.0)))
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"t_1,t_2\n{cell},0.5\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t_1,t_2,value\n0.5,0.5,0.1\n")
+    vario, pred = tmp_path / "v.csv", tmp_path / "p.csv"
+    assert main(["variogram", "--model", str(model), "--lags", str(rows),
+                 "--out", str(vario)]) == 3
+    assert main(["krige", "--model", str(model), "--obs", str(obs),
+                 "--targets", str(rows), "--out", str(pred)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and err.count("rows.csv") == 2
+    assert not vario.exists() and not pred.exists()
 
 
 def test_exit_code_3_for_junk_observations(tmp_path, bm_model, capsys):

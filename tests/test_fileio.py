@@ -74,6 +74,12 @@ def test_read_csv_rejects_bad_content(tmp_path):
     with pytest.raises(FileFormatError):
         read_csv(narrow, min_columns=3)
 
+    for cell in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / f"{cell}.csv"
+        non_finite.write_text(f"x,y\n1,2\n{cell},0.5\n")
+        with pytest.raises(FileFormatError, match=non_finite.name):
+            read_csv(non_finite)
+
 
 def test_read_csv_skips_header_and_comments(tmp_path):
     path = tmp_path / "mixed.csv"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from anisofield import kriging
 from anisofield.errors import ModelError
-from anisofield.kriging import (Observations, krige, prediction_error_envelope,
+from anisofield.kriging import (Observations, krige, krige_many,
+                                prediction_error_envelope,
                                 scaling_exponent_check)
 from anisofield.models import canonical_c, fbm, smoothness_exponents
 from anisofield.quadrature import QuadratureSpec
+from anisofield.variogram import variogram_numeric
 
 TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
                        rel_tol=0.01)
@@ -54,6 +57,105 @@ def test_empty_observations_fall_back_to_prior(bm):
     assert result.prediction == 0.0
     assert result.variance == pytest.approx(0.7, rel=1e-4)
     assert result.weights.shape == (0,)
+
+
+PLANE = canonical_c(beta=(1.0, 2.0), gamma=4.0)
+PLANE_SITES = np.array([[0.3, 0.6], [0.8, 0.2], [0.5, 0.9]])
+# on a site, off the sites, and the mirror of a site (same lags up to sign)
+PLANE_TARGETS = np.array([[0.8, 0.2], [0.4, 0.4], [-0.3, -0.6]])
+
+
+def _canonical(lag):
+    nonzero = lag[lag != 0]
+    if nonzero.size == 0:
+        return None
+    return tuple(lag if nonzero[0] > 0 else -lag)
+
+
+def _sigma_lags(sites):
+    return [lag for i in range(len(sites)) for k in range(i, len(sites))
+            for lag in (sites[i], sites[k], sites[i] - sites[k])]
+
+
+def _target_lags(u, sites):
+    return [u] + [lag for s in sites for lag in (u, s, u - s)]
+
+
+def _distinct_nonzero_lags(sites, targets):
+    lags = _sigma_lags(sites)
+    for u in targets:
+        lags += _target_lags(u, sites)
+    return {_canonical(lag) for lag in lags} - {None}
+
+
+def test_krige_many_factors_once_and_matches_krige(monkeypatch):
+    obs = Observations(sites=PLANE_SITES, values=[0.4, -0.2, 0.1],
+                       model=PLANE)
+    empty = Observations(sites=np.zeros((0, 2)), values=[], model=PLANE)
+    for config in (obs, empty):
+        single = [krige(config, u) for u in PLANE_TARGETS]
+        batch = krige_many(config, PLANE_TARGETS)
+        assert len(batch) == len(single)
+        for a, b in zip(single, batch):
+            assert np.array_equal(a.site, b.site)
+            assert a.prediction == b.prediction and a.variance == b.variance
+            assert np.array_equal(a.weights, b.weights)
+            assert a.jitter == b.jitter
+
+    factor_calls, lags = [], []
+    real_factor = kriging._factor_with_jitter
+    real_variogram = kriging.variogram_numeric
+
+    def counting_factor(matrix):
+        factor_calls.append(matrix)
+        return real_factor(matrix)
+
+    def counting_variogram(model, h, quad=None):
+        lags.append(tuple(h))
+        return real_variogram(model, h, quad)
+
+    monkeypatch.setattr(kriging, "_factor_with_jitter", counting_factor)
+    monkeypatch.setattr(kriging, "variogram_numeric", counting_variogram)
+    krige_many(obs, PLANE_TARGETS)
+    assert len(factor_calls) == 1
+    assert len(lags) == len(set(lags))
+    assert set(lags) == _distinct_nonzero_lags(PLANE_SITES, PLANE_TARGETS)
+
+
+def test_krige_many_reports_variogram_diagnostics():
+    obs = Observations(sites=PLANE_SITES, values=[0.4, -0.2, 0.1],
+                       model=PLANE)
+    distinct = _distinct_nonzero_lags(PLANE_SITES, PLANE_TARGETS)
+    errs = {lag: variogram_numeric(PLANE, lag)[1] for lag in distinct}
+    lookups = _sigma_lags(PLANE_SITES)
+    for u in PLANE_TARGETS:
+        lookups += _target_lags(u, PLANE_SITES)
+    nonzero_lookups = sum(_canonical(lag) is not None for lag in lookups)
+    results = krige_many(obs, PLANE_TARGETS)
+    for u, result in zip(PLANE_TARGETS, results):
+        behind = _sigma_lags(PLANE_SITES) + _target_lags(u, PLANE_SITES)
+        worst = max(errs[_canonical(lag)] for lag in behind
+                    if _canonical(lag) is not None)
+        assert result.meta == {"variogram_evals": len(distinct),
+                               "cache_hits": nonzero_lookups - len(distinct),
+                               "max_variogram_err": worst}
+
+    empty = Observations(sites=np.zeros((0, 2)), values=[], model=PLANE)
+    prior = krige_many(empty, [[0.4, 0.4], [-0.4, -0.4], [0.0, 0.0]])
+    assert [r.meta for r in prior] == [
+        {"variogram_evals": 1, "cache_hits": 1,
+         "max_variogram_err": errs[(0.4, 0.4)]}] * 2 + [
+        {"variogram_evals": 1, "cache_hits": 1, "max_variogram_err": 0.0}]
+
+
+def test_targets_must_be_finite_rows(bm):
+    obs = Observations(sites=[[1.0]], values=[0.7], model=bm)
+    for bad in ([[np.nan]], [[0.5], [np.inf]], [0.5], [[0.5, 0.5]]):
+        with pytest.raises(ModelError):
+            krige_many(obs, bad)
+    for bad in ([np.nan], [-np.inf]):
+        with pytest.raises(ModelError):
+            krige(obs, bad)
 
 
 def test_added_observation_never_hurts(bm):

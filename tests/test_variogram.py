@@ -49,6 +49,9 @@ def test_variogram_rejects_bad_input():
     model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
     with pytest.raises(ModelError):
         variogram_numeric(model, [1.0])
+    for lag in ([np.nan, 0.5], [np.inf, 0.5], [0.0, -np.inf]):
+        with pytest.raises(ModelError):
+            variogram_numeric(model, lag)
     with pytest.raises(ModelError):
         variogram_numeric(canonical_c(beta=(1.0, 1.0), gamma=2.0),
                           [1.0, 1.0])
