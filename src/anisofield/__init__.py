@@ -27,8 +27,7 @@ from .simulate import (FieldSample, Grid, SynthesisSpec, empirical_variogram,
                        sample_stationary_exact)
 from .smoothness import (SmoothnessReport, cross_cov_matrix, cross_covariance,
                          derivative_covariance, derivative_variance,
-                         ms_derivative_report, variogram_gradient,
-                         variogram_second)
+                         ms_derivative_report, variogram_gradient)
 from .variogram import (GneitingModel, VariogramTable, covariance_increment,
                         gneiting_covariance, gneiting_from_dict,
                         gneiting_from_json, gneiting_increment_variance,
@@ -56,7 +55,7 @@ __all__ = [
     "multi_copy_field", "sample_field", "sample_stationary_exact",
     "SmoothnessReport", "cross_cov_matrix", "cross_covariance",
     "derivative_covariance", "derivative_variance", "ms_derivative_report",
-    "variogram_gradient", "variogram_second",
+    "variogram_gradient",
     "GneitingModel", "VariogramTable", "covariance_increment",
     "gneiting_covariance", "gneiting_from_dict", "gneiting_from_json",
     "gneiting_increment_variance", "gneiting_to_dict", "modulus_envelope",

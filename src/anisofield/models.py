@@ -252,7 +252,7 @@ def normalize_fbm_constant(hurst, dims, quad=None):
                          fbm_const=1.0)
     h = np.zeros(dims)
     h[0] = 1.0
-    value, _ = spectral_integral(density_parts(unit), dims, h, quad, increment=True)
+    value, _ = spectral_integral(density_parts(unit), dims, h, quad)
     return 1.0 / (2.0 * value)
 
 

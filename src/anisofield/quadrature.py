@@ -2,13 +2,14 @@
 
 Evaluates integrals of the form
 
-    int_{R^N} K(lambda) f(lambda) dlambda,
+    int_{R^N} K(h, lambda) f(lambda) dlambda,
 
-where f is even in each coordinate and K is either the increment kernel
-1 - cos<h, lambda> or a product-cosine kernel cos<h, lambda> with an
-optional lambda_j^2 factor.  Evenness reduces cos<h, lambda> to a product
-of per-axis cosines, so the integral folds onto the positive orthant with
-weight 2^N.
+where f is even in each coordinate and K is the increment kernel
+1 - cos<h, lambda> or its first or second partial in one lag coordinate
+h_j.  Evenness reduces each of these to a sum of products of per-axis
+factors (cosines, sines and 2 sin^2 half-angle terms), so the integral
+folds onto the positive orthant with weight 2^N and every term is one
+multilinear contraction of the density tensor.
 
 Each axis is split at a truncation point L.  The inner interval [0, L]
 is covered by dyadically graded Gauss-Legendre panels (the grading
@@ -16,10 +17,11 @@ resolves the power-law behaviour of the density near the origin), with
 panel widths additionally capped by the local oscillation wavelength.
 The outer interval (L, inf) is mapped to u in (0, 1] via lambda = L/u and
 integrated on its own graded panels; this captures the non-oscillatory
-tail mass essentially exactly.  Oscillatory tail content that the outer
-grids cannot resolve is dropped and charged to the error estimate, except
-in one dimension where up to two integration-by-parts boundary terms
-(controlled by ``tail_order``) are added instead.
+tail mass essentially exactly.  Oscillatory factors that the outer
+grids cannot resolve are replaced by their means (1 for the sin^2 factor,
+0 for cosines and sines) and the dropped part is charged to the error
+estimate, except in one dimension where up to two integration-by-parts
+boundary terms (controlled by ``tail_order``) are added instead.
 
 The error estimate combines that tail charge with the difference between
 two Gauss orders on identical panels.  All node orderings are fixed, so
@@ -150,28 +152,50 @@ def _contract(F, vecs):
     return float(acc)
 
 
-def _tail_ibp(point_density, L, freq, order):
-    """Boundary-term estimate of int_L^inf g(l) cos(freq*l) dl.
+def _tail_ibp(point_density, L, h, phase, order):
+    """Boundary-term estimate of int_L^inf g(l) cos(h*l - phase) dl.
 
-    Returns (correction, err) where err bounds the first dropped term.
-    Uses centered differences of g at L for the derivative terms.
+    A phase of pi/2 turns the cosine into sin(h*l).  Returns
+    (correction, err) where err bounds the first dropped term.  Uses
+    centered differences of g at L for the derivative terms.
     """
-    h = abs(freq)
     delta = 0.02 * L
     g_hi, g0, g_lo = point_density(L + delta), point_density(L), point_density(L - delta)
     gp = (g_hi - g_lo) / (2 * delta)
     gpp = (g_hi - 2 * g0 + g_lo) / delta**2
     corr = 0.0
     if order >= 1:
-        corr -= g0 * math.sin(h * L) / h
+        corr -= g0 * math.sin(h * L - phase) / h
     if order >= 2:
-        corr -= gp * math.cos(h * L) / h**2
-    err = {0: 2 * abs(g0) / h, 1: 2 * abs(gp) / h**2, 2: 2 * abs(gpp) / h**3}[order]
+        corr -= gp * math.cos(h * L - phase) / h**2
+    err = {0: 2 * abs(g0 / h), 1: 2 * abs(gp) / h**2, 2: 2 * abs(gpp / h**3)}[order]
     return corr, err
 
 
-def spectral_integral(parts, n_dims, freqs, quad=None, sq_axis=None, increment=False):
-    """Integrate a cosine-type kernel against a coordinate-even density.
+# Per-axis factors of the kernel terms: c = cos(h_a l_a), s = sin(h_a l_a)
+# and s2 = 2 sin^2(h_a l_a / 2) = 1 - cos(h_a l_a).  On an axis whose
+# oscillation the outer grid cannot resolve, a factor is replaced by its
+# mean: 1 for s2, 0 for c and s.
+_FACTORS = {
+    "c": np.cos,
+    "s": np.sin,
+    "s2": lambda x: 2.0 * np.sin(0.5 * x) ** 2,
+}
+_ZERO_MEAN = ("c", "s")
+
+
+def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
+    """Integrate the increment kernel, or one of its h-partials, against a density.
+
+    The kernel is K(h, lambda) = 1 - cos<h, lambda>.  Because the density
+    is even in each coordinate, K folds onto the positive orthant as the
+    telescoped sum
+
+        sum_a 2 sin^2(h_a lambda_a / 2) prod_{b<a} cos(h_b lambda_b),
+
+    which has no cancellation at small lags, and its partials in h_j fold
+    to lambda_j sin(h_j lambda_j) prod_{b!=j} cos(h_b lambda_b) (first)
+    and lambda_j^2 prod_b cos(h_b lambda_b) (second).
 
     Parameters
     ----------
@@ -181,38 +205,55 @@ def spectral_integral(parts, n_dims, freqs, quad=None, sq_axis=None, increment=F
     n_dims : int
         Number of frequency coordinates N (1 to 3 supported).
     freqs : array_like
-        The vector h pairing with lambda inside the cosine.
+        The lag vector h, shape (N,), finite.
     quad : QuadratureSpec, optional
-    sq_axis : int, optional
-        Multiply the kernel by lambda_j^2 (product-cosine kernels only).
-    increment : bool
-        True integrates (1 - cos<h, lambda>) f; False integrates
-        cos<h, lambda> f (times the optional square factor).
+    partial : (axis, order)
+        Integrate d^order K / dh_axis^order, with axis in [0, N) and
+        order 0, 1 or 2; the default (0, 0) is K itself.
 
     Returns
     -------
     (value, err) : tuple of floats
         The integral over R^N and a combined tail plus discretization
         error estimate.
+
+    Raises
+    ------
+    ModelError
+        On a lag of the wrong shape or with non-finite entries, or a
+        partial outside the lag's axes or orders.
+    QuadratureError
+        If the inner tensor grid exceeds the supported node count.
     """
     quad = quad or QuadratureSpec()
     freqs = np.asarray(freqs, dtype=float)
-    if freqs.shape != (n_dims,):
-        raise ModelError(f"frequency vector must have shape ({n_dims},)")
     if n_dims not in _DEPTH:
         raise ModelError("quadrature supports 1 to 3 dimensions")
-    if increment and sq_axis is not None:
-        raise ModelError("square factor is only supported for cosine kernels")
-    if increment and np.all(freqs == 0):
+    if freqs.shape != (n_dims,):
+        raise ModelError(f"lag must have shape ({n_dims},)")
+    if not np.all(np.isfinite(freqs)):
+        raise ModelError("lag must be finite")
+    axis, order = partial
+    if not (isinstance(axis, (int, np.integer)) and 0 <= axis < n_dims):
+        raise ModelError(f"axis must be an integer in [0, {n_dims})")
+    if order not in (0, 1, 2):
+        raise ModelError("partial order must be 0, 1 or 2")
+    if order == 0:
+        terms = [("c",) * a + ("s2",) + ("1",) * (n_dims - a - 1)
+                 for a in range(n_dims) if freqs[a] != 0]
+    else:
+        own = "s" if order == 1 else "c"
+        terms = [tuple(own if b == axis else "c" for b in range(n_dims))]
+    if not terms:
         return 0.0, 0.0
 
     L = quad.truncation if quad.truncation is not None else auto_truncation(freqs)
     depth = _DEPTH[n_dims]
     panels = [_inner_panels(L, freqs[a], quad.panels, depth) for a in range(n_dims)]
 
-    def one_pass(order):
-        axes_in = [_inner_axis(p, order) for p in panels]
-        axis_out = _outer_axis(L, depth, order)
+    def one_pass(gauss_order):
+        axes_in = [_inner_axis(p, gauss_order) for p in panels]
+        axis_out = _outer_axis(L, depth, gauss_order)
         n_nodes = math.prod(a[0].size for a in axes_in)
         if n_nodes > _MAX_TENSOR_NODES:
             raise QuadratureError(
@@ -224,58 +265,36 @@ def spectral_integral(parts, n_dims, freqs, quad=None, sq_axis=None, increment=F
         for combo in itertools.product((0, 1), repeat=n_dims):
             lam = [axes_in[a][0] if c == 0 else axis_out[0] for a, c in enumerate(combo)]
             wgt = [axes_in[a][1] if c == 0 else axis_out[1] for a, c in enumerate(combo)]
-            resolved = all(c == 0 or freqs[a] == 0 for a, c in enumerate(combo))
+            wgt[axis] = wgt[axis] * lam[axis] ** order
+            unresolved = [c == 1 and freqs[a] != 0 for a, c in enumerate(combo)]
             S = _bshape(parts.axis_term(0, lam[0]), 0, n_dims)
             for a in range(1, n_dims):
                 S = S + _bshape(parts.axis_term(a, lam[a]), a, n_dims)
             F = parts.outer_map(S)
-            wvecs = []
-            for a in range(n_dims):
-                v = wgt[a]
-                if sq_axis == a:
-                    v = v * lam[a] ** 2
-                wvecs.append(v)
-            if resolved:
-                if increment:
-                    # Fused evaluation keeps 1 - prod(cos) free of the
-                    # mass-vs-cosine cancellation at small lags.
-                    pcos = None
-                    for a in range(n_dims):
-                        if freqs[a] == 0:
-                            continue
-                        ca = _bshape(np.cos(freqs[a] * lam[a]), a, n_dims)
-                        pcos = ca if pcos is None else pcos * ca
-                    W = _bshape(wvecs[0], 0, n_dims)
-                    for a in range(1, n_dims):
-                        W = W * _bshape(wvecs[a], a, n_dims)
-                    value += float(np.sum(W * (1.0 - pcos) * F))
-                else:
-                    vecs = [
-                        wvecs[a] * np.cos(freqs[a] * lam[a]) if freqs[a] != 0 else wvecs[a]
-                        for a in range(n_dims)
-                    ]
-                    value += _contract(F, vecs)
+            for term in terms:
+                if any(unresolved[a] and f in _ZERO_MEAN for a, f in enumerate(term)):
+                    continue
+                value += _contract(F, [
+                    wgt[a] if f == "1" or unresolved[a]
+                    else wgt[a] * _FACTORS[f](freqs[a] * lam[a])
+                    for a, f in enumerate(term)])
+            if not any(unresolved):
                 continue
-            # Unresolved oscillatory block: keep the mass for the
-            # increment kernel (its constant part), drop the cosine part
-            # and charge it to the error estimate.
-            mass = _contract(F, wvecs)
+            # The means dropped the oscillatory part of this block: in one
+            # dimension add its integration-by-parts tail, otherwise charge
+            # the block's envelope mass, scaled by the cancellation over
+            # the unresolved axes, to the error estimate.
             if n_dims == 1:
                 def g(x):
-                    val = parts.point(np.array([x]))
-                    return val * x**2 if sq_axis == 0 else val
-                corr, ibp_err = _tail_ibp(g, L, freqs[0], quad.tail_order)
-                value += (mass - corr) if increment else corr
+                    return parts.point(np.array([x])) * x**order
+                corr, ibp_err = _tail_ibp(g, L, freqs[0], math.pi / 2 if order == 1 else 0.0,
+                                          quad.tail_order)
+                value += corr if order else -corr
                 tail_err += ibp_err
             else:
-                supp = min(
-                    min(1.0, 2.0 / (abs(freqs[a]) * L))
-                    for a, c in enumerate(combo)
-                    if c == 1 and freqs[a] != 0
-                )
-                if increment:
-                    value += mass
-                tail_err += abs(mass) * supp
+                supp = min(min(1.0, 2.0 / (abs(freqs[a]) * L))
+                           for a in range(n_dims) if unresolved[a])
+                tail_err += abs(_contract(F, wgt)) * supp
         return value, tail_err
 
     fold = 2.0**n_dims

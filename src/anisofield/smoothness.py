@@ -15,10 +15,13 @@ differentiating C(s, t) = (v(s) + v(t) - v(s - t)) / 2:
     Cov(X(s), X'_j(t)) = (1/2) (v'_j(t) + v'_j(s - t))
     Cov(X'_j(s), X(t)) = (1/2) (v'_j(s) - v'_j(s - t)).
 
-Variogram derivatives are Richardson-extrapolated central differences;
-first differences use a 1e-4 relative step, second differences a 1e-2
-step (dividing quadrature noise by a 1e-8 step squared would drown the
-signal).
+The variogram gradient is the exact first spectral moment
+
+    v'_j(h) = 2 int lambda_j sin<h, lambda> f(lambda) dlambda,
+
+and (1/2) v''_j is the derivative covariance above; both come from the
+same quadrature as the variogram, with the kernel's h_j-partial in place
+of the kernel.
 """
 
 from dataclasses import dataclass
@@ -29,9 +32,6 @@ from .errors import ModelError, QuadratureError
 from .models import density_parts, smoothness_exponents
 from .quadrature import QuadratureSpec, spectral_integral
 from .variogram import variogram_numeric
-
-_STEP_FIRST = 1e-4
-_STEP_SECOND = 1e-2
 
 
 @dataclass(frozen=True)
@@ -46,45 +46,12 @@ class SmoothnessReport:
     sample_path_differentiable: bool
 
 
-def _lag_scale(*vectors):
-    top = max((float(np.max(np.abs(v))) for v in vectors if np.size(v)), default=0.0)
-    return max(1.0, top)
-
-
-def _vario(model, h, quad):
-    return variogram_numeric(model, h, quad)[0]
-
-
 def variogram_gradient(model, axis, t, quad=None):
-    """dv/dh_axis at lag t, by Richardson-extrapolated central differences."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (model.dims,):
-        raise ModelError(f"lag must have shape ({model.dims},)")
-    step = _STEP_FIRST * _lag_scale(t)
-    e = np.zeros(model.dims)
-    e[axis] = 1.0
-
-    def central(h):
-        return (_vario(model, t + h * e, quad) - _vario(model, t - h * e, quad)) / (2 * h)
-
-    return (4.0 * central(step / 2) - central(step)) / 3.0
-
-
-def variogram_second(model, axis, delta, quad=None):
-    """d2v/dh_axis^2 at lag delta, Richardson-extrapolated."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (model.dims,):
-        raise ModelError(f"lag must have shape ({model.dims},)")
-    step = _STEP_SECOND * _lag_scale(delta)
-    e = np.zeros(model.dims)
-    e[axis] = 1.0
-    v0 = _vario(model, delta, quad)
-
-    def second(h):
-        return (_vario(model, delta + h * e, quad) - 2 * v0
-                + _vario(model, delta - h * e, quad)) / h**2
-
-    return (4.0 * second(step / 2) - second(step)) / 3.0
+    """dv/dh_axis at lag t = 2 int lambda_axis sin<t, lambda> f(lambda) dlambda."""
+    smoothness_exponents(model)  # raises ModelError on an illegitimate model
+    value, _ = spectral_integral(density_parts(model), model.dims, t, quad,
+                                 partial=(axis, 1))
+    return 2.0 * value
 
 
 def _require_axis_derivative(model, axis):
@@ -101,11 +68,8 @@ def _require_axis_derivative(model, axis):
 def derivative_covariance(model, axis, delta, quad=None):
     """Cov(X'_axis(t + delta), X'_axis(t)) = int lambda_axis^2 cos<delta, lambda> f."""
     _require_axis_derivative(model, axis)
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (model.dims,):
-        raise ModelError(f"lag must have shape ({model.dims},)")
     value, _ = spectral_integral(density_parts(model), model.dims, delta,
-                                 quad, sq_axis=axis)
+                                 quad, partial=(axis, 2))
     return value
 
 
@@ -114,7 +78,7 @@ def derivative_variance(model, axis, quad=None):
     _require_axis_derivative(model, axis)
     quad = quad or QuadratureSpec()
     value, err = spectral_integral(density_parts(model), model.dims,
-                                   np.zeros(model.dims), quad, sq_axis=axis)
+                                   np.zeros(model.dims), quad, partial=(axis, 2))
     if err > quad.rel_tol * value:
         raise QuadratureError(
             f"derivative variance error estimate {err:g} exceeds tolerance",
@@ -160,18 +124,17 @@ def cross_cov_matrix(model, axis, s, t, quad=None):
     [1, 0] are the mixed field-derivative covariances; [1, 1] is the
     stationary derivative covariance (1/2) v''_axis(s - t).
     """
-    _require_axis_derivative(model, axis)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     delta = s - t
-    vs = _vario(model, s, quad)
-    vt = _vario(model, t, quad)
-    vst = _vario(model, delta, quad)
+    second = derivative_covariance(model, axis, delta, quad)
+    vs, _ = variogram_numeric(model, s, quad)
+    vt, _ = variogram_numeric(model, t, quad)
+    vst, _ = variogram_numeric(model, delta, quad)
     gt = variogram_gradient(model, axis, t, quad)
     gs = variogram_gradient(model, axis, s, quad)
     gd = variogram_gradient(model, axis, delta, quad)
-    second = variogram_second(model, axis, delta, quad)
     return np.array([
         [0.5 * (vs + vt - vst), 0.5 * (gt + gd)],
-        [0.5 * (gs - gd), 0.5 * second],
+        [0.5 * (gs - gd), second],
     ])

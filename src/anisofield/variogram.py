@@ -44,21 +44,14 @@ def variogram_numeric(model, h, quad=None):
     QuadratureError
         If the error estimate exceeds ``quad.rel_tol`` times the value.
     ModelError
-        If the model fails the legitimacy check.
+        If the model fails the legitimacy check, or the lag has the wrong
+        shape or a non-finite entry.
     """
     quad = quad or QuadratureSpec()
     verdict = legitimacy_check(model)
     if not verdict.ok:
         raise ModelError(f"illegitimate model: {verdict.reason}")
-    h = np.asarray(h, dtype=float)
-    if h.shape != (model.dims,):
-        raise ModelError(f"lag must have shape ({model.dims},)")
-    if not np.all(np.isfinite(h)):
-        raise ModelError("lag must be finite")
-    if np.all(h == 0):
-        return 0.0, 0.0
-    value, err = spectral_integral(density_parts(model), model.dims, h, quad,
-                                   increment=True)
+    value, err = spectral_integral(density_parts(model), model.dims, h, quad)
     value, err = 2.0 * value, 2.0 * err
     if value < 0:
         if value < -err:

@@ -1,15 +1,48 @@
+import math
+
 import numpy as np
 import pytest
 
+from anisofield import quadrature, smoothness, variogram
 from anisofield.errors import ModelError
-from anisofield.models import canonical_c, fbm, stein
+from anisofield.models import canonical_c, density_parts, fbm, stein
 from anisofield.simulate import Grid, multi_copy_field
 from anisofield.smoothness import (cross_cov_matrix, cross_covariance,
                                    derivative_covariance, derivative_variance,
-                                   ms_derivative_report, variogram_gradient,
-                                   variogram_second)
+                                   ms_derivative_report, variogram_gradient)
+from anisofield.variogram import variogram_numeric
 
 SMOOTH = canonical_c(beta=(1.0, 2.0), gamma=4.0)  # H = (1.25, 2.5)
+
+# Finite-difference oracle for the spectral second moment: a
+# Richardson-extrapolated second difference of the variogram.
+_STEP_SECOND = 1e-2
+
+
+def _lag_scale(*vectors):
+    top = max((float(np.max(np.abs(v))) for v in vectors if np.size(v)), default=0.0)
+    return max(1.0, top)
+
+
+def _vario(model, h, quad):
+    return variogram_numeric(model, h, quad)[0]
+
+
+def variogram_second(model, axis, delta, quad=None):
+    """d2v/dh_axis^2 at lag delta, Richardson-extrapolated."""
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (model.dims,):
+        raise ModelError(f"lag must have shape ({model.dims},)")
+    step = _STEP_SECOND * _lag_scale(delta)
+    e = np.zeros(model.dims)
+    e[axis] = 1.0
+    v0 = _vario(model, delta, quad)
+
+    def second(h):
+        return (_vario(model, delta + h * e, quad) - 2 * v0
+                + _vario(model, delta - h * e, quad)) / h**2
+
+    return (4.0 * second(step / 2) - second(step)) / 3.0
 
 
 def test_report_smooth_model():
@@ -81,6 +114,59 @@ def test_spectral_matches_finite_difference():
         spectral = derivative_covariance(SMOOTH, 1, delta)
         fd = 0.5 * variogram_second(SMOOTH, 1, delta)
         assert abs(spectral - fd) <= 0.01 * dvar
+
+
+def test_one_dimensional_closed_forms():
+    # f = 1 / (1 + l^2)^2 on R: v = pi (1 - (1 + h) e^-h), so
+    # v' = pi h e^-h and (1/2) v'' = (pi / 2) (1 - h) e^-h.
+    model = canonical_c(beta=(2.0,), gamma=2.0)
+    for h in (0.1, 0.5, 2.0):
+        value, _ = variogram_numeric(model, [h])
+        assert value == pytest.approx(math.pi * (1.0 - (1.0 + h) * math.exp(-h)),
+                                      rel=1e-6)
+        assert variogram_gradient(model, 0, [h]) == pytest.approx(
+            math.pi * h * math.exp(-h), abs=1e-5)
+        assert derivative_covariance(model, 0, [h]) == pytest.approx(
+            0.5 * math.pi * (1.0 - h) * math.exp(-h), abs=1e-5)
+
+
+@pytest.mark.parametrize("hurst", [0.35, 0.55, 0.7])
+def test_rough_axis_gradient_matches_fbm_power_law(hurst):
+    # v(h) = |h|^(2H), so dv/dh_0 = 2H |h|^(2H - 2) h_0 on every axis,
+    # including rough ones where no derivative process exists.
+    model = fbm(hurst, 2)
+    for lag in ([0.6, 0.3], [-0.2, 0.5]):
+        exact = 2.0 * hurst * math.hypot(*lag) ** (2.0 * hurst - 2.0) * lag[0]
+        assert variogram_gradient(model, 0, lag) == pytest.approx(exact, rel=1e-3)
+
+
+def test_derivative_paths_reject_bad_axis_and_lag():
+    lag = np.array([0.3, 0.2])
+    for axis in (-1, 2):
+        with pytest.raises(ModelError):
+            variogram_gradient(SMOOTH, axis, lag)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError):
+            derivative_covariance(SMOOTH, 1, [bad, 0.2])
+        with pytest.raises(ModelError):
+            variogram_gradient(SMOOTH, 1, [0.3, bad])
+    with pytest.raises(ModelError):
+        variogram_gradient(SMOOTH, 0, [0.3])
+    with pytest.raises(ModelError):
+        quadrature.spectral_integral(density_parts(SMOOTH), 2, lag, partial=(0, 3))
+
+
+def test_cross_cov_matrix_runs_seven_integrals(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("partial"))
+        return quadrature.spectral_integral(*args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "spectral_integral", counting)
+    monkeypatch.setattr(variogram, "spectral_integral", counting)
+    cross_cov_matrix(SMOOTH, 1, np.array([0.4, -0.2]), np.array([-0.3, 0.5]))
+    assert len(calls) == 7
 
 
 def test_gradient_is_odd():
