@@ -14,12 +14,11 @@ from anisofield.kriging import (Observations, krige,
 from anisofield.models import fbm, smoothness_exponents
 from anisofield.quadrature import QuadratureSpec
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                       rel_tol=0.01)
+TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 
 
 def main():
-    model = fbm(0.5, 1, quad=TIGHT)
+    model = fbm(0.5, 1)
     obs = Observations(sites=[[1.0]], values=[0.7], model=model)
     print("Brownian motion conditioned on X(1) = 0.7:")
     print(f"{'site':>6} {'prediction':>11} {'variance':>9}   closed form")
@@ -44,8 +43,7 @@ def main():
     print()
     print("variance scaling against the smoothness exponent:")
     for hurst in (0.3, 0.5, 0.75):
-        slope = scaling_exponent_check(fbm(hurst, 1, quad=TIGHT), 0,
-                                       quad=TIGHT)
+        slope = scaling_exponent_check(fbm(hurst, 1), 0, quad=TIGHT)
         print(f"   H = {hurst}: fitted slope {slope:.4f} (2H = {2 * hurst})")
 
 

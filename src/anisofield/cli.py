@@ -6,15 +6,14 @@ vectors), ``simulate`` (seeded synthesis over a grid), ``krige``
 (predictions with variances at target sites), ``dims`` (fractal
 dimension report), and ``verify`` (the built-in acceptance battery).
 
-Exit codes: 0 success, 1 invalid model or parameters (or a failed
-verify), 2 numerical failure, 3 unreadable or malformed files.
+Exit codes: 0 success, 1 invalid model, parameters or usage (or a
+failed verify), 2 numerical failure, 3 unreadable or malformed files.
 
 Flags override config-file values and the config file overrides
 defaults: ``--config`` names a JSON object whose keys are the long flag
-names with dashes replaced by underscores.  Every output embeds the
-model, the seed, the resolved quadrature settings, and the tool
-version; no timestamps, so identical inputs give byte-identical
-outputs.
+names of the subcommand, dashes replaced by underscores.  Every output
+embeds the model, the seed, the tool version and the quadrature settings
+if one ran; no timestamps, so identical inputs give byte-identical outputs.
 """
 
 import argparse
@@ -45,8 +44,16 @@ _DEFAULTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ModelError, so they exit 1 like bad values."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ModelError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anisofield",
         description="Spectral models with stationary increments: analysis, "
                     "variograms, simulation, kriging, fractal dimensions.")
@@ -54,20 +61,19 @@ def _build_parser():
                         version=f"anisofield {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def common(p, model=True, quadrature=True):
         p.add_argument("--config", metavar="FILE",
                        help="JSON object of default flag values")
         if model:
             p.add_argument("--model", metavar="FILE",
                            help="spectral model JSON document")
-        p.add_argument("--truncation", type=float, metavar="L",
-                       help="quadrature truncation half-width")
-        p.add_argument("--panels", type=int, metavar="N",
-                       help="quadrature panel budget per axis")
-        p.add_argument("--tail-order", type=int, metavar="K",
-                       help="tail boundary terms (0, 1 or 2)")
-        p.add_argument("--rel-tol", type=float, metavar="TOL",
-                       help="quadrature relative error tolerance")
+        if quadrature:
+            p.add_argument("--truncation", type=float, metavar="L",
+                           help="quadrature truncation half-width")
+            p.add_argument("--panels", type=int, metavar="N",
+                           help="quadrature panel budget per axis")
+            p.add_argument("--rel-tol", type=float, metavar="TOL",
+                           help="quadrature relative error tolerance")
 
     p = sub.add_parser("analyze", help="legitimacy, exponents and "
                                        "differentiability report")
@@ -81,7 +87,7 @@ def _build_parser():
     p.add_argument("--out", metavar="FILE", help="output CSV path")
 
     p = sub.add_parser("simulate", help="seeded synthesis over a grid")
-    common(p)
+    common(p, quadrature=False)
     p.add_argument("--grid", metavar="SPEC",
                    help="per-axis start:stop:count, comma separated; count "
                         "points from start with spacing (stop-start)/count")
@@ -104,7 +110,7 @@ def _build_parser():
     p.add_argument("--out", metavar="FILE", help="output CSV path")
 
     p = sub.add_parser("dims", help="fractal dimension report")
-    common(p, model=False)
+    common(p, model=False, quadrature=False)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--model", metavar="FILE",
                        help="spectral model JSON document")
@@ -115,15 +121,15 @@ def _build_parser():
     p.add_argument("--out", metavar="FILE", help="report JSON path")
 
     p = sub.add_parser("verify", help="run the acceptance battery")
-    p.add_argument("--config", metavar="FILE",
-                   help="JSON object of default flag values")
+    common(p, model=False, quadrature=False)
     p.add_argument("--suite", metavar="NAME",
                    help="fbm, exponents, simulation, kriging, dims, "
                         "smoothness, derivative, modulus, or all (default)")
-    # config values go through the same conversions as the flags
+    # config keys are the subcommand's options, and their values go
+    # through the same conversions as the flags
     for p in sub.choices.values():
         p.set_defaults(_types={a.dest: a.type for a in p._actions
-                               if a.type is not None})
+                               if a.dest != "help"})
     return parser
 
 
@@ -151,12 +157,16 @@ def _load_config(args):
     config = read_json(path) if path else {}
     if not isinstance(config, dict):
         raise FileFormatError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(config) - set(args._types))
+    if unknown:
+        raise ModelError(f"config key {unknown[0]!r} is not an option of "
+                         f"{args.command}")
     args._config = config
 
 
 def _quad_spec(args):
     fields = {}
-    for name in ("truncation", "panels", "tail_order", "rel_tol"):
+    for name in ("truncation", "panels", "rel_tol"):
         value = _resolve(args, name)
         if value is not None:
             fields[name] = value
@@ -194,15 +204,13 @@ def _parse_grid(spec):
     return Grid(origin=tuple(origin), spacing=tuple(spacing), shape=tuple(shape))
 
 
-def _provenance(quad, seed=None, model_doc=None, extra=None):
-    doc = {"tool": "anisofield", "version": __version__,
-           "quadrature": dataclasses.asdict(quad)}
+def _provenance(model_doc, quad=None, seed=None):
+    doc = {"tool": "anisofield", "version": __version__}
+    if quad is not None:
+        doc["quadrature"] = dataclasses.asdict(quad)
     if seed is not None:
         doc["seed"] = int(seed)
-    if model_doc is not None:
-        doc["model"] = model_doc
-    if extra:
-        doc.update(extra)
+    doc["model"] = model_doc
     return doc
 
 
@@ -212,7 +220,7 @@ def _cmd_analyze(args):
     report = ms_derivative_report(model, quad)
     exps = report.exponents
     doc = {
-        "provenance": _provenance(quad, model_doc=model_to_dict(model)),
+        "provenance": _provenance(model_to_dict(model), quad),
         "legitimate": True,
         "h": list(exps.h),
         "q": exps.q,
@@ -247,13 +255,12 @@ def _cmd_variogram(args):
     table = variogram_table(model, lags, quad)
     out = _resolve(args, "out", required=True)
     write_variogram_csv(out, table,
-                        _provenance(quad, model_doc=model_to_dict(model)))
+                        _provenance(model_to_dict(model), quad))
     print(f"wrote {out} ({len(table.values)} lags)")
     return 0
 
 
 def _cmd_simulate(args):
-    quad = _quad_spec(args)
     model = _load_model(args)
     grid = _parse_grid(_resolve(args, "grid", required=True))
     seed = _resolve(args, "seed")
@@ -265,7 +272,7 @@ def _cmd_simulate(args):
     fmt = _resolve(args, "format")
     if fmt is None:
         fmt = "afld" if str(out).endswith((".afld", ".afld1")) else "csv"
-    provenance = _provenance(quad, seed=seed, model_doc=model_to_dict(model))
+    provenance = _provenance(model_to_dict(model), seed=seed)
     if fmt == "afld":
         write_field_afld(out, sample, provenance)
     else:
@@ -294,7 +301,7 @@ def _cmd_krige(args):
     variances = [r.variance for r in results]
     out = _resolve(args, "out", required=True)
     write_prediction_csv(out, targets, predictions, variances,
-                         _provenance(quad, model_doc=model_to_dict(model)))
+                         _provenance(model_to_dict(model), quad))
     print(f"wrote {out} ({len(predictions)} predictions)")
     return 0
 
@@ -304,7 +311,6 @@ def _marker_text(value):
 
 
 def _cmd_dims(args):
-    quad = _quad_spec(args)
     p = int(_resolve(args, "p"))
     gneiting_path = _resolve(args, "gneiting")
     if gneiting_path is not None:
@@ -316,7 +322,7 @@ def _cmd_dims(args):
         report = dimension_report(model, p)
         model_doc = model_to_dict(model)
     doc = {
-        "provenance": _provenance(quad, model_doc=model_doc),
+        "provenance": _provenance(model_doc),
         "p": report.p,
         "h_bar_sorted": list(report.h_bar_sorted),
         "range_dim": report.range_dim,
@@ -351,9 +357,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _load_config(args)
         return _HANDLERS[args.command](args)
     except FileFormatError as exc:

@@ -14,9 +14,9 @@ Three families are provided:
 
 * ``canonical_c``: f(lambda) = c0 / (1 + sum_j |lambda_j|^{beta_j})^gamma,
   the reference anisotropic family.
-* ``fbm``: the isotropic density c(H, N) |lambda|^{-(2H+N)} normalized so
-  the variogram at unit lag equals one, i.e. the field is fractional
-  Brownian motion with index H.
+* ``fbm``: the isotropic density c(H, N) |lambda|^{-(2H+N)} with
+  c(H, N) = 2^{2H} H Gamma(H + N/2) / (2 pi^{N/2} Gamma(1 - H)), so the
+  variogram is |h|^{2H}: fractional Brownian motion with index H.
 * ``stein``: f(lambda) = (sum_j c_j (a_j + lambda_j^2)^{alpha_j})^{-nu},
   a space-time family with envelope exponents beta_j = alpha_j and
   gamma = 2 nu, hence H_j = alpha_j (nu - sum_l 1/(2 alpha_l)).
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SingularDensityError
-from .quadrature import QuadratureSpec, spectral_integral
 
 KIND_CANONICAL = "canonical_c"
 KIND_FBM = "fbm"
@@ -98,20 +97,17 @@ def canonical_c(beta, gamma, scale=1.0):
                          gamma=float(gamma), scale=float(scale))
 
 
-def fbm(hurst, dims, fbm_const=None, quad=None):
+def fbm(hurst, dims, fbm_const=None):
     """Fractional Brownian motion of index ``hurst`` on R^dims.
 
-    The spectral constant is chosen so the variogram at any unit lag
-    equals one; pass ``fbm_const`` to reuse a previously computed value.
+    The spectral constant defaults to the closed form c(H, N) of
+    :func:`normalize_fbm_constant`; pass ``fbm_const`` to reuse a stored one.
     """
-    if not 0 < hurst < 1:
-        raise ModelError("fbm requires hurst in (0, 1)")
-    if not (isinstance(dims, (int, np.integer)) and dims >= 1):
-        raise ModelError("dims must be a positive integer")
+    _check_fbm(hurst, dims)
     if fbm_const is None:
-        fbm_const = normalize_fbm_constant(hurst, dims, quad=quad)
-    elif not fbm_const > 0:
-        raise ModelError("fbm_const must be positive")
+        fbm_const = normalize_fbm_constant(hurst, dims)
+    elif not (fbm_const > 0 and math.isfinite(fbm_const)):
+        raise ModelError("fbm_const must be positive and finite")
     return SpectralModel(kind=KIND_FBM, dims=int(dims), hurst=float(hurst),
                          fbm_const=float(fbm_const))
 
@@ -157,13 +153,12 @@ def density_parts(model):
 
     elif model.kind == KIND_FBM:
         expo = -(2.0 * model.hurst + model.dims) / 2.0
-        const = model.fbm_const if model.fbm_const is not None else 1.0
 
         def axis_term(a, x):
             return np.asarray(x) ** 2
 
         def outer_map(S):
-            return const * S**expo
+            return model.fbm_const * S**expo
 
     elif model.kind == KIND_STEIN:
         c, a_par, alpha, nu = model.stein_c, model.stein_a, model.stein_alpha, model.nu
@@ -238,29 +233,55 @@ def smoothness_exponents(model):
     return SmoothnessExponents(h=h, q=q)
 
 
-def normalize_fbm_constant(hurst, dims, quad=None):
-    """Spectral constant c(H, N) giving unit variogram at unit lags.
-
-    Computed by integrating the unnormalized density against the
-    increment kernel at h = e_1 and inverting, so the normalization is
-    exact for the same quadrature settings.
-    """
+def _check_fbm(hurst, dims):
     if not 0 < hurst < 1:
         raise ModelError("fbm requires hurst in (0, 1)")
-    quad = quad or QuadratureSpec()
-    unit = SpectralModel(kind=KIND_FBM, dims=int(dims), hurst=float(hurst),
-                         fbm_const=1.0)
-    h = np.zeros(dims)
-    h[0] = 1.0
-    value, _ = spectral_integral(density_parts(unit), dims, h, quad)
-    return 1.0 / (2.0 * value)
+    if not (isinstance(dims, (int, np.integer)) and dims >= 1):
+        raise ModelError("dims must be a positive integer")
 
 
+def normalize_fbm_constant(hurst, dims):
+    """c(H, N) = 2^{2H} H Gamma(H + N/2) / (2 pi^{N/2} Gamma(1 - H)).
+
+    The closed form of 1 / (2 int (1 - cos<e_1, lambda>) |lambda|^{-(2H+N)}),
+    so the variogram is |h|^{2H}; ModelError where Gamma(H + N/2) overflows.
+    """
+    _check_fbm(hurst, dims)
+    try:
+        ratio = math.gamma(hurst + dims / 2.0) / math.pi ** (dims / 2.0)
+    except OverflowError:
+        raise ModelError(f"fbm constant overflows for dims = {dims}") from None
+    return 4.0**hurst * hurst * ratio / (2.0 * math.gamma(1.0 - hurst))
+
+
+# Per family, the document's fields: a number (float) or a list of
+# numbers (list); "kind" and "dims" are checked by model_from_dict.
 _JSON_FIELDS = {
-    KIND_CANONICAL: {"kind", "dims", "beta", "gamma", "scale"},
-    KIND_FBM: {"kind", "dims", "hurst", "fbm_const"},
-    KIND_STEIN: {"kind", "dims", "c", "a", "alpha", "nu"},
+    KIND_CANONICAL: {"beta": list, "gamma": float, "scale": float},
+    KIND_FBM: {"hurst": float, "fbm_const": float},
+    KIND_STEIN: {"c": list, "a": list, "alpha": list, "nu": float},
 }
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_fields(doc, label, fields):
+    """Raise ModelError on a key of ``doc`` that ``fields`` lacks, or on a
+    field it maps to float (list) that is not a number (list of numbers)."""
+    extra = set(doc) - set(fields)
+    if extra:
+        raise ModelError(f"unknown {label} fields: {sorted(extra)}")
+    for name, kind in fields.items():
+        value = doc.get(name)
+        if kind is list:
+            ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        else:
+            ok = kind is None or _is_number(value)
+        if name in doc and not ok:
+            wanted = "a list of numbers" if kind is list else "a number"
+            raise ModelError(f"field {name!r} must be {wanted}, got {value!r}")
 
 
 def model_to_dict(model):
@@ -283,12 +304,9 @@ def model_from_dict(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ModelError("model document must be an object with a 'kind' field")
     kind = doc["kind"]
-    allowed = _JSON_FIELDS.get(kind)
-    if allowed is None:
+    if not isinstance(kind, str) or kind not in _JSON_FIELDS:
         raise ModelError(f"unknown model kind: {kind!r}")
-    extra = set(doc) - allowed
-    if extra:
-        raise ModelError(f"unknown model fields: {sorted(extra)}")
+    check_fields(doc, "model", {"kind": None, "dims": None, **_JSON_FIELDS[kind]})
     try:
         if kind == KIND_CANONICAL:
             model = canonical_c(doc["beta"], doc["gamma"], doc.get("scale", 1.0))

@@ -20,8 +20,8 @@ integrated on its own graded panels; this captures the non-oscillatory
 tail mass essentially exactly.  Oscillatory factors that the outer
 grids cannot resolve are replaced by their means (1 for the sin^2 factor,
 0 for cosines and sines) and the dropped part is charged to the error
-estimate, except in one dimension where up to two integration-by-parts
-boundary terms (controlled by ``tail_order``) are added instead.
+estimate, except in one dimension where two integration-by-parts
+boundary terms are added instead.
 
 The error estimate combines that tail charge with the difference between
 two Gauss orders on identical panels.  All node orderings are fixed, so
@@ -66,9 +66,6 @@ class QuadratureSpec:
     panels : int
         Per-axis panel budget; oscillation-driven subdivision never
         produces more than about this many panels on one axis.
-    tail_order : int
-        Number of integration-by-parts boundary terms (0, 1 or 2) used
-        for the oscillatory tail in one dimension.
     rel_tol : float
         Relative error threshold; public operations raise
         QuadratureError when the estimate exceeds rel_tol * value.
@@ -76,7 +73,6 @@ class QuadratureSpec:
 
     truncation: float | None = None
     panels: int = 256
-    tail_order: int = 2
     rel_tol: float = 0.05
 
     def __post_init__(self):
@@ -84,8 +80,6 @@ class QuadratureSpec:
             raise ModelError("quadrature truncation must be positive")
         if self.panels < 16:
             raise ModelError("quadrature needs a panel budget of at least 16")
-        if self.tail_order not in (0, 1, 2):
-            raise ModelError("tail_order must be 0, 1 or 2")
         if not 0 < self.rel_tol < 0.1:
             raise ModelError("rel_tol must lie in (0, 0.1)")
 
@@ -152,8 +146,8 @@ def _contract(F, vecs):
     return float(acc)
 
 
-def _tail_ibp(point_density, L, h, phase, order):
-    """Boundary-term estimate of int_L^inf g(l) cos(h*l - phase) dl.
+def _tail_ibp(point_density, L, h, phase):
+    """Two-term boundary estimate of int_L^inf g(l) cos(h*l - phase) dl.
 
     A phase of pi/2 turns the cosine into sin(h*l).  Returns
     (correction, err) where err bounds the first dropped term.  Uses
@@ -163,13 +157,8 @@ def _tail_ibp(point_density, L, h, phase, order):
     g_hi, g0, g_lo = point_density(L + delta), point_density(L), point_density(L - delta)
     gp = (g_hi - g_lo) / (2 * delta)
     gpp = (g_hi - 2 * g0 + g_lo) / delta**2
-    corr = 0.0
-    if order >= 1:
-        corr -= g0 * math.sin(h * L - phase) / h
-    if order >= 2:
-        corr -= gp * math.cos(h * L - phase) / h**2
-    err = {0: 2 * abs(g0 / h), 1: 2 * abs(gp) / h**2, 2: 2 * abs(gpp / h**3)}[order]
-    return corr, err
+    corr = -g0 * math.sin(h * L - phase) / h - gp * math.cos(h * L - phase) / h**2
+    return corr, 2 * abs(gpp / h**3)
 
 
 # Per-axis factors of the kernel terms: c = cos(h_a l_a), s = sin(h_a l_a)
@@ -287,8 +276,8 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
             if n_dims == 1:
                 def g(x):
                     return parts.point(np.array([x])) * x**order
-                corr, ibp_err = _tail_ibp(g, L, freqs[0], math.pi / 2 if order == 1 else 0.0,
-                                          quad.tail_order)
+                phase = math.pi / 2 if order == 1 else 0.0
+                corr, ibp_err = _tail_ibp(g, L, freqs[0], phase)
                 value += corr if order else -corr
                 tail_err += ibp_err
             else:

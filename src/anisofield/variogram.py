@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, QuadratureError
-from .models import density_parts, legitimacy_check
+from .models import check_fields, density_parts, legitimacy_check
 from .quadrature import QuadratureSpec, spectral_integral
 
 
@@ -205,7 +205,8 @@ def gneiting_increment_variance(gm, x, t, y, s):
     return 2.0 * gm.sigma2 - 2.0 * gneiting_covariance(gm, x - y, t - s)
 
 
-_GNEITING_FIELDS = {"kind", "d", "sigma2", "a", "c", "alpha", "beta", "gamma"}
+_GNEITING_FIELDS = {"kind": None, "d": None, "sigma2": float, "a": float,
+                    "c": float, "alpha": float, "beta": float, "gamma": float}
 
 
 def gneiting_to_dict(gm):
@@ -216,9 +217,7 @@ def gneiting_to_dict(gm):
 def gneiting_from_dict(doc):
     if not isinstance(doc, dict) or doc.get("kind") != "gneiting":
         raise ModelError("expected an object with kind = 'gneiting'")
-    extra = set(doc) - _GNEITING_FIELDS
-    if extra:
-        raise ModelError(f"unknown gneiting fields: {sorted(extra)}")
+    check_fields(doc, "gneiting", _GNEITING_FIELDS)
     try:
         return GneitingModel(d=doc["d"], sigma2=doc.get("sigma2", 1.0),
                              a=doc.get("a", 1.0), c=doc.get("c", 1.0),

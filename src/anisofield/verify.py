@@ -24,8 +24,7 @@ from .smoothness import (cross_cov_matrix, derivative_covariance,
                          ms_derivative_report)
 from .variogram import GneitingModel, modulus_envelope, variogram_numeric
 
-TIGHT_QUAD = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                            rel_tol=0.01)
+TIGHT_QUAD = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def suite_simulation():
     worst_all = 0.0
     grid1 = Grid(origin=(0.0,), spacing=(1.0 / 64,), shape=(65,))
     for hurst in (0.3, 0.5, 0.7):
-        model = fbm(hurst, 1, quad=TIGHT_QUAD)
+        model = fbm(hurst, 1)
         worst = _simulation_case(model, grid1, 0, 4096, 500, TIGHT_QUAD)
         worst_all = max(worst_all, worst)
         details.append(f"fbm H={hurst}: worst rel {worst:.3f}")
@@ -160,7 +159,7 @@ def suite_kriging():
     details = []
     ok = True
 
-    bm = fbm(0.5, 1, quad=TIGHT_QUAD)
+    bm = fbm(0.5, 1)
     obs = Observations(sites=[[1.0]], values=[0.7], model=bm)
     for target, expected in ((2.0, 1.0), (0.5, 0.25)):
         variance = krige(obs, [target], TIGHT_QUAD).variance
@@ -187,8 +186,8 @@ def suite_kriging():
     ok &= worst_resid <= 1e-8
     details.append(f"interpolation residual over 50 configs: {worst_resid:.2e}")
 
-    for model, target, quad in ((fbm(0.5, 1, quad=TIGHT_QUAD), 1.0, TIGHT_QUAD),
-                                (fbm(0.75, 1, quad=TIGHT_QUAD), 1.5, TIGHT_QUAD),
+    for model, target, quad in ((fbm(0.5, 1), 1.0, TIGHT_QUAD),
+                                (fbm(0.75, 1), 1.5, TIGHT_QUAD),
                                 (canonical_c((2.0, 2.0), 1.5), 1.0, None),
                                 (canonical_c((2.0, 2.0), 1.75), 1.5, None)):
         slope = scaling_exponent_check(model, 0, quad=quad)
@@ -339,7 +338,7 @@ def suite_modulus():
     details = []
     ok = True
     for hurst in (0.5, 0.3):
-        model = fbm(hurst, 1, quad=TIGHT_QUAD)
+        model = fbm(hurst, 1)
         exps = smoothness_exponents(model)
         worst = {}
         for n in (64, 256):

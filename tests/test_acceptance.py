@@ -23,8 +23,7 @@ from anisofield.smoothness import (cross_cov_matrix, derivative_covariance,
 from anisofield.variogram import (GneitingModel, modulus_envelope,
                                   variogram_numeric)
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                       rel_tol=0.01)
+TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 
 
 def _report(capfd, name, ok, detail):
@@ -42,7 +41,7 @@ def test_acceptance_1_fbm_variogram_round_trip(capfd):
         quad = TIGHT if dims == 1 else None
         direction = np.ones(1) if dims == 1 else np.array([0.6, 0.8])
         for hurst in (0.3, 0.5, 0.7):
-            model = fbm(hurst, dims, quad=quad)
+            model = fbm(hurst, dims)
             for r in np.linspace(0.1, 2.0, 20):
                 value, _ = variogram_numeric(model, r * direction, quad)
                 truth = r ** (2.0 * hurst)
@@ -119,7 +118,7 @@ def test_acceptance_3_simulation_matches_quadrature(capfd):
     results = []
     line_1d = Grid(origin=(0.0,), spacing=(1.0 / 64,), shape=(64,))
     for hurst in (0.3, 0.5, 0.7):
-        model = fbm(hurst, 1, quad=TIGHT)
+        model = fbm(hurst, 1)
         results.append((f"fbm {hurst}", _empirical_worst_rel(
             model, line_1d, 4096, lambda v: v[:, 0], TIGHT)))
     aniso = canonical_c(beta=(1.0, 2.0), gamma=4.0)
@@ -136,7 +135,7 @@ def test_acceptance_3_simulation_matches_quadrature(capfd):
 
 
 def test_acceptance_4_kriging_oracles_and_scaling(capfd):
-    bm = fbm(0.5, 1, quad=TIGHT)
+    bm = fbm(0.5, 1)
     obs = Observations(sites=[[1.0]], values=[0.7], model=bm)
     extrapolation = krige(obs, [2.0], TIGHT)
     bridge = krige(obs, [0.5], TIGHT)
@@ -175,8 +174,8 @@ def test_acceptance_4_kriging_oracles_and_scaling(capfd):
             logs.append(math.log(krige(prior, site, quad).variance))
         return float(np.polyfit(np.log(radii), logs, 1)[0])
 
-    cases = ((fbm(0.5, 1, quad=TIGHT), 0, TIGHT, 1.0),
-             (fbm(0.75, 1, quad=TIGHT), 0, TIGHT, 1.5),
+    cases = ((fbm(0.5, 1), 0, TIGHT, 1.0),
+             (fbm(0.75, 1), 0, TIGHT, 1.5),
              (canonical_c(beta=(2.0, 2.0), gamma=1.5), 0, None, 1.0),
              (canonical_c(beta=(2.0, 2.0), gamma=1.75), 1, None, 1.5))
     worst_slope = max(abs(fitted_slope(m, axis, q) - target)
@@ -354,7 +353,7 @@ def test_acceptance_8_modulus_growth_bound(capfd):
     growths = {}
     ok = True
     for hurst in (0.5, 0.3):
-        model = fbm(hurst, 1, quad=TIGHT)
+        model = fbm(hurst, 1)
         exps = smoothness_exponents(model)
         ratios = {}
         for n in (64, 256):

@@ -11,8 +11,7 @@ from anisofield.models import canonical_c, fbm, model_from_dict, model_to_dict
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import variogram_table
 
-TIGHT_FLAGS = ["--truncation", "4096", "--panels", "4096",
-               "--tail-order", "2", "--rel-tol", "0.01"]
+TIGHT_FLAGS = ["--truncation", "4096", "--panels", "4096", "--rel-tol", "0.01"]
 
 
 @pytest.fixture
@@ -144,8 +143,7 @@ def test_krige_interpolation_and_extrapolation(tmp_path, bm_model):
     assert rows[2, 2] == pytest.approx(0.25, abs=1e-4)
     obs = Observations(sites=[[1.0]], values=[0.7],
                        model=model_from_dict(read_json(bm_model)))
-    quad = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                          rel_tol=0.01)
+    quad = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
     for row in rows:
         result = krige(obs, row[:1], quad)
         assert row[1] == float(format_float(result.prediction))
@@ -182,6 +180,83 @@ def test_exit_code_1_for_mistyped_config_value(tmp_path, bm_model, capsys,
                  "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and repr(key) in err
+
+
+def test_quadrature_settings_only_where_a_quadrature_runs(tmp_path, bm_model,
+                                                        capsys):
+    field, dims = tmp_path / "f.csv", tmp_path / "d.json"
+    assert main(["simulate", "--model", bm_model, "--grid", "0:1:8",
+                 "--lattice", "64", "--out", str(field)]) == 0
+    first = field.read_text().splitlines()[0]
+    assert "quadrature" not in json.loads(first[len("# provenance: "):])
+    assert main(["dims", "--model", bm_model, "--out", str(dims)]) == 0
+    assert "quadrature" not in read_json(dims)["provenance"]
+
+    lags, vario = tmp_path / "lags.csv", tmp_path / "v.csv"
+    write_csv(lags, ["h_1"], [[1.0]])
+    assert main(["variogram", "--model", bm_model, "--lags", str(lags),
+                 "--panels", "64", "--out", str(vario)]) == 0
+    first = vario.read_text().splitlines()[0]
+    quad = json.loads(first[len("# provenance: "):])["quadrature"]
+    assert quad == {"truncation": None, "panels": 64, "rel_tol": 0.05}
+
+    # a config key is a flag name, so one simulate does not take is refused
+    config = tmp_path / "config.json"
+    write_json(config, {"panels": 64})
+    assert main(["simulate", "--model", bm_model, "--config", str(config),
+                 "--grid", "0:1:8", "--out", str(field)]) == 1
+    assert "'panels'" in capsys.readouterr().err
+    write_json(config, {"panels": "abc"})
+    assert main(["variogram", "--model", bm_model, "--config", str(config),
+                 "--lags", str(lags), "--out", str(vario)]) == 1
+    assert "'panels'" in capsys.readouterr().err
+
+
+_USAGE_ERRORS = ([["simulate", "--lattice", "abc"], ["analyze", "--bogus"],
+                  ["bogus"]]
+                 + [[cmd, flag, "64"] for cmd in ("simulate", "dims")
+                    for flag in ("--truncation", "--panels", "--rel-tol")]
+                 + [[cmd, "--tail-order", "2"]
+                    for cmd in ("analyze", "variogram", "krige")])
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS,
+                         ids=["_".join(a).replace("-", "") for a in _USAGE_ERRORS])
+def test_exit_code_1_for_usage_error(tmp_path, bm_model, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--model", bm_model, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["simulate", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "anisofield" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "fbm", "dims": 1, "hurst": "0.5"}, "hurst"),
+    ({"kind": "canonical_c", "dims": 1, "beta": [2.0], "gamma": "x"}, "gamma"),
+    ({"kind": "canonical_c", "dims": 1, "beta": 5, "gamma": 2.0}, "beta"),
+    ({"kind": "stein", "dims": 1, "c": ["a"], "a": [1.0], "alpha": [1.0],
+      "nu": 2.0}, "c"),
+    ({"kind": "fbm", "dims": 1, "hurst": 0.5, "fbm_const": "x"}, "fbm_const"),
+    ({"kind": "gneiting", "d": 2, "alpha": "x"}, "alpha"),
+], ids=["fbm-hurst", "canonical-gamma", "canonical-beta", "stein-c",
+        "fbm-fbm_const", "gneiting-alpha"])
+def test_exit_code_1_for_mistyped_model_field(tmp_path, capsys, doc, field):
+    path, out = tmp_path / "model.json", tmp_path / "dims.json"
+    write_json(path, doc)
+    flag = "--gneiting" if doc["kind"] == "gneiting" else "--model"
+    assert main(["dims", flag, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(field) in err
+    assert not out.exists()
 
 
 def test_exit_code_1_for_unknown_suite(capsys):

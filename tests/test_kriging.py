@@ -10,15 +10,13 @@ from anisofield.models import canonical_c, fbm, smoothness_exponents
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import variogram_numeric
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                       rel_tol=0.01)
-MED = QuadratureSpec(truncation=2048.0, panels=2048, tail_order=2,
-                     rel_tol=0.01)
+TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
+MED = QuadratureSpec(truncation=2048.0, panels=2048, rel_tol=0.01)
 
 
 @pytest.fixture(scope="module")
 def bm():
-    return fbm(0.5, 1, quad=TIGHT)
+    return fbm(0.5, 1)
 
 
 def test_interpolation_at_observation_sites(bm):

@@ -1,19 +1,19 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from anisofield.errors import ModelError
-from anisofield.models import (canonical_c, evaluate_density, fbm,
+from anisofield.models import (KIND_FBM, SpectralModel, canonical_c,
+                               density_parts, evaluate_density, fbm,
                                legitimacy_check, model_from_dict,
                                model_from_json, model_to_dict, model_to_json,
                                normalize_fbm_constant, smoothness_exponents,
                                stein)
-from anisofield.quadrature import QuadratureSpec
-
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                       rel_tol=0.01)
+from anisofield.quadrature import spectral_integral
+from anisofield.variogram import variogram_numeric
 
 # closed form: 2 * integral (1 - cos l) / (2 pi l^2) dl = 1
 BM_SPECTRAL_CONST = 0.15915494309189535
@@ -92,16 +92,62 @@ def test_canonical_density_envelope_at_large_freq():
 
 
 def test_fbm_normalization_constant():
-    const = normalize_fbm_constant(0.5, 1, quad=TIGHT)
-    assert const == pytest.approx(BM_SPECTRAL_CONST, rel=1e-8)
+    const = normalize_fbm_constant(0.5, 1)
+    assert const == pytest.approx(BM_SPECTRAL_CONST, rel=1e-15)
+
+
+def _quadrature_fbm_constant(hurst, dims):
+    """Reference: invert the default-spec increment integral at h = e_1."""
+    unit = SpectralModel(kind=KIND_FBM, dims=dims, hurst=hurst, fbm_const=1.0)
+    lag = np.zeros(dims)
+    lag[0] = 1.0
+    value, _ = spectral_integral(density_parts(unit), dims, lag)
+    return 1.0 / (2.0 * value)
+
+
+@pytest.mark.parametrize("dims, rel", [(1, 1e-6), (2, 1e-3)])
+def test_fbm_constant_matches_quadrature(dims, rel):
+    for hurst in (0.3, 0.5, 0.7):
+        assert normalize_fbm_constant(hurst, dims) == pytest.approx(
+            _quadrature_fbm_constant(hurst, dims), rel=rel)
+
+
+def test_fbm_normalization_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fbm normalization ran a quadrature")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("anisofield") and hasattr(module, "spectral_integral"):
+            monkeypatch.setattr(module, "spectral_integral", refuse)
+    model = fbm(0.4, 3)
+    assert model.fbm_const == normalize_fbm_constant(0.4, 3) > 0
+
+
+def test_fbm_constant_is_finite_or_typed_error():
+    # math.gamma(H + N/2) overflows from about N = 341
+    for dims in (1, 4, 40, 340):
+        const = normalize_fbm_constant(0.3, dims)
+        assert math.isfinite(const) and const > 0
+    for dims in (343, 1000):
+        with pytest.raises(ModelError):
+            normalize_fbm_constant(0.3, dims)
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ModelError):
+            normalize_fbm_constant(0.3, bad)
 
 
 def test_fbm_unit_lag_is_one():
-    from anisofield.variogram import variogram_numeric
     for hurst in (0.3, 0.5, 0.7):
         model = fbm(hurst, 1)
         value, _ = variogram_numeric(model, np.ones(1))
         assert value == pytest.approx(1.0, rel=1e-6)
+
+
+def test_fbm_2d_variogram_is_power_law():
+    model = fbm(0.35, 2)
+    for lag in ((0.6, 0.8), (0.3, 0.01), (0.05, 0.9)):
+        value, _ = variogram_numeric(model, np.array(lag))
+        assert value == pytest.approx(math.hypot(*lag) ** 0.7, rel=1e-5)
 
 
 def test_fbm_rejects_bad_hurst():
@@ -143,6 +189,6 @@ def test_serialization_rejects_wrong_kind():
 
 
 def test_fbm_const_reuse_skips_quadrature():
-    const = normalize_fbm_constant(0.5, 1, quad=TIGHT)
+    const = normalize_fbm_constant(0.5, 1)
     model = fbm(0.5, 1, fbm_const=const)
     assert model.fbm_const == const

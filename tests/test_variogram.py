@@ -13,8 +13,7 @@ from anisofield.variogram import (GneitingModel, covariance_increment,
                                   sigma_scale, variogram_envelope,
                                   variogram_numeric, variogram_table)
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, tail_order=2,
-                       rel_tol=0.01)
+TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 
 
 def test_zero_lag_is_exactly_zero():
@@ -31,7 +30,7 @@ def test_lag_sign_symmetry():
 
 
 def test_fbm_power_law_values():
-    bm = fbm(0.5, 1, quad=TIGHT)
+    bm = fbm(0.5, 1)
     for lag, expected in [(1.0, 1.0), (2.0, 2.0), (0.25, 0.25)]:
         value, err = variogram_numeric(bm, [lag], TIGHT)
         assert value == pytest.approx(expected, rel=1e-4)
@@ -65,7 +64,7 @@ def test_quadrature_error_when_tolerance_unreachable():
 
 
 def test_covariance_pinned_conventions():
-    model = fbm(0.5, 1, quad=TIGHT)
+    model = fbm(0.5, 1)
     t = np.array([1.0])
     vt, _ = variogram_numeric(model, t, TIGHT)
     assert covariance_increment(model, t, t, TIGHT) == vt
@@ -75,7 +74,7 @@ def test_covariance_pinned_conventions():
 
 def test_covariance_brownian_is_min():
     # C(s, t) = min(s, t) for Brownian motion on the half line
-    bm = fbm(0.5, 1, quad=TIGHT)
+    bm = fbm(0.5, 1)
     value = covariance_increment(bm, [2.0], [1.0], TIGHT)
     assert value == pytest.approx(1.0, rel=1e-4)
 
@@ -136,7 +135,7 @@ def test_variogram_table_rejects_misaligned_arrays():
 
 def test_quadrature_refinement_converges():
     # Tightening the rule must shrink both the true error and the estimate.
-    bm = fbm(0.5, 1, quad=TIGHT)
+    bm = fbm(0.5, 1)
     specs = [QuadratureSpec(truncation=64.0, panels=64, rel_tol=0.09),
              QuadratureSpec(truncation=512.0, panels=512, rel_tol=0.09),
              QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.09)]
