@@ -126,10 +126,10 @@ def _build_parser():
                    help="fbm, exponents, simulation, kriging, dims, "
                         "smoothness, derivative, modulus, or all (default)")
     # config keys are the subcommand's options, and their values go
-    # through the same conversions as the flags
+    # through the same conversions and choices as the flags
     for p in sub.choices.values():
-        p.set_defaults(_types={a.dest: a.type for a in p._actions
-                               if a.dest != "help"})
+        p.set_defaults(_options={a.dest: a for a in p._actions
+                                 if a.dest != "help"})
     return parser
 
 
@@ -138,13 +138,17 @@ def _resolve(args, name, required=False):
     value = getattr(args, name, None)
     if value is None:
         value = getattr(args, "_config", {}).get(name)
-        convert = getattr(args, "_types", {}).get(name)
-        if value is not None and convert is not None:
-            try:
-                value = convert(value)
-            except (TypeError, ValueError):
-                raise ModelError(f"config key {name!r}: {value!r} is not a "
-                                 f"valid {convert.__name__}") from None
+        option = getattr(args, "_options", {}).get(name)
+        if value is not None and option is not None:
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except (TypeError, ValueError):
+                    raise ModelError(f"config key {name!r}: {value!r} is not a "
+                                     f"valid {option.type.__name__}") from None
+            if option.choices is not None and value not in option.choices:
+                raise ModelError(f"config key {name!r}: {value!r} is not one of "
+                                 f"{', '.join(map(str, option.choices))}")
     if value is None:
         value = _DEFAULTS.get(name)
     if value is None and required:
@@ -157,7 +161,7 @@ def _load_config(args):
     config = read_json(path) if path else {}
     if not isinstance(config, dict):
         raise FileFormatError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(config) - set(args._types))
+    unknown = sorted(set(config) - set(args._options))
     if unknown:
         raise ModelError(f"config key {unknown[0]!r} is not an option of "
                          f"{args.command}")

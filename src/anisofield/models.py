@@ -126,18 +126,61 @@ def stein(c, a, alpha, nu):
 
 
 @dataclass(frozen=True)
+class LaplaceAxis:
+    """One axis of a Laplace form: the increment a_j(lambda) - a_j(0) of its term.
+
+    ``kind`` is "power", for coef * lambda^expo, or "shifted", for
+    coef * ((shift + lambda^2)^expo - shift^expo).  ``growth`` is the
+    exponent beta of the large-lambda envelope coef * lambda^beta.
+    """
+
+    kind: str
+    coef: float
+    expo: float
+    shift: float = 0.0
+
+    @property
+    def growth(self):
+        return self.expo if self.kind == "power" else 2.0 * self.expo
+
+    def term(self, lam):
+        lam = np.asarray(lam, dtype=float)
+        if self.kind == "power":
+            return self.coef * lam**self.expo
+        rise = np.expm1(self.expo * np.log1p(lam**2 / self.shift))
+        return self.coef * self.shift**self.expo * rise
+
+
+@dataclass(frozen=True)
+class LaplaceForm:
+    """The density as prefactor * int_0^inf m(t) prod_j e^{-t a_j(lambda_j)} dt.
+
+    The weight is m(t) = t^(power - 1) e^(-rate t) / Gamma(power), so the
+    outer map is prefactor * (rate + sum_j a_j)^(-power), with each axis
+    term a_j taken from ``axes`` (vanishing at lambda_j = 0).
+    """
+
+    prefactor: float
+    power: float
+    rate: float
+    axes: tuple
+
+
+@dataclass(frozen=True)
 class DensityParts:
     """Density split as outer_map(sum_j axis_term(j, |lambda_j|)).
 
     All three families have this separable-sum structure, which lets the
     quadrature assemble the density on tensor grids by broadcasting
     per-axis transforms.  ``point`` evaluates the density at one
-    coordinate vector.
+    coordinate vector.  ``laplace`` writes the same density as a Laplace
+    transform whose integrand factors over the axes.
     """
 
     axis_term: object
     outer_map: object
     point: object
+    laplace: LaplaceForm
 
 
 def density_parts(model):
@@ -151,6 +194,9 @@ def density_parts(model):
         def outer_map(S):
             return scale * (1.0 + S) ** (-gamma)
 
+        laplace = LaplaceForm(scale, gamma, 1.0,
+                              tuple(LaplaceAxis("power", 1.0, b) for b in beta))
+
     elif model.kind == KIND_FBM:
         expo = -(2.0 * model.hurst + model.dims) / 2.0
 
@@ -160,6 +206,9 @@ def density_parts(model):
         def outer_map(S):
             return model.fbm_const * S**expo
 
+        laplace = LaplaceForm(model.fbm_const, -expo, 0.0,
+                              (LaplaceAxis("power", 1.0, 2.0),) * model.dims)
+
     elif model.kind == KIND_STEIN:
         c, a_par, alpha, nu = model.stein_c, model.stein_a, model.stein_alpha, model.nu
 
@@ -168,6 +217,13 @@ def density_parts(model):
 
         def outer_map(S):
             return S ** (-nu)
+
+        # the terms at lambda = 0 form the rate; alpha = 1 then leaves c lambda^2
+        rate = sum(ci * ai**al for ci, ai, al in zip(c, a_par, alpha))
+        laplace = LaplaceForm(1.0, nu, rate, tuple(
+            LaplaceAxis("power", ci, 2.0) if al == 1.0
+            else LaplaceAxis("shifted", ci, al, ai)
+            for ci, ai, al in zip(c, a_par, alpha)))
 
     else:
         raise ModelError(f"unknown model kind: {model.kind!r}")
@@ -181,7 +237,8 @@ def density_parts(model):
             raise SingularDensityError("fbm density is singular at lambda = 0")
         return outer_map(S)
 
-    return DensityParts(axis_term=axis_term, outer_map=outer_map, point=point)
+    return DensityParts(axis_term=axis_term, outer_map=outer_map, point=point,
+                        laplace=laplace)
 
 
 def evaluate_density(model, freq):
@@ -233,10 +290,15 @@ def smoothness_exponents(model):
     return SmoothnessExponents(h=h, q=q)
 
 
+def is_integer(value):
+    """True for an int or numpy integer; a bool is not a dimension."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_fbm(hurst, dims):
     if not 0 < hurst < 1:
         raise ModelError("fbm requires hurst in (0, 1)")
-    if not (isinstance(dims, (int, np.integer)) and dims >= 1):
+    if not (is_integer(dims) and dims >= 1):
         raise ModelError("dims must be a positive integer")
 
 
@@ -255,7 +317,7 @@ def normalize_fbm_constant(hurst, dims):
 
 
 # Per family, the document's fields: a number (float) or a list of
-# numbers (list); "kind" and "dims" are checked by model_from_dict.
+# numbers (list); "kind" is checked by model_from_dict.
 _JSON_FIELDS = {
     KIND_CANONICAL: {"beta": list, "gamma": float, "scale": float},
     KIND_FBM: {"hurst": float, "fbm_const": float},
@@ -269,7 +331,8 @@ def _is_number(value):
 
 def check_fields(doc, label, fields):
     """Raise ModelError on a key of ``doc`` that ``fields`` lacks, or on a
-    field it maps to float (list) that is not a number (list of numbers)."""
+    field it maps to float (list, int) that is not a number (list of
+    numbers, integer)."""
     extra = set(doc) - set(fields)
     if extra:
         raise ModelError(f"unknown {label} fields: {sorted(extra)}")
@@ -277,10 +340,12 @@ def check_fields(doc, label, fields):
         value = doc.get(name)
         if kind is list:
             ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        elif kind is int:
+            ok = is_integer(value)
         else:
             ok = kind is None or _is_number(value)
         if name in doc and not ok:
-            wanted = "a list of numbers" if kind is list else "a number"
+            wanted = {list: "a list of numbers", int: "an integer"}.get(kind, "a number")
             raise ModelError(f"field {name!r} must be {wanted}, got {value!r}")
 
 
@@ -306,7 +371,7 @@ def model_from_dict(doc):
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _JSON_FIELDS:
         raise ModelError(f"unknown model kind: {kind!r}")
-    check_fields(doc, "model", {"kind": None, "dims": None, **_JSON_FIELDS[kind]})
+    check_fields(doc, "model", {"kind": None, "dims": int, **_JSON_FIELDS[kind]})
     try:
         if kind == KIND_CANONICAL:
             model = canonical_c(doc["beta"], doc["gamma"], doc.get("scale", 1.0))

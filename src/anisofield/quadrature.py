@@ -1,4 +1,4 @@
-"""Tensor-product quadrature for spectral integrals on R^N.
+"""Spectral integrals on R^N: a Laplace-domain engine and a tensor rule.
 
 Evaluates integrals of the form
 
@@ -8,24 +8,35 @@ where f is even in each coordinate and K is the increment kernel
 1 - cos<h, lambda> or its first or second partial in one lag coordinate
 h_j.  Evenness reduces each of these to a sum of products of per-axis
 factors (cosines, sines and 2 sin^2 half-angle terms), so the integral
-folds onto the positive orthant with weight 2^N and every term is one
-multilinear contraction of the density tensor.
+folds onto the positive orthant with weight 2^N.
 
-Each axis is split at a truncation point L.  The inner interval [0, L]
-is covered by dyadically graded Gauss-Legendre panels (the grading
-resolves the power-law behaviour of the density near the origin), with
-panel widths additionally capped by the local oscillation wavelength.
-The outer interval (L, inf) is mapped to u in (0, 1] via lambda = L/u and
-integrated on its own graded panels; this captures the non-oscillatory
-tail mass essentially exactly.  Oscillatory factors that the outer
-grids cannot resolve are replaced by their means (1 for the sin^2 factor,
-0 for cosines and sines) and the dropped part is charged to the error
-estimate, except in one dimension where two integration-by-parts
-boundary terms are added instead.
+The increment kernel in N >= 2 dimensions goes through the Laplace
+engine.  Every family's density is prefactor * int_0^inf m(t) e^{-t S} dt
+with S = sum_j a_j(|lambda_j|) (see ``models.LaplaceForm``), and e^{-t S}
+factors over the axes, so the N-dimensional integral becomes one
+integral over t of products of 1-D transforms of e^{-t a_j}.  Axes with
+a_j = c lambda or c lambda^2 have those transforms in closed form; any
+other axis (a numeric axis) gets them from the 1-D rule below, for all
+t nodes at once.  The cost is O(n_t N n_lambda) with no node cap.
 
-The error estimate combines that tail charge with the difference between
-two Gauss orders on identical panels.  All node orderings are fixed, so
-results are bit-stable for fixed inputs.
+The 1-D rule, which N = 1 and the partials (in 1 to 3 dimensions, as a
+tensor product) use, splits each axis at a truncation point L.  The inner
+interval [0, L] is covered by dyadically graded Gauss-Legendre panels
+(the grading resolves the power-law behaviour of the density near the
+origin), with panel widths additionally capped by the local oscillation
+wavelength.  The outer interval (L, inf) is mapped to u in (0, 1] via
+lambda = L/u and integrated on its own graded panels; this captures the
+non-oscillatory tail mass essentially exactly.  Oscillatory factors that
+the outer grids cannot resolve are replaced by their means (1 for the
+sin^2 factor, 0 for cosines and sines) and the dropped part is charged
+to the error estimate, except in one dimension (and on numeric axes)
+where two integration-by-parts boundary terms are added instead.
+``QuadratureSpec.truncation`` and ``panels`` govern only this rule;
+closed-form axes use neither.
+
+Each error estimate combines those tail charges with the difference
+between two Gauss orders.  All node orderings are fixed, so results are
+bit-stable for fixed inputs.
 """
 
 import itertools
@@ -58,11 +69,17 @@ def _gauss(order):
 class QuadratureSpec:
     """Settings for the spectral quadrature.
 
+    ``truncation`` and ``panels`` govern the 1-D rule only: the tensor
+    rule of N = 1 and of the partials, and the numeric axes of the
+    Laplace engine.  Closed-form axes use neither.
+
     Parameters
     ----------
     truncation : float or None
         Half-width L of the resolved frequency cube.  None selects
-        L = 64 * max(1, 1/min nonzero |h_j|), capped at 1e4.
+        L = 64 * max(1, 1/min nonzero |h_j|), capped at 1e4; a numeric
+        axis of the Laplace engine takes L = 64/|h_j| from its own lag
+        component (64 when it is 0).
     panels : int
         Per-axis panel budget; oscillation-driven subdivision never
         produces more than about this many panels on one axis.
@@ -184,15 +201,18 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
 
     which has no cancellation at small lags, and its partials in h_j fold
     to lambda_j sin(h_j lambda_j) prod_{b!=j} cos(h_b lambda_b) (first)
-    and lambda_j^2 prod_b cos(h_b lambda_b) (second).
+    and lambda_j^2 prod_b cos(h_b lambda_b) (second).  K itself goes
+    through the Laplace engine in any N >= 2; N = 1 and the partials use
+    the tensor rule.
 
     Parameters
     ----------
     parts : DensityParts
         Callables describing the density as
-        f(lambda) = outer_map(sum_j axis_term(j, |lambda_j|)).
+        f(lambda) = outer_map(sum_j axis_term(j, |lambda_j|)), and its
+        Laplace form.
     n_dims : int
-        Number of frequency coordinates N (1 to 3 supported).
+        Number of frequency coordinates N; partials support 1 to 3.
     freqs : array_like
         The lag vector h, shape (N,), finite.
     quad : QuadratureSpec, optional
@@ -209,15 +229,14 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
     Raises
     ------
     ModelError
-        On a lag of the wrong shape or with non-finite entries, or a
-        partial outside the lag's axes or orders.
+        On a lag of the wrong shape or with non-finite entries, a
+        partial outside the lag's axes or orders or in N > 3, or (in the
+        Laplace engine) a density that is not integrable.
     QuadratureError
-        If the inner tensor grid exceeds the supported node count.
+        If the tensor grid of a partial exceeds the supported node count.
     """
     quad = quad or QuadratureSpec()
     freqs = np.asarray(freqs, dtype=float)
-    if n_dims not in _DEPTH:
-        raise ModelError("quadrature supports 1 to 3 dimensions")
     if freqs.shape != (n_dims,):
         raise ModelError(f"lag must have shape ({n_dims},)")
     if not np.all(np.isfinite(freqs)):
@@ -227,14 +246,28 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
         raise ModelError(f"axis must be an integer in [0, {n_dims})")
     if order not in (0, 1, 2):
         raise ModelError("partial order must be 0, 1 or 2")
+    if not np.any(freqs) and order == 0:
+        return 0.0, 0.0
+    if order == 0 and n_dims >= 2:
+        return _laplace_increment(parts.laplace, freqs, quad)
+    if n_dims not in _DEPTH:
+        raise ModelError("partials are supported in 1 to 3 dimensions")
+    return _tensor_integral(parts, freqs, quad, axis, order)
+
+
+def _tensor_integral(parts, freqs, quad, axis, order):
+    """The tensor-product rule behind :func:`spectral_integral`, for N <= 3.
+
+    Used for N = 1 and for the partials; order 0 in N >= 2 goes through
+    the Laplace engine instead.
+    """
+    n_dims = freqs.size
     if order == 0:
         terms = [("c",) * a + ("s2",) + ("1",) * (n_dims - a - 1)
                  for a in range(n_dims) if freqs[a] != 0]
     else:
         own = "s" if order == 1 else "c"
         terms = [tuple(own if b == axis else "c" for b in range(n_dims))]
-    if not terms:
-        return 0.0, 0.0
 
     L = quad.truncation if quad.truncation is not None else auto_truncation(freqs)
     depth = _DEPTH[n_dims]
@@ -290,3 +323,169 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
     v_hi, tail = one_pass(_ORDER_HI[n_dims])
     v_lo, _ = one_pass(_ORDER_LO[n_dims])
     return fold * v_hi, fold * (abs(v_hi - v_lo) + tail)
+
+
+# ---------------------------------------------------------------------------
+# Laplace-domain engine for the increment kernel on R^N, N >= 2.
+
+# Gauss orders (t rule, numeric-axis lambda rule); the second pair feeds
+# the discretization error estimate.
+_LAPLACE_ORDERS = ((8, 12), (5, 7))
+# Relative size of what the small-t power law leaves out at the lower end.
+_T_EPS = 1e-9
+# e-folds of the weight's e^{-rate t} covered by the t rule.
+_T_EFOLDS = 40.0
+# Terms of the analytic power-law tail above the upper end (rate 0).
+_TAIL_TERMS = 8
+
+
+def _t_rule(T, levels, cap, order):
+    """GL nodes and weights on the dyadic panels of [T 2^-levels, T].
+
+    Panels wider than ``cap`` are split evenly.
+    """
+    lo = T * 2.0 ** -np.arange(1.0, levels + 1.0)
+    count = np.maximum(1, np.ceil(lo / cap)).astype(int)
+    width = np.repeat(lo / count, count)
+    start = np.repeat(lo, count) + width * (
+        np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
+    return _inner_axis((start + 0.5 * width, 0.5 * width), order)
+
+
+def _closed_axis(axis, h, t):
+    """log E, C/E and D/E of a power axis with exponent 1 or 2, in closed form.
+
+    With u = coef * t: exponent 1 gives E = 1/u, C = u/(u^2+h^2) and
+    D = h^2/(u(u^2+h^2)); exponent 2 gives E = sqrt(pi/u)/2,
+    C = E e^{-h^2/4u} and D = -E expm1(-h^2/4u).
+    """
+    u = axis.coef * t
+    if axis.expo == 1.0:
+        q = u**2 + h**2
+        return -np.log(u), u**2 / q, h**2 / q
+    x = h**2 / (4.0 * u)
+    return 0.5 * np.log(0.25 * math.pi / u), np.exp(-x), -np.expm1(-x)
+
+
+def _numeric_axis(axis, h, t, quad, order, t_lo, t_hi):
+    """log E, C/E, D/E and the tail error over E of one axis, by the 1-D rule.
+
+    E, C and D are the integrals of 1, cos(h l) and 2 sin^2(h l / 2)
+    against e^{-t a(l)} over l > 0, one matrix product for all t.  The
+    graded panels reach down to where e^{-t_hi a} is flat and up to
+    where e^{-t_lo a} has vanished; beyond the truncation L the cosine
+    is replaced by its two integration-by-parts boundary terms.
+    """
+    L = quad.truncation or (64.0 if h == 0 else min(1e12, 64.0 / abs(h)))
+    inv = 1.0 / axis.growth
+    lam_lo = 1e-4 * (axis.coef * t_hi) ** -inv
+    lam_hi = (60.0 / (axis.coef * t_lo) + axis.shift**axis.expo) ** inv
+    depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
+    depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
+    lam_in, w_in = _inner_axis(_inner_panels(L, h, quad.panels, depth_in), order)
+    lam_out, w_out = _outer_axis(L, depth_out, order)
+    col = t[:, None]
+    outer = np.exp(-col * axis.term(lam_out)) @ w_out
+    weights = [w_in]
+    if h != 0:
+        x = h * lam_in
+        weights += [w_in * np.cos(x), w_in * _FACTORS["s2"](x)]
+    sums = np.exp(-col * axis.term(lam_in)) @ np.stack(weights, axis=1)
+    E = sums[:, 0] + outer
+    if h == 0:
+        return np.log(E), 1.0, 0.0, 0.0
+    corr, err = _tail_ibp(lambda lam: np.exp(-t * axis.term(lam)), L, h, 0.0)
+    return np.log(E), (sums[:, 1] + corr) / E, (sums[:, 2] + outer - corr) / E, err / E
+
+
+def _laplace_increment(lap, freqs, quad):
+    """int_{R^N} (1 - cos<h, lambda>) f(lambda) dlambda through the Laplace form.
+
+    With f = prefactor * int_0^inf m(t) prod_j e^{-t a_j} dt, the
+    telescoped kernel turns the integral into
+
+        2^N prefactor int_0^inf m(t) sum_a D_a prod_{b<a} C_b prod_{b>a} E_b dt,
+
+    where E_j, C_j and D_j are the per-axis transforms of 1, cos(h_j l)
+    and 2 sin^2(h_j l / 2) against e^{-t a_j(l)}.  The t integral runs on
+    dyadic panels over [t0, T].  Below t0 the integrand is its small-t
+    power law A t^(margin - 1), integrated exactly; its deviation at t0
+    bounds the error there.  Above T the weight's e^{-rate t} bounds the
+    rest, or, at rate 0 (where every axis is Gaussian), the integrand
+    is expanded in powers of 1/t and integrated term by term.
+
+    The error estimate adds the difference of two Gauss orders, the
+    axes' integration-by-parts error and both end charges.
+    """
+    axes = lap.axes
+    n = len(axes)
+    inv = [1.0 / ax.growth for ax in axes]
+    margin = lap.power - sum(inv)
+    if not margin > 0:
+        raise ModelError("density is not integrable: its Laplace weight power "
+                         f"{lap.power:g} must exceed sum(1/beta) = {sum(inv):g}")
+    log_pref = math.log(lap.prefactor) + n * math.log(2.0) - math.lgamma(lap.power)
+    log_lead = log_pref + sum(math.lgamma(1.0 + i) - i * math.log(ax.coef)
+                              for i, ax in zip(inv, axes))
+    # Lower end: every neglected relative term (rate t, C/E on the
+    # longest-lag axis, the shift of a shifted axis) is below _T_EPS.
+    t0 = 1e-8 * max(abs(h) ** ax.growth / ax.coef for h, ax in zip(freqs, axes) if h)
+    if lap.rate > 0:
+        t0 = min(t0, _T_EPS / lap.rate)
+    for ax in axes:
+        if ax.kind == "shifted":
+            t0 = min(t0, (_T_EPS / (ax.expo * ax.shift)) ** ax.expo / ax.coef)
+    if lap.rate > 0:
+        T = (_T_EFOLDS + 2.0 * lap.power) / lap.rate
+        cap = 4.0 / lap.rate
+    else:
+        if any(ax.kind != "power" or ax.expo != 2.0 for ax in axes) or margin >= 1:
+            raise ModelError("a Laplace weight without decay needs Gaussian axes "
+                             "and a margin below 1")
+        lag_time = sum(h**2 / (4.0 * ax.coef) for h, ax in zip(freqs, axes))
+        T = 100.0 * lag_time
+        cap = math.inf
+    levels = max(1, math.ceil(math.log2(T / t0)))
+    t0 = T * 2.0**-levels
+
+    def one_pass(t_order, lam_order):
+        t, w = _t_rule(T, levels, cap, t_order)
+        t = np.concatenate([t, [t0, T]])
+        log_f = log_pref + (lap.power - 1.0) * np.log(t) - lap.rate * t
+        ratio, carry, ibp = 0.0, 1.0, np.zeros_like(t)
+        for h, ax in zip(freqs, axes):
+            if ax.kind == "power" and ax.expo in (1.0, 2.0):
+                log_e, c_r, d_r = _closed_axis(ax, h, t)
+                e_r = 0.0
+            else:
+                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t, quad, lam_order, t0, T)
+            log_f = log_f + log_e
+            ratio = ratio + carry * d_r
+            carry = carry * c_r
+            ibp = ibp + e_r
+        scale = np.exp(log_f)
+        F = scale * ratio
+        return float(w @ F[:-2]), float(w @ (scale * ibp)[:-2]), F[-2], F[-1], log_f[-1]
+
+    value, ibp_err, f_lo, f_hi, log_f_hi = one_pass(*_LAPLACE_ORDERS[0])
+    value_lo = one_pass(*_LAPLACE_ORDERS[1])[0]
+    # below t0: the power law, charged with its deviation at t0
+    lead = math.exp(log_lead + (margin - 1.0) * math.log(t0))
+    head = lead * t0 / margin
+    err = abs(value - value_lo) + ibp_err + abs(f_lo / lead - 1.0) * head
+    value += head
+    if lap.rate > 0:
+        # G decreases in t, and int_T^inf m <= 2 m(T) / rate because
+        # rate T >= 2 (power - 1), so the rest is below 2 F(T) / rate
+        err += 2.0 * f_hi / lap.rate
+    else:
+        # every axis is Gaussian, so m G = m(T) prod E(T) (t/T)^q (1 - e^{-a/t})
+        # with a = lag_time; the series of 1 - e^{-a/t} integrates term by term
+        q = lap.power - 1.0 - 0.5 * n
+        scale = T * math.exp(log_f_hi)
+        x = lag_time / T
+        terms = [(-1.0) ** (k + 1) * x**k / (math.factorial(k) * (k - q - 1.0))
+                 for k in range(1, _TAIL_TERMS + 2)]
+        value += scale * math.fsum(terms[:-1])
+        err += scale * abs(terms[-1])
+    return value, err

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, QuadratureError
-from .models import check_fields, density_parts, legitimacy_check
+from .models import check_fields, density_parts, is_integer, legitimacy_check
 from .quadrature import QuadratureSpec, spectral_integral
 
 
@@ -175,7 +175,7 @@ class GneitingModel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
+        if not (is_integer(self.d) and self.d >= 1):
             raise ModelError("spatial dimension d must be a positive integer")
         for name in ("sigma2", "a", "c"):
             if not getattr(self, name) > 0:
@@ -205,7 +205,7 @@ def gneiting_increment_variance(gm, x, t, y, s):
     return 2.0 * gm.sigma2 - 2.0 * gneiting_covariance(gm, x - y, t - s)
 
 
-_GNEITING_FIELDS = {"kind": None, "d": None, "sigma2": float, "a": float,
+_GNEITING_FIELDS = {"kind": None, "d": int, "sigma2": float, "a": float,
                     "c": float, "alpha": float, "beta": float, "gamma": float}
 
 

@@ -182,6 +182,22 @@ def test_exit_code_1_for_mistyped_config_value(tmp_path, bm_model, capsys,
     assert "error:" in err and repr(key) in err
 
 
+def test_config_value_outside_choices_exits_1(tmp_path, bm_model, capsys):
+    base = ["simulate", "--model", bm_model, "--grid", "0:1:8",
+            "--lattice", "64", "--out", str(tmp_path / "x.csv")]
+    assert main(base + ["--format", "xyz"]) == 1
+    config = tmp_path / "config.json"
+    for value in ("xyz", 5):
+        write_json(config, {"format": value})
+        assert main(base + ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'format'" in err
+        assert not (tmp_path / "x.csv").exists()
+    write_json(config, {"format": "afld"})
+    assert main(base + ["--config", str(config)]) == 0
+    assert read_field_afld(tmp_path / "x.csv").seed == 0
+
+
 def test_quadrature_settings_only_where_a_quadrature_runs(tmp_path, bm_model,
                                                         capsys):
     field, dims = tmp_path / "f.csv", tmp_path / "d.json"
@@ -247,8 +263,10 @@ def test_help_and_version_exit_0(capsys, argv):
       "nu": 2.0}, "c"),
     ({"kind": "fbm", "dims": 1, "hurst": 0.5, "fbm_const": "x"}, "fbm_const"),
     ({"kind": "gneiting", "d": 2, "alpha": "x"}, "alpha"),
+    ({"kind": "fbm", "dims": True, "hurst": 0.5}, "dims"),
+    ({"kind": "gneiting", "d": True}, "d"),
 ], ids=["fbm-hurst", "canonical-gamma", "canonical-beta", "stein-c",
-        "fbm-fbm_const", "gneiting-alpha"])
+        "fbm-fbm_const", "gneiting-alpha", "fbm-dims-bool", "gneiting-d-bool"])
 def test_exit_code_1_for_mistyped_model_field(tmp_path, capsys, doc, field):
     path, out = tmp_path / "model.json", tmp_path / "dims.json"
     write_json(path, doc)

@@ -145,9 +145,47 @@ def test_fbm_unit_lag_is_one():
 
 def test_fbm_2d_variogram_is_power_law():
     model = fbm(0.35, 2)
-    for lag in ((0.6, 0.8), (0.3, 0.01), (0.05, 0.9)):
+    # the last four have a zero or small component
+    for lag in ((0.6, 0.8), (0.3, 0.01), (0.05, 0.9), (1.0, 0.0),
+                (1.0, 0.001), (0.0184, 0.959), (0.721, 0.015)):
         value, _ = variogram_numeric(model, np.array(lag))
         assert value == pytest.approx(math.hypot(*lag) ** 0.7, rel=1e-5)
+
+
+def test_fbm_3d_variogram_is_power_law_at_mixed_scales():
+    model = fbm(0.4, 3)
+    for lag in ((0.05, 1.0, 0.3), (1.0, 0.001, 0.02), (0.0, 0.0, 0.7),
+                (3.0, 0.01, 0.0), (0.002, 0.004, 0.001)):
+        value, _ = variogram_numeric(model, np.array(lag))
+        assert value == pytest.approx(np.linalg.norm(lag) ** 0.8, rel=1e-5)
+
+
+def test_laplace_form_reproduces_density():
+    models = [canonical_c(beta=(1.0, 2.5), gamma=2.4, scale=1.5),
+              fbm(0.35, 3),
+              stein(c=(1.0, 2.0), a=(0.5, 1.5), alpha=(1.0, 1.7), nu=1.2)]
+    lam = np.random.default_rng(8).uniform(0.01, 20.0, (25, 3))
+    for model in models:
+        form = density_parts(model).laplace
+        assert len(form.axes) == model.dims
+        S = sum(ax.term(lam[:, j]) for j, ax in enumerate(form.axes))
+        expected = form.prefactor * (form.rate + S) ** -form.power
+        assert np.allclose(evaluate_density(model, lam[:, :model.dims]),
+                           expected, rtol=1e-12, atol=0)
+    # a stein axis with alpha = 1 is a Gaussian power axis
+    kinds = [(ax.kind, ax.expo) for ax in density_parts(models[2]).laplace.axes]
+    assert kinds == [("power", 2.0), ("shifted", 1.7)]
+
+
+def test_boolean_is_not_a_dimension():
+    for dims in (True, False):
+        with pytest.raises(ModelError):
+            fbm(0.5, dims)
+        with pytest.raises(ModelError):
+            model_from_dict({"kind": "fbm", "dims": dims, "hurst": 0.5})
+    with pytest.raises(ModelError):
+        model_from_dict({"kind": "canonical_c", "dims": True, "beta": [2.0],
+                         "gamma": 1.0})
 
 
 def test_fbm_rejects_bad_hurst():

@@ -181,6 +181,11 @@ def test_gneiting_small_lag_band():
 def test_gneiting_validation():
     with pytest.raises(ModelError):
         GneitingModel(d=0)
+    for flag in (True, False):
+        with pytest.raises(ModelError):
+            GneitingModel(d=flag)
+        with pytest.raises(ModelError):
+            gneiting_from_dict({"kind": "gneiting", "d": flag})
     with pytest.raises(ModelError):
         GneitingModel(d=1, beta=1.5)
     with pytest.raises(ModelError):
