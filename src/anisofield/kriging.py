@@ -13,20 +13,19 @@ with k running over the observation sites and the origin.
 
 The covariance matrix depends only on the observation sites, so
 :func:`krige_many` assembles and factors it once for a whole batch of
-targets and takes every variogram from one cache of distinct lags;
-:func:`krige` is the batch of one.
+targets.  It collects the distinct lags (up to sign) behind the matrix
+and every target, integrates them in one variogram table and fills the
+matrix and every covariance vector from it; :func:`krige` is the batch
+of one.
 """
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FactorizationError, ModelError, ConsistencyError
 from .models import smoothness_exponents
-from .variogram import sigma_scale, variogram_numeric
+from .variogram import sigma_scale, variogram_table
 
 _DEDUP_TOL = 1e-12
 _VARIANCE_FLOOR = -1e-10
@@ -95,53 +94,53 @@ class KrigingResult:
     meta: dict = field(default_factory=dict)
 
 
-def _variogram_lookup(model, quad):
-    """(v, err) on sign-canonicalized lags, memoized for one kriging batch.
-
-    Zero lags return (0, 0) without a quadrature.  ``cache_info()`` of the
-    returned lookup counts the quadratures run (misses) and the nonzero
-    lags served from the memo (hits).
-    """
-
-    @functools.lru_cache(maxsize=None)
-    def canonical(key):
-        return variogram_numeric(model, np.array(key), quad)
-
-    def lookup(lag):
-        lag = np.asarray(lag, dtype=float)
-        nonzero = lag[lag != 0]
-        if nonzero.size == 0:
-            return 0.0, 0.0
-        return canonical(tuple(lag if nonzero[0] > 0 else -lag))
-
-    lookup.cache_info = canonical.cache_info
-    return lookup
-
-
-def _pinned_covariance(lookup, s, t):
-    """C(s, t) and the worst variogram error estimate behind it."""
-    (vs, es), (vt, et), (vd, ed) = lookup(s), lookup(t), lookup(s - t)
-    return 0.5 * (vs + vt - vd), max(es, et, ed)
+def _distinct_lags(lags):
+    """The distinct nonzero rows of ``lags`` up to sign (v is even), and each
+    row's index among them (-1 for a zero row)."""
+    nonzero = lags != 0
+    live = nonzero.any(axis=1)
+    first = lags[np.arange(len(lags)), nonzero.argmax(axis=1)]
+    canonical = np.where(first[:, None] < 0, -lags, lags) + 0.0  # no -0.0
+    distinct, inverse = np.unique(canonical[live], axis=0, return_inverse=True)
+    index = np.full(len(lags), -1)
+    index[live] = inverse.reshape(-1)
+    return distinct, index
 
 
 def _factor_with_jitter(matrix):
-    """Cholesky with escalating diagonal jitter; three retries."""
-    scale = max(np.max(np.diag(matrix)), 1e-30)
+    """Lower Cholesky factor with escalating diagonal jitter; three retries."""
+    scale = max(np.max(np.diag(matrix), initial=0.0), 1e-30)
     jitter = 0.0
     for attempt in range(4):
         try:
-            factor = scipy.linalg.cho_factor(
-                matrix + jitter * np.eye(matrix.shape[0]), lower=True)
-            return factor, jitter
+            return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0])), jitter
         except np.linalg.LinAlgError:
-            pass
-        except scipy.linalg.LinAlgError:
-            pass
-        jitter = 1e-12 * scale * 10.0**attempt
+            jitter = 1e-12 * scale * 10.0**attempt
     min_eig = float(np.linalg.eigvalsh(matrix).min())
     raise FactorizationError(
         f"covariance factorization failed; smallest eigenvalue {min_eig:g}",
         min_eigenvalue=min_eig)
+
+
+def _solve_factor(lower, rhs):
+    """Solve lower lower^T x = rhs for all columns of ``rhs`` in one substitution.
+
+    Each column's arithmetic ignores the others (LAPACK's multi-column
+    triangular solves change it with the column count).
+    """
+    x = np.array(rhs, dtype=float)
+    for k in range(len(lower)):
+        x[k] /= lower[k, k]
+        x[k + 1:] -= lower[k + 1:, k, None] * x[k]
+    for k in reversed(range(len(lower))):
+        x[k] /= lower[k, k]
+        x[:k] -= lower[k, :k, None] * x[k]
+    return x
+
+
+def _column_sums(a):
+    """Sum the rows of ``a`` in order, so each column's sum ignores the others."""
+    return sum(a, np.zeros(a.shape[1]))
 
 
 def krige(obs, u, quad=None):
@@ -169,9 +168,10 @@ def krige_many(obs, targets, quad=None):
     """Simple-kriging predictions at every row of ``targets``.
 
     The covariance matrix Sigma of the observations is assembled and
-    factored once; every target then solves against that factor with its
-    own covariance vector c(u).  All variograms come from one cache, so
-    each distinct lag costs one quadrature per batch.
+    factored once, and every target solves against that factor with its
+    own covariance vector c(u), all in one solve.  The distinct lags
+    behind Sigma and every c(u) are integrated in one variogram table,
+    so each costs one quadrature per batch.
 
     Parameters
     ----------
@@ -186,9 +186,10 @@ def krige_many(obs, targets, quad=None):
         One per target: prediction c(u)^T Sigma^{-1} Z, variance
         C(u,u) - c(u)^T Sigma^{-1} c(u) (clamped at zero; values below
         -1e-10 raise), the solved weights and the jitter that was needed.
-        ``meta`` holds ``variogram_evals`` (distinct quadratures in the
-        batch), ``cache_hits`` (variogram lookups the cache served) and
-        ``max_variogram_err`` (worst error estimate behind this result).
+        ``meta`` holds ``variogram_evals`` (distinct lags integrated in
+        the batch), ``cache_hits`` (nonzero variogram lookups of the
+        pinned covariances beyond those) and ``max_variogram_err`` (worst
+        error estimate behind this result).
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.shape[1] != obs.model.dims:
@@ -196,49 +197,46 @@ def krige_many(obs, targets, quad=None):
             f"targets must be rows of {obs.model.dims} coordinates")
     if not np.all(np.isfinite(targets)):
         raise ModelError("target sites must be finite")
-    lookup = _variogram_lookup(obs.model, quad)
-    n = len(obs)
+    sites, n, m = obs.sites, len(obs), len(targets)
+    # v(s), v(t) and v(s - t) of each C(s, t): Sigma's upper triangle,
+    # then every target's prior v(u) and its C(u, site) for every site
+    row, col = np.triu_indices(n)
+    u, s = np.repeat(targets, n, axis=0), np.tile(sites, (m, 1))
+    blocks = [sites[row], sites[col], sites[row] - sites[col],
+              targets, u, s, u - s]
+    distinct, index = _distinct_lags(np.concatenate(blocks))
+    table = variogram_table(obs.model, distinct, quad)
+    bounds = np.cumsum([len(b) for b in blocks])[:-1]
+    # index -1 (a zero lag) picks the appended v = err = 0
+    v_row, v_col, v_diff, prior, v_u, v_s, v_us = np.split(
+        np.append(table.values, 0.0)[index], bounds)
+    e_sigma, e_prior, e_cov = np.split(
+        np.append(table.errs, 0.0)[index], [bounds[2], bounds[3]])
     sigma = np.empty((n, n))
-    sigma_err = 0.0
-    for i in range(n):
-        for k in range(i, n):
-            value, err = _pinned_covariance(lookup, obs.sites[i], obs.sites[k])
-            sigma[i, k] = sigma[k, i] = value
-            sigma_err = max(sigma_err, err)
-    factor, jitter = None, 0.0
-    if n:
-        try:
-            factor, jitter = _factor_with_jitter(sigma)
-        except FactorizationError as exc:
-            pair = _closest_pair(obs.sites)
-            raise FactorizationError(
-                f"{exc} (closest sites: {pair[0].tolist()} and "
-                f"{pair[1].tolist()})", min_eigenvalue=exc.min_eigenvalue) from None
-    solved = []
-    for u in targets:
-        prior, err = lookup(u)
-        if n == 0:
-            prediction, variance, weights = 0.0, prior, np.zeros(0)
-        else:
-            cov = [_pinned_covariance(lookup, u, site) for site in obs.sites]
-            cvec = np.array([c for c, _ in cov])
-            err = max(err, sigma_err, *(e for _, e in cov))
-            weights = scipy.linalg.cho_solve(factor, cvec)
-            prediction = float(weights @ obs.values)
-            variance = float(prior - cvec @ weights)
-        if variance < _VARIANCE_FLOOR:
-            raise ConsistencyError(
-                f"kriging variance {variance:g} fell below the "
-                f"{_VARIANCE_FLOOR:g} floor")
-        solved.append((u, prediction, variance, weights, float(err)))
-    info = lookup.cache_info()
-    return [KrigingResult(site=u, prediction=prediction,
-                          variance=max(0.0, variance), weights=weights,
-                          jitter=jitter,
-                          meta={"variogram_evals": info.misses,
-                                "cache_hits": info.hits,
-                                "max_variogram_err": err})
-            for u, prediction, variance, weights, err in solved]
+    sigma[row, col] = sigma[col, row] = 0.5 * (v_row + v_col - v_diff)
+    cov = 0.5 * (v_u + v_s - v_us).reshape(m, n)
+    errs = np.maximum(e_prior, np.max(e_cov.reshape(3, m, n), axis=(0, 2), initial=0.0))
+    errs = np.maximum(errs, np.max(e_sigma, initial=0.0))
+    try:
+        factor, jitter = _factor_with_jitter(sigma)
+    except FactorizationError as exc:
+        pair = _closest_pair(sites)
+        raise FactorizationError(
+            f"{exc} (closest sites: {pair[0].tolist()} and "
+            f"{pair[1].tolist()})", min_eigenvalue=exc.min_eigenvalue) from None
+    weights = _solve_factor(factor, cov.T)
+    predictions = _column_sums(weights * obs.values[:, None])
+    variances = prior - _column_sums(cov.T * weights)
+    if np.any(variances < _VARIANCE_FLOOR):
+        raise ConsistencyError(f"kriging variance {variances.min():g} fell below "
+                               f"the {_VARIANCE_FLOOR:g} floor")
+    meta = {"variogram_evals": len(distinct),
+            "cache_hits": int(np.count_nonzero(index >= 0)) - len(distinct)}
+    return [KrigingResult(site=target, prediction=float(prediction),
+                          variance=max(0.0, float(variance)), weights=w,
+                          jitter=jitter, meta={**meta, "max_variogram_err": float(err)})
+            for target, prediction, variance, w, err
+            in zip(targets, predictions, variances, weights.T.copy(), errs)]
 
 
 def _closest_pair(sites):
@@ -297,13 +295,11 @@ def scaling_exponent_check(model, axis, radii=None, quad=None):
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or np.any(radii <= 0):
         raise ModelError("need at least two positive radii")
-    log_v = []
-    for r in radii:
-        lag = np.zeros(model.dims)
-        lag[axis] = r
-        value, _ = variogram_numeric(model, lag, quad)
-        if value <= 0:
-            raise ConsistencyError(f"variogram vanished at radius {r:g}")
-        log_v.append(math.log(value))
-    slope = np.polyfit(np.log(radii), log_v, 1)[0]
+    lags = np.zeros((radii.size, model.dims))
+    lags[:, axis] = radii
+    values = variogram_table(model, lags, quad).values
+    if np.any(values <= 0):
+        radius = radii[np.argmax(values <= 0)]
+        raise ConsistencyError(f"variogram vanished at radius {radius:g}")
+    slope = np.polyfit(np.log(radii), np.log(values), 1)[0]
     return float(slope)

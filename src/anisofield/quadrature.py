@@ -19,6 +19,10 @@ a_j = c lambda or c lambda^2 have those transforms in closed form; any
 other axis (a numeric axis) gets them from the 1-D rule below, for all
 t nodes at once.  The cost is O(n_t N n_lambda) with no node cap.
 
+The engine integrates a batch of lags, a block of rows at a time, on one
+(lag x t node) matrix; each row keeps the t nodes it would have alone
+and sums in node order, so its result does not depend on the batch.
+
 The 1-D rule, which N = 1 and the partials (in 1 to 3 dimensions, as a
 tensor product) use, splits each axis at a truncation point L.  The inner
 interval [0, L] is covered by dyadically graded Gauss-Legendre panels
@@ -39,6 +43,7 @@ between two Gauss orders.  All node orderings are fixed, so results are
 bit-stable for fixed inputs.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -214,7 +219,8 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
     n_dims : int
         Number of frequency coordinates N; partials support 1 to 3.
     freqs : array_like
-        The lag vector h, shape (N,), finite.
+        The lag vector h, shape (N,), finite; for order 0 also a batch
+        of lags, shape (m, N), one per row.
     quad : QuadratureSpec, optional
     partial : (axis, order)
         Integrate d^order K / dh_axis^order, with axis in [0, N) and
@@ -224,7 +230,8 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
     -------
     (value, err) : tuple of floats
         The integral over R^N and a combined tail plus discretization
-        error estimate.
+        error estimate; for a batch of lags, two arrays of shape (m,)
+        whose rows equal the one-lag calls.
 
     Raises
     ------
@@ -237,22 +244,31 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
     """
     quad = quad or QuadratureSpec()
     freqs = np.asarray(freqs, dtype=float)
-    if freqs.shape != (n_dims,):
-        raise ModelError(f"lag must have shape ({n_dims},)")
-    if not np.all(np.isfinite(freqs)):
-        raise ModelError("lag must be finite")
     axis, order = partial
     if not (isinstance(axis, (int, np.integer)) and 0 <= axis < n_dims):
         raise ModelError(f"axis must be an integer in [0, {n_dims})")
     if order not in (0, 1, 2):
         raise ModelError("partial order must be 0, 1 or 2")
-    if not np.any(freqs) and order == 0:
-        return 0.0, 0.0
-    if order == 0 and n_dims >= 2:
-        return _laplace_increment(parts.laplace, freqs, quad)
-    if n_dims not in _DEPTH:
-        raise ModelError("partials are supported in 1 to 3 dimensions")
-    return _tensor_integral(parts, freqs, quad, axis, order)
+    batch = order == 0 and freqs.ndim == 2
+    if freqs.shape[batch:] != (n_dims,):
+        raise ModelError(f"lag must have shape ({n_dims},)")
+    if not np.all(np.isfinite(freqs)):
+        raise ModelError("lag must be finite")
+    if order:
+        if n_dims not in _DEPTH:
+            raise ModelError("partials are supported in 1 to 3 dimensions")
+        return _tensor_integral(parts, freqs, quad, axis, order)
+    rows = np.atleast_2d(freqs)
+    values, errs = np.zeros(len(rows)), np.zeros(len(rows))
+    live = np.flatnonzero(np.any(rows != 0, axis=1))
+    for start in range(0, live.size, _BLOCK_ROWS):
+        idx = live[start:start + _BLOCK_ROWS]
+        if n_dims >= 2:
+            values[idx], errs[idx] = _laplace_increment(parts.laplace, rows[idx], quad)
+        else:
+            values[idx], errs[idx] = np.transpose(
+                [_tensor_integral(parts, h, quad, 0, 0) for h in rows[idx]])
+    return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
 
 def _tensor_integral(parts, freqs, quad, axis, order):
@@ -337,70 +353,85 @@ _T_EPS = 1e-9
 _T_EFOLDS = 40.0
 # Terms of the analytic power-law tail above the upper end (rate 0).
 _TAIL_TERMS = 8
+# Lags integrated together; bounds the (lags x t nodes) work arrays.
+_BLOCK_ROWS = 128
 
 
-def _t_rule(T, levels, cap, order):
-    """GL nodes and weights on the dyadic panels of [T 2^-levels, T].
-
-    Panels wider than ``cap`` are split evenly.
-    """
-    lo = T * 2.0 ** -np.arange(1.0, levels + 1.0)
+@functools.lru_cache(maxsize=256)
+def _t_rule(levels, cap, order):
+    """GL nodes, weights and levels k on the panels [2^-k, 2^(1-k)] of [2^-levels,
+    1], from 1 down, panels wider than ``cap`` split; read-only, as cached."""
+    lo = 2.0 ** -np.arange(1.0, levels + 1.0)
     count = np.maximum(1, np.ceil(lo / cap)).astype(int)
     width = np.repeat(lo / count, count)
     start = np.repeat(lo, count) + width * (
         np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
-    return _inner_axis((start + 0.5 * width, 0.5 * width), order)
+    nodes, weights = _inner_axis((start + 0.5 * width, 0.5 * width), order)
+    rule = nodes, weights, np.repeat(np.arange(1, levels + 1), count * order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
-def _closed_axis(axis, h, t):
+def _closed_axis(axis, h, t, log_t):
     """log E, C/E and D/E of a power axis with exponent 1 or 2, in closed form.
 
     With u = coef * t: exponent 1 gives E = 1/u, C = u/(u^2+h^2) and
     D = h^2/(u(u^2+h^2)); exponent 2 gives E = sqrt(pi/u)/2,
-    C = E e^{-h^2/4u} and D = -E expm1(-h^2/4u).
+    C = E e^{-h^2/4u} and D = -E expm1(-h^2/4u).  Either way C = E - D.
+    Elementwise in h and t; ``log_t`` is log t.
     """
-    u = axis.coef * t
     if axis.expo == 1.0:
-        q = u**2 + h**2
-        return -np.log(u), u**2 / q, h**2 / q
-    x = h**2 / (4.0 * u)
-    return 0.5 * np.log(0.25 * math.pi / u), np.exp(-x), -np.expm1(-x)
+        d_r = h**2 / ((axis.coef * t)**2 + h**2)
+        log_e = -math.log(axis.coef) - log_t
+    else:
+        d_r = -np.expm1(h**2 / (-4.0 * axis.coef) / t)
+        log_e = 0.5 * (math.log(0.25 * math.pi / axis.coef) - log_t)
+    return log_e, 1.0 - d_r, d_r
 
 
-def _numeric_axis(axis, h, t, quad, order, t_lo, t_hi):
+def _numeric_axis(axis, lags, t, used, quad, order, t_lo, t_hi):
     """log E, C/E, D/E and the tail error over E of one axis, by the 1-D rule.
 
     E, C and D are the integrals of 1, cos(h l) and 2 sin^2(h l / 2)
-    against e^{-t a(l)} over l > 0, one matrix product for all t.  The
-    graded panels reach down to where e^{-t_hi a} is flat and up to
-    where e^{-t_lo a} has vanished; beyond the truncation L the cosine
-    is replaced by its two integration-by-parts boundary terms.
+    against e^{-t a(l)} over l > 0, one matrix product for all t of a
+    row's ``used`` columns (the others keep log E = 0, C/E = 1, D/E = 0
+    and no tail error).  The graded panels reach down to where
+    e^{-t_hi a} is flat and up to where e^{-t_lo a} has vanished; beyond
+    the truncation L the cosine is replaced by its two
+    integration-by-parts boundary terms.
     """
-    L = quad.truncation or (64.0 if h == 0 else min(1e12, 64.0 / abs(h)))
+    out = [np.zeros_like(t), np.ones_like(t), np.zeros_like(t), np.zeros_like(t)]
     inv = 1.0 / axis.growth
-    lam_lo = 1e-4 * (axis.coef * t_hi) ** -inv
-    lam_hi = (60.0 / (axis.coef * t_lo) + axis.shift**axis.expo) ** inv
-    depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
-    depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
-    lam_in, w_in = _inner_axis(_inner_panels(L, h, quad.panels, depth_in), order)
-    lam_out, w_out = _outer_axis(L, depth_out, order)
-    col = t[:, None]
-    outer = np.exp(-col * axis.term(lam_out)) @ w_out
-    weights = [w_in]
-    if h != 0:
-        x = h * lam_in
-        weights += [w_in * np.cos(x), w_in * _FACTORS["s2"](x)]
-    sums = np.exp(-col * axis.term(lam_in)) @ np.stack(weights, axis=1)
-    E = sums[:, 0] + outer
-    if h == 0:
-        return np.log(E), 1.0, 0.0, 0.0
-    corr, err = _tail_ibp(lambda lam: np.exp(-t * axis.term(lam)), L, h, 0.0)
-    return np.log(E), (sums[:, 1] + corr) / E, (sums[:, 2] + outer - corr) / E, err / E
+    for i, (h, cols) in enumerate(zip(lags, used)):
+        L = quad.truncation or (64.0 if h == 0 else min(1e12, 64.0 / abs(h)))
+        lam_lo = 1e-4 * (axis.coef * t_hi[i]) ** -inv
+        lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
+        depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
+        depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
+        lam_in, w_in = _inner_axis(_inner_panels(L, h, quad.panels, depth_in), order)
+        lam_out, w_out = _outer_axis(L, depth_out, order)
+        row = t[i, cols]
+        outer = np.exp(-row[:, None] * axis.term(lam_out)) @ w_out
+        weights = [w_in]
+        if h != 0:
+            x = h * lam_in
+            weights += [w_in * np.cos(x), w_in * _FACTORS["s2"](x)]
+        sums = np.exp(-row[:, None] * axis.term(lam_in)) @ np.stack(weights, axis=1)
+        E = sums[:, 0] + outer
+        out[0][i, cols] = np.log(E)
+        if h != 0:
+            corr, err = _tail_ibp(lambda lam: np.exp(-row * axis.term(lam)), L, h, 0.0)
+            out[1][i, cols] = (sums[:, 1] + corr) / E
+            out[2][i, cols] = (sums[:, 2] + outer - corr) / E
+            out[3][i, cols] = err / E
+    return out
 
 
-def _laplace_increment(lap, freqs, quad):
+def _laplace_increment(lap, lags, quad):
     """int_{R^N} (1 - cos<h, lambda>) f(lambda) dlambda through the Laplace form.
 
+    One value and error estimate per row h of ``lags`` (none zero).
     With f = prefactor * int_0^inf m(t) prod_j e^{-t a_j} dt, the
     telescoped kernel turns the integral into
 
@@ -413,6 +444,9 @@ def _laplace_increment(lap, freqs, quad):
     bounds the error there.  Above T the weight's e^{-rate t} bounds the
     rest, or, at rate 0 (where every axis is Gaussian), the integrand
     is expanded in powers of 1/t and integrated term by term.
+
+    Rows share one t rule as deep as the deepest row, scaled by each
+    row's T; the levels below a row's own t0 get zero weight.
 
     The error estimate adds the difference of two Gauss orders, the
     axes' integration-by-parts error and both end charges.
@@ -429,50 +463,58 @@ def _laplace_increment(lap, freqs, quad):
                               for i, ax in zip(inv, axes))
     # Lower end: every neglected relative term (rate t, C/E on the
     # longest-lag axis, the shift of a shifted axis) is below _T_EPS.
-    t0 = 1e-8 * max(abs(h) ** ax.growth / ax.coef for h, ax in zip(freqs, axes) if h)
+    t0 = 1e-8 * np.max([np.abs(lags[:, j]) ** ax.growth / ax.coef
+                        for j, ax in enumerate(axes)], axis=0)
     if lap.rate > 0:
-        t0 = min(t0, _T_EPS / lap.rate)
+        t0 = np.minimum(t0, _T_EPS / lap.rate)
     for ax in axes:
         if ax.kind == "shifted":
-            t0 = min(t0, (_T_EPS / (ax.expo * ax.shift)) ** ax.expo / ax.coef)
+            t0 = np.minimum(t0, (_T_EPS / (ax.expo * ax.shift)) ** ax.expo / ax.coef)
     if lap.rate > 0:
-        T = (_T_EFOLDS + 2.0 * lap.power) / lap.rate
+        T = np.full(len(lags), (_T_EFOLDS + 2.0 * lap.power) / lap.rate)
         cap = 4.0 / lap.rate
     else:
         if any(ax.kind != "power" or ax.expo != 2.0 for ax in axes) or margin >= 1:
             raise ModelError("a Laplace weight without decay needs Gaussian axes "
                              "and a margin below 1")
-        lag_time = sum(h**2 / (4.0 * ax.coef) for h, ax in zip(freqs, axes))
+        lag_time = sum(lags[:, j]**2 / (4.0 * ax.coef) for j, ax in enumerate(axes))
         T = 100.0 * lag_time
         cap = math.inf
-    levels = max(1, math.ceil(math.log2(T / t0)))
+    levels = np.maximum(1, np.ceil(np.log2(T / t0))).astype(int)
     t0 = T * 2.0**-levels
 
     def one_pass(t_order, lam_order):
-        t, w = _t_rule(T, levels, cap, t_order)
-        t = np.concatenate([t, [t0, T]])
-        log_f = log_pref + (lap.power - 1.0) * np.log(t) - lap.rate * t
-        ratio, carry, ibp = 0.0, 1.0, np.zeros_like(t)
-        for h, ax in zip(freqs, axes):
+        # the rule on [t0, T] is T times the rule on [2^-levels, 1]
+        t, w, level = _t_rule(int(levels.max()), cap / T[0], t_order)
+        w = T[:, None] * w * (level <= levels[:, None])
+        t = np.concatenate([T[:, None] * t, np.stack([t0, T], axis=1)], axis=1)
+        used = np.append(level, [0, 0]) <= levels[:, None]  # t0 and T too
+        log_t = np.log(t)
+        log_f = log_pref + (lap.power - 1.0) * log_t - lap.rate * t
+        ratio, carry, ibp = 0.0, 1.0, 0.0
+        for h, ax in zip(lags.T, axes):
             if ax.kind == "power" and ax.expo in (1.0, 2.0):
-                log_e, c_r, d_r = _closed_axis(ax, h, t)
-                e_r = 0.0
+                log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t)
             else:
-                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t, quad, lam_order, t0, T)
+                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t, used, quad, lam_order,
+                                                     t0, T)
+                ibp = ibp + e_r
             log_f = log_f + log_e
             ratio = ratio + carry * d_r
             carry = carry * c_r
-            ibp = ibp + e_r
         scale = np.exp(log_f)
         F = scale * ratio
-        return float(w @ F[:-2]), float(w @ (scale * ibp)[:-2]), F[-2], F[-1], log_f[-1]
+        # sums run in node order, which the zero weights cannot change
+        ibp_err = np.cumsum(w * (scale * ibp)[:, :-2], axis=1)[:, -1] if np.ndim(ibp) else 0
+        return (np.cumsum(w * F[:, :-2], axis=1)[:, -1], ibp_err,
+                F[:, -2], F[:, -1], log_f[:, -1])
 
     value, ibp_err, f_lo, f_hi, log_f_hi = one_pass(*_LAPLACE_ORDERS[0])
     value_lo = one_pass(*_LAPLACE_ORDERS[1])[0]
     # below t0: the power law, charged with its deviation at t0
-    lead = math.exp(log_lead + (margin - 1.0) * math.log(t0))
+    lead = np.exp(log_lead + (margin - 1.0) * np.log(t0))
     head = lead * t0 / margin
-    err = abs(value - value_lo) + ibp_err + abs(f_lo / lead - 1.0) * head
+    err = np.abs(value - value_lo) + ibp_err + np.abs(f_lo / lead - 1.0) * head
     value += head
     if lap.rate > 0:
         # G decreases in t, and int_T^inf m <= 2 m(T) / rate because
@@ -482,10 +524,10 @@ def _laplace_increment(lap, freqs, quad):
         # every axis is Gaussian, so m G = m(T) prod E(T) (t/T)^q (1 - e^{-a/t})
         # with a = lag_time; the series of 1 - e^{-a/t} integrates term by term
         q = lap.power - 1.0 - 0.5 * n
-        scale = T * math.exp(log_f_hi)
+        scale = T * np.exp(log_f_hi)
         x = lag_time / T
         terms = [(-1.0) ** (k + 1) * x**k / (math.factorial(k) * (k - q - 1.0))
                  for k in range(1, _TAIL_TERMS + 2)]
-        value += scale * math.fsum(terms[:-1])
-        err += scale * abs(terms[-1])
+        value += scale * sum(terms[:-1])
+        err += scale * np.abs(terms[-1])
     return value, err

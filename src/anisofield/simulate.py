@@ -49,6 +49,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.random import Generator, Philox
 
 from .errors import FactorizationError, ModelError
 from .models import density_parts, model_to_dict, smoothness_exponents
@@ -181,7 +183,7 @@ def _axis_partition(cutoff, cells, octaves):
 
 def _gauss_nodes(lo, hi, order):
     """Per-cell Gauss-Legendre nodes and weights, shape (cells, order)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     half = 0.5 * (hi - lo)
     nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
     weights = half[:, None] * w[None, :]
@@ -236,7 +238,7 @@ def _cached_masses(model, partitions, order, cache_key):
 def _representatives(partitions, seed, jitter):
     reps = []
     if jitter:
-        rng = np.random.Generator(np.random.Philox(key=(seed, _JITTER_KEY)))
+        rng = Generator(Philox(key=(seed, _JITTER_KEY)))
     for lo, hi in partitions:
         if jitter:
             u = rng.random(lo.size)
@@ -420,7 +422,7 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
     # channels as GEMM columns would let the channel count move the bits
     out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
     for c in range(channels):
-        rng = np.random.Generator(np.random.Philox(key=(seed, c)))
+        rng = Generator(Philox(key=(seed, c)))
         draws = rng.standard_normal(masses.shape + (2,))
         out[..., c] = _evaluate(tables, amp * draws[..., 0],
                                 amp * draws[..., 1])
@@ -479,7 +481,7 @@ def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):
             f"covariance failed to factorize; smallest eigenvalue {floor:.3e}",
             min_eigenvalue=floor)
 
-    rng = np.random.Generator(np.random.Philox(key=(seed, 0)))
+    rng = Generator(Philox(key=(seed, 0)))
     draw = chol @ rng.standard_normal(cov.shape[0])
     if pin_origin:
         draw = draw - draw[origin_row]

@@ -26,45 +26,12 @@ from .quadrature import QuadratureSpec, spectral_integral
 
 
 def variogram_numeric(model, h, quad=None):
-    """Variogram v(h) by spectral quadrature.
+    """Variogram v(h) and its error estimate at one lag, shape (dims,).
 
-    Parameters
-    ----------
-    model : SpectralModel
-    h : array_like, shape (dims,)
-        Lag vector; v(0) = 0 and v(h) = v(-h).
-    quad : QuadratureSpec, optional
-
-    Returns
-    -------
-    (value, err) : tuple of floats
-
-    Raises
-    ------
-    QuadratureError
-        If the error estimate exceeds ``quad.rel_tol`` times the value.
-    ModelError
-        If the model fails the legitimacy check, or the lag has the wrong
-        shape or a non-finite entry.
+    The one-row :func:`variogram_table`, returned as a tuple of floats.
     """
-    quad = quad or QuadratureSpec()
-    verdict = legitimacy_check(model)
-    if not verdict.ok:
-        raise ModelError(f"illegitimate model: {verdict.reason}")
-    value, err = spectral_integral(density_parts(model), model.dims, h, quad)
-    value, err = 2.0 * value, 2.0 * err
-    if value < 0:
-        if value < -err:
-            raise QuadratureError(
-                f"variogram came out negative ({value:g}) beyond its error "
-                f"estimate {err:g}", value=value, err=err)
-        value = 0.0
-    if err > quad.rel_tol * value and value > 0:
-        raise QuadratureError(
-            f"variogram error estimate {err:g} exceeds rel_tol * value = "
-            f"{quad.rel_tol * value:g}; enlarge truncation or panels",
-            value=value, err=err)
-    return value, err
+    table = variogram_table(model, [h], quad)
+    return float(table.values[0]), float(table.errs[0])
 
 
 def covariance_increment(model, s, t, quad=None):
@@ -143,12 +110,48 @@ class VariogramTable:
 
 
 def variogram_table(model, lags, quad=None, model_id=None):
-    """Evaluate the variogram on a list of lag vectors."""
+    """Variogram by spectral quadrature on rows of lag vectors, in one batch.
+
+    Parameters
+    ----------
+    model : SpectralModel
+    lags : array_like, shape (m, dims)
+        One lag per row; v(0) = 0 and v(h) = v(-h).  Each row's value
+        and error estimate do not depend on the other rows.
+    quad : QuadratureSpec, optional
+    model_id : str, optional
+
+    Returns
+    -------
+    VariogramTable
+
+    Raises
+    ------
+    QuadratureError
+        If a row's error estimate exceeds ``quad.rel_tol`` times its
+        value; it names the first such row and carries its value and err.
+    ModelError
+        Before any quadrature, if the model fails the legitimacy check,
+        or a lag has the wrong shape or a non-finite entry.
+    """
+    quad = quad or QuadratureSpec()
+    verdict = legitimacy_check(model)
+    if not verdict.ok:
+        raise ModelError(f"illegitimate model: {verdict.reason}")
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    values = np.empty(lags.shape[0])
-    errs = np.empty(lags.shape[0])
-    for i, h in enumerate(lags):
-        values[i], errs[i] = variogram_numeric(model, h, quad)
+    values, errs = spectral_integral(density_parts(model), model.dims, lags, quad)
+    values, errs = 2.0 * values, 2.0 * errs
+    bad = (values < -errs) | ((errs > quad.rel_tol * values) & (values > 0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        value, err = float(values[i]), float(errs[i])
+        reason = (f"came out negative ({value:g}) beyond its error estimate {err:g}"
+                  if value < 0 else
+                  f"error estimate {err:g} exceeds rel_tol * value = "
+                  f"{quad.rel_tol * value:g}; enlarge truncation or panels")
+        raise QuadratureError(f"variogram at lag {lags[i].tolist()} {reason}",
+                              value=value, err=err)
+    values = np.where(values < 0, 0.0, values)
     return VariogramTable(model_id=model_id or model.kind, lags=lags,
                           values=values, errs=errs)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anisofield
 from anisofield.cli import main
 from anisofield.fileio import (format_float, read_csv, read_field_afld,
                                read_json, write_csv, write_json)
@@ -322,3 +327,13 @@ def test_exit_code_3_for_junk_observations(tmp_path, bm_model, capsys):
                  "--targets", str(obs_path),
                  "--out", str(tmp_path / "p.csv")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the command line must not pay its import
+    src = str(Path(anisofield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, anisofield.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

@@ -100,24 +100,26 @@ def test_krige_many_factors_once_and_matches_krige(monkeypatch):
             assert np.array_equal(a.weights, b.weights)
             assert a.jitter == b.jitter
 
-    factor_calls, lags = [], []
+    factor_calls, tables = [], []
     real_factor = kriging._factor_with_jitter
-    real_variogram = kriging.variogram_numeric
+    real_table = kriging.variogram_table
 
     def counting_factor(matrix):
         factor_calls.append(matrix)
         return real_factor(matrix)
 
-    def counting_variogram(model, h, quad=None):
-        lags.append(tuple(h))
-        return real_variogram(model, h, quad)
+    def counting_table(model, lags, quad=None):
+        tables.append([tuple(lag) for lag in lags])
+        return real_table(model, lags, quad)
 
     monkeypatch.setattr(kriging, "_factor_with_jitter", counting_factor)
-    monkeypatch.setattr(kriging, "variogram_numeric", counting_variogram)
+    monkeypatch.setattr(kriging, "variogram_table", counting_table)
     krige_many(obs, PLANE_TARGETS)
     assert len(factor_calls) == 1
-    assert len(lags) == len(set(lags))
-    assert set(lags) == _distinct_nonzero_lags(PLANE_SITES, PLANE_TARGETS)
+    # one table holding each distinct lag once
+    assert len(tables) == 1
+    assert len(tables[0]) == len(set(tables[0]))
+    assert set(tables[0]) == _distinct_nonzero_lags(PLANE_SITES, PLANE_TARGETS)
 
 
 def test_krige_many_reports_variogram_diagnostics():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from anisofield import quadrature
 from anisofield.errors import ModelError, QuadratureError
-from anisofield.models import canonical_c, fbm, smoothness_exponents
+from anisofield.models import canonical_c, fbm, smoothness_exponents, stein
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import (GneitingModel, covariance_increment,
                                   gneiting_covariance, gneiting_from_dict,
@@ -115,15 +116,55 @@ def test_modulus_envelope_value_and_monotonicity():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+BATCH_MODELS = [
+    (fbm(0.35, 2), 12),
+    (fbm(0.6, 3), 12),
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0), 12),           # closed-form axes
+    (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0), 12),
+    (canonical_c(beta=(2.5, 1.0), gamma=2.4), 4),            # a numeric axis
+    (stein((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), 1.5), 12),    # closed-form axes
+    (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0), 4),     # numeric axes
+]
+
+
 def test_variogram_table_matches_pointwise_calls():
-    model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
-    lags = [[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]
-    table = variogram_table(model, lags)
-    assert table.lags.shape == (3, 2)
-    for row, h in enumerate(lags):
-        value, err = variogram_numeric(model, h)
-        assert table.values[row] == value
-        assert table.errs[row] == err
+    # Each row of a batch must be exactly the one-row call, whatever else
+    # the batch holds: zero rows, sign flips, axis-aligned and random lags.
+    rng = np.random.default_rng(11)
+    for model, n_random in BATCH_MODELS:
+        lags = np.vstack([rng.uniform(-1.0, 1.0, (n_random, model.dims)),
+                          np.zeros((1, model.dims)), np.eye(model.dims) * 0.5])
+        lags = np.vstack([lags, -lags[:2]])
+        lags[1, 0] = 0.0
+        table = variogram_table(model, lags)
+        assert table.lags.shape == lags.shape
+        for row, h in enumerate(lags):
+            value, err = variogram_numeric(model, h)
+            assert table.values[row] == value
+            assert table.errs[row] == err
+        assert table.values[n_random] == 0.0
+        empty = variogram_table(model, np.zeros((0, model.dims)))
+        assert empty.values.shape == empty.errs.shape == (0,)
+
+
+def test_variogram_table_refuses_non_finite_row_before_integrating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quadrature, "_laplace_increment",
+                        lambda *args: calls.append(args))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ModelError):
+            variogram_table(fbm(0.35, 2), [[0.5, 0.5], [bad, 0.1], [0.2, 0.3]])
+    assert calls == []
+
+
+def test_variogram_table_names_the_uncertifiable_row():
+    model = fbm(0.35, 2)
+    value, err = variogram_numeric(model, [0.5, 0.5])
+    assert 0 < err < 1e-6 * value
+    with pytest.raises(QuadratureError) as info:
+        variogram_table(model, [[0.0, 0.0], [0.5, 0.5], [0.2, 0.9]],
+                        QuadratureSpec(rel_tol=1e-12))
+    assert (info.value.value, info.value.err) == (value, err)
 
 
 def test_variogram_table_rejects_misaligned_arrays():
