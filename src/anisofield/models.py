@@ -170,11 +170,10 @@ class LaplaceForm:
 class DensityParts:
     """Density split as outer_map(sum_j axis_term(j, |lambda_j|)).
 
-    All three families have this separable-sum structure, which lets the
-    quadrature assemble the density on tensor grids by broadcasting
-    per-axis transforms.  ``point`` evaluates the density at one
-    coordinate vector.  ``laplace`` writes the same density as a Laplace
-    transform whose integrand factors over the axes.
+    All three families have this separable-sum structure.  ``point``
+    evaluates the density at one coordinate vector.  ``laplace`` writes
+    the same density as a Laplace transform whose integrand factors over
+    the axes; every spectral integral goes through it.
     """
 
     axis_term: object

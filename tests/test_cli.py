@@ -292,7 +292,7 @@ def test_exit_code_2_for_quadrature_failure(tmp_path, bm_model, capsys):
     lags_path = tmp_path / "lags.csv"
     write_csv(lags_path, ["h_1"], [[1e-4]])
     assert main(["variogram", "--model", bm_model, "--lags", str(lags_path),
-                 "--rel-tol", "0.001", "--out", str(tmp_path / "v.csv")]) == 2
+                 "--rel-tol", "1e-12", "--out", str(tmp_path / "v.csv")]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -8,7 +8,7 @@ from anisofield.kriging import (Observations, krige, krige_many,
                                 scaling_exponent_check)
 from anisofield.models import canonical_c, fbm, smoothness_exponents
 from anisofield.quadrature import QuadratureSpec
-from anisofield.variogram import variogram_numeric
+from anisofield.variogram import covariance_increment, variogram_numeric
 
 TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 MED = QuadratureSpec(truncation=2048.0, panels=2048, rel_tol=0.01)
@@ -146,6 +146,32 @@ def test_krige_many_reports_variogram_diagnostics():
         {"variogram_evals": 1, "cache_hits": 1,
          "max_variogram_err": errs[(0.4, 0.4)]}] * 2 + [
         {"variogram_evals": 1, "cache_hits": 1, "max_variogram_err": 0.0}]
+
+
+SPACETIME = canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0)
+# neighbours 0.05 apart on one axis and 1 apart on another
+SPACETIME_SITES = np.array([[0.5, 0.5, 0.5], [0.55, 1.5, 0.5],
+                            [0.5, 0.55, 1.5], [1.5, 0.5, 0.55]])
+
+
+def test_krige_many_spacetime_mixed_scales():
+    values = np.array([0.3, -0.1, 0.4, 0.2])
+    obs = Observations(sites=SPACETIME_SITES, values=values, model=SPACETIME)
+    targets = np.array([[0.55, 1.5, 0.5], [0.52, 1.0, 0.5], [1.0, 1.0, 1.0]])
+    results = krige_many(obs, targets)
+    assert results[0].prediction == pytest.approx(values[1], abs=1e-8)
+    assert results[0].variance <= 1e-8
+    # against Sigma and c(u) assembled lag by lag from the pinned covariance
+    sigma = np.array([[covariance_increment(SPACETIME, s, t) for t in SPACETIME_SITES]
+                      for s in SPACETIME_SITES])
+    for u, result in zip(targets, results):
+        cvec = np.array([covariance_increment(SPACETIME, s, u) for s in SPACETIME_SITES])
+        weights = np.linalg.solve(sigma, cvec)
+        prior = variogram_numeric(SPACETIME, u)[0]
+        assert result.prediction == pytest.approx(weights @ values, abs=1e-9)
+        assert result.variance == pytest.approx(prior - weights @ cvec, abs=1e-9)
+        assert 0 <= result.variance <= prior
+        assert result.meta["max_variogram_err"] <= 1e-6
 
 
 def test_targets_must_be_finite_rows(bm):

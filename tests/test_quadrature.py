@@ -1,25 +1,29 @@
-"""The Laplace-domain engine behind the increment kernel in N >= 2."""
+"""The Laplace-domain engine behind every spectral integral."""
+
+import math
 
 import numpy as np
 import pytest
+from tensor_rule import tensor_integral
 
-from anisofield import quadrature
 from anisofield.errors import ModelError, QuadratureError
-from anisofield.models import canonical_c, density_parts, fbm, stein
+from anisofield.models import (canonical_c, density_parts, fbm,
+                               smoothness_exponents, stein)
 from anisofield.quadrature import QuadratureSpec, spectral_integral
+from anisofield.smoothness import derivative_variance, variogram_gradient
 from anisofield.variogram import variogram_numeric
 
 TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 
 
-def _engine(model, lag):
-    return spectral_integral(density_parts(model), model.dims, np.asarray(lag, float))
+def _engine(model, lag, partial=(0, 0)):
+    return spectral_integral(density_parts(model), model.dims, np.asarray(lag, float),
+                             partial=partial)
 
 
-def _tensor(model, lag, quad):
-    """The tensor-product rule that integrated order 0 before the engine."""
-    return quadrature._tensor_integral(density_parts(model),
-                                       np.asarray(lag, float), quad, 0, 0)
+def _tensor(model, lag, quad, partial=(0, 0)):
+    """The tensor-product rule that integrated every order before the engine."""
+    return tensor_integral(density_parts(model), np.asarray(lag, float), quad, *partial)
 
 
 def test_error_estimate_bounds_fbm_closed_form():
@@ -70,10 +74,10 @@ def test_order_zero_has_no_dimension_limit():
         value, err = variogram_numeric(model, np.array(lag))
         assert value == pytest.approx(np.linalg.norm(lag) ** 1.2, rel=1e-6)
         assert err <= 1e-6 * value
-    parts = density_parts(model)
-    for partial in ((0, 1), (2, 2)):
-        with pytest.raises(ModelError):
-            spectral_integral(parts, 4, np.full(4, 0.3), partial=partial)
+    lag = np.array((0.3, 0.2, 0.5, 0.1))
+    for axis in range(4):
+        exact = 1.2 * np.linalg.norm(lag) ** -0.8 * lag[axis]
+        assert variogram_gradient(model, axis, lag) == pytest.approx(exact, rel=1e-9)
 
 
 def test_engine_rejects_a_non_integrable_density():
@@ -81,3 +85,81 @@ def test_engine_rejects_a_non_integrable_density():
     with pytest.raises(ModelError):
         spectral_integral(parts, 2, np.array([0.5, 0.5]))
     assert spectral_integral(parts, 2, np.zeros(2)) == (0.0, 0.0)
+
+
+FBM_PARTIAL_LAGS = {2: [(0.6, 0.3), (-0.2, 0.5), (0.001, 1.0), (40.0, 7.0), (2e-4, 3e-4)],
+                    3: [(0.3, 0.5, 0.9), (1.0, 0.001, 0.0), (0.05, -0.06, 1.0)],
+                    4: [(0.3, 0.2, 0.5, 0.1), (1.0, 0.0, 0.0, 0.01)]}
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4])
+@pytest.mark.parametrize("hurst", [0.05, 0.35, 0.7])
+def test_partial_error_bounds_fbm_closed_form(hurst, dims):
+    # v = |h|^(2H): the first partial integral is v'_j / 2 = H |h|^(2H-2) h_j
+    model = fbm(hurst, dims)
+    for lag in FBM_PARTIAL_LAGS[dims]:
+        norm = np.linalg.norm(lag)
+        for axis in np.flatnonzero(lag):
+            value, err = _engine(model, lag, (axis, 1))
+            exact = hurst * norm ** (2.0 * hurst - 2.0) * lag[axis]
+            assert abs(value - exact) <= err <= 1e-6 * abs(value)
+
+
+def test_second_partial_matches_fbm_closed_form():
+    # (1/2) d^2 |h|^(2H) / dh_j^2, away from h_j = 0 where it diverges
+    for hurst, lag in ((0.35, (0.6, 0.3)), (0.7, (0.3, 0.5, 0.9))):
+        model = fbm(hurst, len(lag))
+        norm = np.linalg.norm(lag)
+        for axis in range(len(lag)):
+            value, err = _engine(model, lag, (axis, 2))
+            exact = hurst * norm ** (2.0 * hurst - 4.0) * (
+                norm**2 + (2.0 * hurst - 2.0) * lag[axis] ** 2)
+            assert abs(value - exact) <= err <= 1e-6 * abs(value)
+        with pytest.raises(ModelError):
+            _engine(model, np.zeros(len(lag)), (0, 2))
+
+
+@pytest.mark.parametrize("model", [
+    canonical_c((1.0, 2.0), 4.0),                             # closed-form axes
+    canonical_c((2.5, 1.0), 2.4),                             # one numeric axis
+    stein((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), 1.5),           # closed-form axes
+    stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0),           # numeric axes
+], ids=["canonical-closed", "canonical-numeric", "stein-closed", "stein-numeric"])
+def test_partials_match_tight_tensor(model):
+    # the second moment on an axis with H_j <= 1 diverges at h_j = 0
+    rough = [hj <= 1 for hj in smoothness_exponents(model).h]
+    for lag in ((0.5, 0.25), (0.02, 0.9), (1.0, 0.0)):
+        for axis in range(2):
+            for order in (1, 2):
+                if lag[axis] == 0 and (order == 1 or rough[axis]):
+                    continue
+                value, err = _engine(model, lag, (axis, order))
+                ref, ref_err = _tensor(model, lag, TIGHT, (axis, order))
+                assert abs(value - ref) <= err + ref_err
+
+
+def test_derivative_variance_closed_form():
+    # int l_j^2 (1 + |l|^2)^-4 dl over R^2 = pi / 12 on either axis
+    model = canonical_c((2.0, 2.0), 4.0)
+    for axis in range(2):
+        assert derivative_variance(model, axis) == pytest.approx(math.pi / 12, abs=1e-10)
+
+
+def test_spacetime_partials_all_evaluate():
+    # the tensor rule refused most of these at its node cap
+    model = canonical_c((1.0, 2.0, 2.0), 4.0)
+    lags = np.random.default_rng(0).uniform(0.05, 1.0, (12, 3))
+    for lag in lags:
+        for axis in range(3):
+            for order in (1, 2):
+                value, err = _engine(model, lag, (axis, order))
+                assert 0 < err <= 1e-6 * abs(value)
+
+
+def test_partial_batch_rows_equal_one_row_calls():
+    parts = density_parts(stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0))
+    lags = np.array([[0.5, 0.25], [0.0, 0.3], [1.0, 0.0], [0.0, 0.0], [-0.3, 2.0]])
+    for partial in ((1, 1), (1, 2)):
+        values, errs = spectral_integral(parts, 2, lags, partial=partial)
+        for lag, value, err in zip(lags, values, errs):
+            assert (value, err) == spectral_integral(parts, 2, lag, partial=partial)

@@ -140,6 +140,32 @@ def test_rough_axis_gradient_matches_fbm_power_law(hurst):
         assert variogram_gradient(model, 0, lag) == pytest.approx(exact, rel=1e-3)
 
 
+def test_spacetime_gradient_matches_central_difference():
+    model = canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0)
+    lag = np.array([0.1, 0.2, 0.3])
+    step = 1e-4
+    for axis in range(3):
+        unit = np.zeros(3)
+        unit[axis] = step
+        central = (variogram_numeric(model, lag + unit)[0]
+                   - variogram_numeric(model, lag - unit)[0]) / (2.0 * step)
+        assert variogram_gradient(model, axis, lag) == pytest.approx(central, rel=1e-6)
+
+
+def test_spacetime_derivative_variances():
+    # canonical_c on its Laplace form: int l_j^2 f = 2^N / Gamma(gamma)
+    # Gamma(margin - 2/b_j) Gamma(3/b_j) / b_j prod_{i != j} Gamma(1 + 1/b_i)
+    beta, gamma = (2.0, 4.0, 4.0), 3.0
+    margin = gamma - sum(1.0 / b for b in beta)
+    report = ms_derivative_report(canonical_c(beta, gamma))
+    for axis, b in enumerate(beta):
+        exact = (8.0 / math.gamma(gamma) * math.gamma(margin - 2.0 / b)
+                 * math.gamma(3.0 / b) / b
+                 * math.prod(math.gamma(1.0 + 1.0 / c)
+                             for i, c in enumerate(beta) if i != axis))
+        assert report.derivative_variance[axis] == pytest.approx(exact, rel=1e-9)
+
+
 def test_derivative_paths_reject_bad_axis_and_lag():
     lag = np.array([0.3, 0.2])
     for axis in (-1, 2):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from tensor_rule import tensor_integral
 
 from anisofield import quadrature
 from anisofield.errors import ModelError, QuadratureError
-from anisofield.models import canonical_c, fbm, smoothness_exponents, stein
+from anisofield.models import (canonical_c, density_parts, fbm,
+                               smoothness_exponents, stein)
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import (GneitingModel, covariance_increment,
                                   gneiting_covariance, gneiting_from_dict,
@@ -60,7 +62,7 @@ def test_variogram_rejects_bad_input():
 def test_quadrature_error_when_tolerance_unreachable():
     bm = fbm(0.5, 1)
     with pytest.raises(QuadratureError) as info:
-        variogram_numeric(bm, [1e-4], QuadratureSpec(rel_tol=0.001))
+        variogram_numeric(bm, [1e-4], QuadratureSpec(rel_tol=1e-12))
     assert info.value.err > 0
 
 
@@ -175,19 +177,30 @@ def test_variogram_table_rejects_misaligned_arrays():
 
 
 def test_quadrature_refinement_converges():
-    # Tightening the rule must shrink both the true error and the estimate.
-    bm = fbm(0.5, 1)
-    specs = [QuadratureSpec(truncation=64.0, panels=64, rel_tol=0.09),
-             QuadratureSpec(truncation=512.0, panels=512, rel_tol=0.09),
+    # Tightening the rule of a numeric axis must shrink both the true
+    # error (against the tight tensor rule) and the estimate.
+    model = canonical_c(beta=(1.5,), gamma=2.0)
+    ref, ref_err = tensor_integral(density_parts(model), np.array([0.7]), TIGHT, 0, 0)
+    specs = [QuadratureSpec(truncation=16.0, panels=16, rel_tol=0.09),
+             QuadratureSpec(truncation=64.0, panels=64, rel_tol=0.09),
              QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.09)]
     true_errs, estimates = [], []
     for spec in specs:
-        value, err = variogram_numeric(bm, [0.7], spec)
-        true_errs.append(abs(value - 0.7))
+        value, err = variogram_numeric(model, [0.7], spec)
+        true_errs.append(abs(value - 2.0 * ref))
         estimates.append(err)
+    assert 2.0 * ref_err < 1e-9
     assert true_errs[2] < true_errs[0]
     assert estimates[2] < estimates[0]
     assert true_errs[2] < 1e-4
+
+
+def test_one_dimensional_large_lags():
+    for hurst, lag in ((0.3, 100.0), (0.5, 1000.0)):
+        value, err = variogram_numeric(fbm(hurst, 1), [lag])
+        exact = lag ** (2.0 * hurst)
+        assert abs(value - exact) <= err
+        assert value == pytest.approx(exact, rel=1e-6)
 
 
 def test_gneiting_covariance_values():
