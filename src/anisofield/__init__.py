@@ -22,9 +22,8 @@ from .models import (Legitimacy, SmoothnessExponents, SpectralModel,
                      model_to_json, normalize_fbm_constant,
                      smoothness_exponents, stein)
 from .quadrature import QuadratureSpec, spectral_integral
-from .simulate import (FieldSample, Grid, SynthesisSpec, empirical_variogram,
-                       multi_copy_field, sample_field,
-                       sample_stationary_exact)
+from .simulate import (FieldSample, Grid, empirical_variogram,
+                       multi_copy_field, sample_field, sample_stationary_exact)
 from .smoothness import (SmoothnessReport, cross_cov_matrix, cross_covariance,
                          derivative_covariance, derivative_variance,
                          ms_derivative_report, variogram_gradient)
@@ -51,7 +50,7 @@ __all__ = [
     "model_from_json", "model_to_dict", "model_to_json",
     "normalize_fbm_constant", "smoothness_exponents", "stein",
     "QuadratureSpec", "spectral_integral",
-    "FieldSample", "Grid", "SynthesisSpec", "empirical_variogram",
+    "FieldSample", "Grid", "empirical_variogram",
     "multi_copy_field", "sample_field", "sample_stationary_exact",
     "SmoothnessReport", "cross_cov_matrix", "cross_covariance",
     "derivative_covariance", "derivative_variance", "ms_derivative_report",

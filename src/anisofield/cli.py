@@ -18,6 +18,7 @@ if one ran; no timestamps, so identical inputs give byte-identical outputs.
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise ModelError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="anisofield",

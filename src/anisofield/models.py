@@ -20,6 +20,10 @@ Three families are provided:
 * ``stein``: f(lambda) = (sum_j c_j (a_j + lambda_j^2)^{alpha_j})^{-nu},
   a space-time family with envelope exponents beta_j = alpha_j and
   gamma = 2 nu, hence H_j = alpha_j (nu - sum_l 1/(2 alpha_l)).
+
+Each density is written once, as the :class:`LaplaceForm` that
+:func:`laplace_form` builds; :func:`evaluate_density`, the synthesis
+lattice and every spectral integral read it.
 """
 
 import json
@@ -156,8 +160,8 @@ class LaplaceForm:
     """The density as prefactor * int_0^inf m(t) prod_j e^{-t a_j(lambda_j)} dt.
 
     The weight is m(t) = t^(power - 1) e^(-rate t) / Gamma(power), so the
-    outer map is prefactor * (rate + sum_j a_j)^(-power), with each axis
-    term a_j taken from ``axes`` (vanishing at lambda_j = 0).
+    density is prefactor * (rate + sum_j a_j(|lambda_j|))^(-power), with
+    each axis term a_j taken from ``axes`` (vanishing at lambda_j = 0).
     """
 
     prefactor: float
@@ -165,87 +169,43 @@ class LaplaceForm:
     rate: float
     axes: tuple
 
+    def density(self, lam):
+        """f at one coordinate array per axis, broadcast together.
 
-@dataclass(frozen=True)
-class DensityParts:
-    """Density split as outer_map(sum_j axis_term(j, |lambda_j|)).
-
-    All three families have this separable-sum structure.  ``point``
-    evaluates the density at one coordinate vector.  ``laplace`` writes
-    the same density as a Laplace transform whose integrand factors over
-    the axes; every spectral integral goes through it.
-    """
-
-    axis_term: object
-    outer_map: object
-    point: object
-    laplace: LaplaceForm
+        Raises SingularDensityError at lambda = 0 when the weight has no
+        decay (fbm), where the density is infinite.
+        """
+        total = sum(ax.term(np.abs(x)) for ax, x in zip(self.axes, lam))
+        if self.rate == 0 and np.any(total == 0):
+            raise SingularDensityError("fbm density is singular at lambda = 0")
+        return self.prefactor * (self.rate + total) ** -self.power
 
 
-def density_parts(model):
-    """Build vectorized evaluation callables for ``model``."""
+def laplace_form(model):
+    """The Laplace form of ``model``'s density."""
     if model.kind == KIND_CANONICAL:
-        beta, gamma, scale = model.beta, model.gamma, model.scale
-
-        def axis_term(a, x):
-            return np.abs(x) ** beta[a]
-
-        def outer_map(S):
-            return scale * (1.0 + S) ** (-gamma)
-
-        laplace = LaplaceForm(scale, gamma, 1.0,
-                              tuple(LaplaceAxis("power", 1.0, b) for b in beta))
-
-    elif model.kind == KIND_FBM:
-        expo = -(2.0 * model.hurst + model.dims) / 2.0
-
-        def axis_term(a, x):
-            return np.asarray(x) ** 2
-
-        def outer_map(S):
-            return model.fbm_const * S**expo
-
-        laplace = LaplaceForm(model.fbm_const, -expo, 0.0,
-                              (LaplaceAxis("power", 1.0, 2.0),) * model.dims)
-
-    elif model.kind == KIND_STEIN:
-        c, a_par, alpha, nu = model.stein_c, model.stein_a, model.stein_alpha, model.nu
-
-        def axis_term(a, x):
-            return c[a] * (a_par[a] + np.asarray(x) ** 2) ** alpha[a]
-
-        def outer_map(S):
-            return S ** (-nu)
-
+        return LaplaceForm(model.scale, model.gamma, 1.0,
+                           tuple(LaplaceAxis("power", 1.0, b) for b in model.beta))
+    if model.kind == KIND_FBM:
+        return LaplaceForm(model.fbm_const, (2.0 * model.hurst + model.dims) / 2.0,
+                           0.0, (LaplaceAxis("power", 1.0, 2.0),) * model.dims)
+    if model.kind == KIND_STEIN:
+        c, a, alpha = model.stein_c, model.stein_a, model.stein_alpha
         # the terms at lambda = 0 form the rate; alpha = 1 then leaves c lambda^2
-        rate = sum(ci * ai**al for ci, ai, al in zip(c, a_par, alpha))
-        laplace = LaplaceForm(1.0, nu, rate, tuple(
+        rate = sum(ci * ai**al for ci, ai, al in zip(c, a, alpha))
+        return LaplaceForm(1.0, model.nu, rate, tuple(
             LaplaceAxis("power", ci, 2.0) if al == 1.0
             else LaplaceAxis("shifted", ci, al, ai)
-            for ci, ai, al in zip(c, a_par, alpha)))
-
-    else:
-        raise ModelError(f"unknown model kind: {model.kind!r}")
-
-    def point(lam):
-        lam = np.asarray(lam, dtype=float)
-        S = 0.0
-        for a in range(model.dims):
-            S = S + axis_term(a, lam[..., a] if lam.ndim > 1 else lam[a])
-        if model.kind == KIND_FBM and np.any(S == 0):
-            raise SingularDensityError("fbm density is singular at lambda = 0")
-        return outer_map(S)
-
-    return DensityParts(axis_term=axis_term, outer_map=outer_map, point=point,
-                        laplace=laplace)
+            for ci, ai, al in zip(c, a, alpha)))
+    raise ModelError(f"unknown model kind: {model.kind!r}")
 
 
 def evaluate_density(model, freq):
     """Evaluate f(lambda); accepts a vector or an (..., N) array."""
     freq = np.asarray(freq, dtype=float)
-    if freq.shape[-1] != model.dims and freq.ndim >= 1:
+    if freq.ndim == 0 or freq.shape[-1] != model.dims:
         raise ModelError(f"frequency must have {model.dims} coordinates")
-    value = density_parts(model).point(freq)
+    value = laplace_form(model).density(np.moveaxis(freq, -1, 0))
     return float(value) if np.ndim(value) == 0 else value
 
 

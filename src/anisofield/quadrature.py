@@ -11,7 +11,7 @@ factors (cosines, sines and 2 sin^2 half-angle terms), so the integral
 folds onto the positive orthant with weight 2^N.
 
 Every family's density is prefactor * int_0^inf m(t) e^{-t S} dt with
-S = sum_j a_j(|lambda_j|) (see ``models.LaplaceForm``), and e^{-t S}
+S = sum_j a_j(|lambda_j|) (see ``models.laplace_form``), and e^{-t S}
 factors over the axes, so the N-dimensional integral becomes one
 integral over t of products of 1-D transforms of e^{-t a_j}.  Axes with
 a_j = c lambda or c lambda^2 have those transforms in closed form; any
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, QuadratureError
 
 _gauss_cache = {}
 
@@ -146,7 +146,7 @@ def _tail_ibp(point_density, L, h, phase):
     return corr, 2 * abs(gpp / h**3)
 
 
-def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
+def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
     """Integrate the increment kernel, or one of its h-partials, against a density.
 
     The kernel is K(h, lambda) = 1 - cos<h, lambda>.  Because the density
@@ -162,10 +162,9 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
 
     Parameters
     ----------
-    parts : DensityParts
-        The density, through its Laplace form ``parts.laplace``.
-    n_dims : int
-        Number of frequency coordinates N >= 1.
+    form : LaplaceForm
+        The density, as ``models.laplace_form`` writes it; it has
+        N = len(form.axes) >= 1 frequency coordinates.
     freqs : array_like
         The lag vector h, shape (N,), finite; or a batch of lags, shape
         (m, N), one per row.
@@ -189,6 +188,7 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
     """
     quad = quad or QuadratureSpec()
     freqs = np.asarray(freqs, dtype=float)
+    n_dims = len(form.axes)
     axis, order = partial
     if not (isinstance(axis, (int, np.integer)) and 0 <= axis < n_dims):
         raise ModelError(f"axis must be an integer in [0, {n_dims})")
@@ -206,8 +206,7 @@ def spectral_integral(parts, n_dims, freqs, quad=None, partial=(0, 0)):
                           else np.any(rows != 0, axis=1) | (order == 2))
     for start in range(0, live.size, _BLOCK_ROWS):
         idx = live[start:start + _BLOCK_ROWS]
-        values[idx], errs[idx] = _laplace_increment(parts.laplace, rows[idx], quad,
-                                                    axis, order)
+        values[idx], errs[idx] = _laplace_increment(form, rows[idx], quad, axis, order)
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
 
@@ -226,6 +225,8 @@ _T_EFOLDS = 40.0
 _TAIL_TERMS = 8
 # Lags integrated together; bounds the (lags x t nodes) work arrays.
 _BLOCK_ROWS = 128
+# The smallest positive normal float; t0 and T must reach it.
+_TINY = np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=256)
@@ -414,6 +415,9 @@ def _laplace_increment(lap, lags, quad, axis=0, order=0):
         lag_time = sum(lags[:, j]**2 / (4.0 * ax.coef) for j, ax in enumerate(axes))
         T = 100.0 * lag_time
         cap = math.inf
+    # a time scale |h_j|^beta / coef beyond the float range leaves no t rule
+    _refuse(lags, ~((t0 >= _TINY) & (T >= _TINY) & (np.maximum(t0, T) < math.inf)),
+            "a time scale |h_j|^beta / coef of the lag under- or overflows")
     levels = np.maximum(1, np.ceil(np.log2(T / t0))).astype(int)
     t0 = T * 2.0**-levels
 
@@ -489,4 +493,15 @@ def _laplace_increment(lap, lags, quad, axis=0, order=0):
             scale = weight * np.exp(log_f_hi)
             value += scale * sum(terms[:-1])
             err += np.abs(scale * terms[-1])
+    # a transform whose squares under- or overflow leaves a NaN or an infinity
+    _refuse(lags, ~(np.isfinite(value) & np.isfinite(err)),
+            "the value or its error estimate is not finite")
     return value, err
+
+
+def _refuse(lags, bad, reason):
+    """QuadratureError naming the first row of ``lags`` flagged in ``bad``."""
+    if np.any(bad):
+        lag = lags[int(np.argmax(bad))].tolist()
+        raise QuadratureError(f"spectral integral at lag {lag} is out of "
+                              f"floating-point range: {reason}")

@@ -14,10 +14,11 @@ telescopes to stationary increments with
 a Riemann approximation of the variogram.  The lattice per axis covers
 (0, Lambda] by dyadic octaves each split into equal cells, so cell width
 scales with frequency.  Lambda starts from an oversampled grid Nyquist
-and is then raised per axis until every axis reaches the same level of
-the density's axis-term sum; without that, anisotropic models lose the
-part of the high-frequency marginal that spreads along the flatter axes
-and small-lag increment variance comes out biased low.  That
+and is then raised per axis until every axis reaches the same level
+a_j(Lambda_j) of its axis term in the density's Laplace form; without
+that, anisotropic models lose the part of the high-frequency marginal
+that spreads along the flatter axes and small-lag increment variance
+comes out biased low.  That
 matters: spectral mass follows a power law, and a cell of width w at
 frequency l contributes jitter noise proportional to f(l) * w^2, which
 is constant per cell only when w is proportional to l.  A uniform
@@ -45,6 +46,7 @@ from an independent stream keyed (s, c), and the jitter stream has its
 own key, so any channel can be regenerated alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,7 +55,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox
 
 from .errors import FactorizationError, ModelError
-from .models import density_parts, model_to_dict, smoothness_exponents
+from .models import laplace_form, model_to_dict, smoothness_exponents
 from .variogram import VariogramTable, gneiting_covariance, gneiting_to_dict
 
 _MAX_GRID_POINTS = 2**20
@@ -61,6 +63,14 @@ _MAX_CELLS = 2**22
 _MAX_MASS_NODES = 2**24
 _JITTER_KEY = 0x6A177E12
 _DENSE_LIMIT = 4096
+# Lattice cutoff over the grid Nyquist, for rough fields (some H_j < 1)
+# and for smooth ones.
+_OVERSAMPLE_ROUGH, _OVERSAMPLE_SMOOTH = 64.0, 8.0
+# Dyadic depth of the lattice below the cutoff; the per-axis cell budget
+# is divided evenly across the octaves.
+_OCTAVES = 24
+# Gauss-Legendre order per axis and cell of the lattice masses.
+_MASS_NODES = 3
 
 
 @dataclass(frozen=True)
@@ -108,36 +118,6 @@ class Grid:
         axes = [self.axis_coords(j) for j in range(self.ndim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-@dataclass(frozen=True)
-class SynthesisSpec:
-    """Tuning knobs for the frequency lattice.
-
-    oversample scales the lattice cutoff relative to the grid Nyquist;
-    None picks 64 for rough fields (some H_j < 1) and 8 for smooth ones.
-    octaves is the dyadic depth of the lattice below the cutoff; the
-    per-axis cell budget is divided evenly across them.  mass_nodes is
-    the Gauss-Legendre order per axis and cell.  jitter=False pins
-    representatives to cell midpoints.  freq_cap overrides the cutoff
-    on every axis.
-    """
-
-    oversample: float = None
-    octaves: int = 24
-    mass_nodes: int = 3
-    jitter: bool = True
-    freq_cap: float = None
-
-    def __post_init__(self):
-        if self.oversample is not None and not self.oversample > 0:
-            raise ModelError("oversample must be positive")
-        if not 4 <= self.octaves <= 60:
-            raise ModelError("octaves must lie in [4, 60]")
-        if not 2 <= self.mass_nodes <= 8:
-            raise ModelError("mass_nodes must lie in [2, 8]")
-        if self.freq_cap is not None and not self.freq_cap > 0:
-            raise ModelError("freq_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -190,62 +170,50 @@ def _gauss_nodes(lo, hi, order):
     return nodes, weights
 
 
-def _cell_masses(parts, partitions, order):
+def _cell_masses(form, partitions):
     """Spectral mass of every positive-orthant cell, via tensor quadrature."""
-    term_vals = []
-    weight_vals = []
-    for axis, (lo, hi) in enumerate(partitions):
-        nodes, weights = _gauss_nodes(lo, hi, order)
-        term_vals.append(parts.axis_term(axis, nodes.ravel()))
-        weight_vals.append(weights.ravel())
-    total = math.prod(v.size for v in term_vals)
+    nodes, weights = zip(*(_gauss_nodes(lo, hi, _MASS_NODES) for lo, hi in partitions))
+    total = math.prod(v.size for v in nodes)
     if total > _MAX_MASS_NODES:
         raise ModelError(
             f"frequency lattice needs {total} quadrature nodes, above the "
             f"{_MAX_MASS_NODES} memory cap; lower the lattice size")
-    n = len(term_vals)
+    n = len(nodes)
 
     def spread(vec, j):
         return vec.reshape((1,) * j + (vec.size,) + (1,) * (n - j - 1))
 
-    acc = spread(term_vals[0], 0)
-    wgt = spread(weight_vals[0], 0)
+    wgt = spread(weights[0].ravel(), 0)
     for j in range(1, n):
-        acc = acc + spread(term_vals[j], j)
-        wgt = wgt * spread(weight_vals[j], j)
-    masses = parts.outer_map(acc) * wgt
+        wgt = wgt * spread(weights[j].ravel(), j)
+    masses = form.density([spread(v.ravel(), j) for j, v in enumerate(nodes)]) * wgt
     # fold the quadrature axis of each (cells, order) block
     block_shape = []
     for lo, _ in partitions:
-        block_shape.extend([lo.size, order])
+        block_shape.extend([lo.size, _MASS_NODES])
     return masses.reshape(block_shape).sum(axis=tuple(range(1, 2 * n, 2)))
 
 
-_MASS_CACHE = {}
-_MASS_CACHE_CAP = 8
+def _partitions(cutoffs, extensions, lattice):
+    """Per-axis cell edges: `lattice` cells over _OCTAVES octaves below the
+    cutoff, and as many per octave on the axis's extra octaves."""
+    per = max(1, -(-lattice // _OCTAVES))
+    return [_axis_partition(c, per * (_OCTAVES + ext), _OCTAVES + ext)
+            for c, ext in zip(cutoffs, extensions)]
 
 
-def _cached_masses(model, partitions, order, cache_key):
-    if cache_key in _MASS_CACHE:
-        return _MASS_CACHE[cache_key]
-    masses = _cell_masses(density_parts(model), partitions, order)
-    if len(_MASS_CACHE) >= _MASS_CACHE_CAP:
-        _MASS_CACHE.pop(next(iter(_MASS_CACHE)))
-    _MASS_CACHE[cache_key] = masses
+@functools.lru_cache(maxsize=8)
+def _masses(model, cutoffs, extensions, lattice):
+    """Cell masses of the lattice; read-only, as cached."""
+    masses = _cell_masses(laplace_form(model), _partitions(cutoffs, extensions, lattice))
+    masses.setflags(write=False)
     return masses
 
 
-def _representatives(partitions, seed, jitter):
-    reps = []
-    if jitter:
-        rng = Generator(Philox(key=(seed, _JITTER_KEY)))
-    for lo, hi in partitions:
-        if jitter:
-            u = rng.random(lo.size)
-        else:
-            u = np.full(lo.size, 0.5)
-        reps.append(lo + u * (hi - lo))
-    return reps
+def _representatives(partitions, seed):
+    """One uniform draw inside every axis cell, from the jitter stream."""
+    rng = Generator(Philox(key=(seed, _JITTER_KEY)))
+    return [lo + rng.random(lo.size) * (hi - lo) for lo, hi in partitions]
 
 
 def _signed_axes(reps, masses):
@@ -267,14 +235,15 @@ def _axis_cutoffs(model, base):
     Anisotropic densities spread the mass near one axis's cutoff across
     the other axes up to the same level set of the axis-term sum;
     cutting those axes at their own grid Nyquist loses most of that
-    marginal and biases small-lag increment variance low.  Returns
-    per-axis cutoffs >= base together with the number of extra dyadic
-    octaves each axis needs so low-frequency coverage stays put.
+    marginal and biases small-lag increment variance low.  The level of
+    axis j at a cutoff is its increment a_j of the Laplace form.
+    Returns per-axis cutoffs >= base together with the number of extra
+    dyadic octaves each axis needs so low-frequency coverage stays put.
     """
-    parts = density_parts(model)
+    axes = laplace_form(model).axes
 
     def term(j, x):
-        return float(parts.axis_term(j, np.asarray(x, dtype=float)))
+        return float(axes[j].term(x))
 
     levels = [term(j, b) for j, b in enumerate(base)]
     s_max = max(levels)
@@ -297,36 +266,23 @@ def _axis_cutoffs(model, base):
                 hi = mid
         cutoffs.append(hi)
         extensions.append(doublings)
-    return cutoffs, extensions
+    return tuple(cutoffs), tuple(extensions)
 
 
-def _lattice(model, grid, lattice, seed, spec):
-    exps = smoothness_exponents(model)
-    oversample = spec.oversample
-    if oversample is None:
-        oversample = 64.0 if min(exps.h) < 1.0 else 8.0
+def _lattice(model, grid, lattice, seed):
+    rough = min(smoothness_exponents(model).h) < 1.0
+    oversample = _OVERSAMPLE_ROUGH if rough else _OVERSAMPLE_SMOOTH
     base = [oversample * np.pi / s for s in grid.spacing]
-    if spec.freq_cap is not None:
-        cutoffs = [spec.freq_cap] * grid.ndim
-        extensions = [0] * grid.ndim
-    else:
-        cutoffs, extensions = _axis_cutoffs(model, base)
-    per = max(1, -(-int(lattice) // spec.octaves))
-    partitions = [
-        _axis_partition(c, per * (spec.octaves + ext), spec.octaves + ext)
-        for c, ext in zip(cutoffs, extensions)]
-    cache_key = (model, tuple(float(c) for c in cutoffs),
-                 tuple(extensions), lattice, spec.octaves, spec.mass_nodes)
-    masses = _cached_masses(model, partitions, spec.mass_nodes, cache_key)
-    reps = _representatives(partitions, seed, spec.jitter)
+    cutoffs, extensions = _axis_cutoffs(model, base)
+    masses = _masses(model, cutoffs, extensions, lattice)
+    reps = _representatives(_partitions(cutoffs, extensions, lattice), seed)
     axes, masses = _signed_axes(reps, masses)
     n_cells = masses.size
     if n_cells > _MAX_CELLS:
         raise ModelError(
             f"frequency lattice has {n_cells} cells, above the {_MAX_CELLS} "
             "memory cap; lower the lattice size or the dimension")
-    return axes, masses, {"oversample": oversample,
-                          "freq_cutoffs": tuple(float(c) for c in cutoffs)}
+    return axes, masses, {"oversample": oversample, "freq_cutoffs": cutoffs}
 
 
 def _active_axes(grid):
@@ -371,7 +327,7 @@ def _evaluate(tables, re_c, im_c):
     return out
 
 
-def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
+def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
     """Synthesize `channels` independent copies of the field over a grid.
 
     Parameters
@@ -381,13 +337,12 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
     grid : Grid
         Evaluation grid.
     lattice : int
-        Frequency cells per axis, divided across the dyadic octaves of
-        the synthesis spec; at least 16.
+        Frequency cells per axis, divided across the 24 dyadic octaves
+        below the cutoff; at least 16.
     channels : int
         Number of independent copies, each from its own random stream.
     seed : int
         Base seed; (seed, channel) keys the coefficient stream.
-    spec : SynthesisSpec, optional
 
     Returns
     -------
@@ -395,7 +350,6 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
         Values of shape grid.shape + (channels,), exactly zero wherever
         the grid point is the origin.
     """
-    spec = spec or SynthesisSpec()
     seed = _check_seed(seed)
     if model.dims != grid.ndim:
         raise ModelError(f"model has {model.dims} axes, grid has {grid.ndim}")
@@ -405,7 +359,7 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
     channels = int(channels)
     if channels < 1:
         raise ModelError("channel count must be at least 1")
-    axes, masses, info = _lattice(model, grid, lattice, seed, spec)
+    axes, masses, info = _lattice(model, grid, lattice, seed)
     n_cells = int(masses.size)
     active = _active_axes(grid)
     inactive = tuple(j for j in range(len(axes)) if j not in active)
@@ -428,15 +382,15 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0, spec=None):
                                 amp * draws[..., 1])
 
     meta = {"method": "spectral-lattice", "lattice": lattice,
-            "n_cells": n_cells, "jitter": bool(spec.jitter),
+            "n_cells": n_cells, "jitter": True,
             "model": model_to_dict(model), **info}
     return FieldSample(grid=grid, values=out.reshape(grid.shape + (channels,)),
                        seed=seed, metadata=meta)
 
 
-def sample_field(model, grid, lattice=4096, seed=0, spec=None):
+def sample_field(model, grid, lattice=4096, seed=0):
     """Single-copy convenience wrapper around multi_copy_field."""
-    return multi_copy_field(model, grid, lattice, 1, seed, spec)
+    return multi_copy_field(model, grid, lattice, 1, seed)
 
 
 def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):

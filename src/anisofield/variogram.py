@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, QuadratureError
-from .models import check_fields, density_parts, is_integer, legitimacy_check
+from .models import check_fields, is_integer, laplace_form, legitimacy_check
 from .quadrature import QuadratureSpec, spectral_integral
 
 
@@ -139,7 +139,7 @@ def variogram_table(model, lags, quad=None, model_id=None):
     if not verdict.ok:
         raise ModelError(f"illegitimate model: {verdict.reason}")
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    values, errs = spectral_integral(density_parts(model), model.dims, lags, quad)
+    values, errs = spectral_integral(laplace_form(model), lags, quad)
     values, errs = 2.0 * values, 2.0 * errs
     bad = (values < -errs) | ((errs > quad.rel_tol * values) & (values > 0))
     if np.any(bad):

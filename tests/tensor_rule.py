@@ -64,8 +64,8 @@ _FACTORS = {
 _ZERO_MEAN = ("c", "s")
 
 
-def tensor_integral(parts, freqs, quad, axis, order):
-    """``spectral_integral(parts, N, freqs, quad, (axis, order))`` by the
+def tensor_integral(form, freqs, quad, axis, order):
+    """``spectral_integral(form, freqs, quad, (axis, order))`` by the
     tensor rule, for one lag in N <= 3; (value, err)."""
     n_dims = freqs.size
     if order == 0:
@@ -95,10 +95,7 @@ def tensor_integral(parts, freqs, quad, axis, order):
             wgt = [axes_in[a][1] if c == 0 else axis_out[1] for a, c in enumerate(combo)]
             wgt[axis] = wgt[axis] * lam[axis] ** order
             unresolved = [c == 1 and freqs[a] != 0 for a, c in enumerate(combo)]
-            S = _bshape(parts.axis_term(0, lam[0]), 0, n_dims)
-            for a in range(1, n_dims):
-                S = S + _bshape(parts.axis_term(a, lam[a]), a, n_dims)
-            F = parts.outer_map(S)
+            F = form.density([_bshape(lam[a], a, n_dims) for a in range(n_dims)])
             for term in terms:
                 if any(unresolved[a] and f in _ZERO_MEAN for a, f in enumerate(term)):
                     continue
@@ -114,7 +111,7 @@ def tensor_integral(parts, freqs, quad, axis, order):
             # the unresolved axes, to the error estimate.
             if n_dims == 1:
                 def g(x):
-                    return parts.point(np.array([x])) * x**order
+                    return form.density([x]) * x**order
                 phase = math.pi / 2 if order == 1 else 0.0
                 corr, ibp_err = _tail_ibp(g, L, freqs[0], phase)
                 value += corr if order else -corr

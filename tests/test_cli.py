@@ -296,6 +296,17 @@ def test_exit_code_2_for_quadrature_failure(tmp_path, bm_model, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_2_for_a_lag_out_of_float_range(tmp_path, capsys):
+    # the time scale |h|^2 of a 1e-200 lag underflows
+    model = tmp_path / "fbm2.json"
+    write_json(model, model_to_dict(fbm(0.4, 2)))
+    lags_path = tmp_path / "lags.csv"
+    write_csv(lags_path, ["h_1", "h_2"], [[0.5, 0.5], [1e-200, 1e-200]])
+    assert main(["variogram", "--model", str(model), "--lags", str(lags_path),
+                 "--out", str(tmp_path / "v.csv")]) == 2
+    assert "[1e-200, 1e-200]" in capsys.readouterr().err
+
+
 def test_exit_code_3_for_missing_file(tmp_path, capsys):
     assert main(["analyze", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r.json")]) == 3

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from anisofield.errors import ModelError
+from anisofield.errors import ModelError, SingularDensityError
 from anisofield.models import (KIND_FBM, SpectralModel, canonical_c,
-                               density_parts, evaluate_density, fbm,
+                               evaluate_density, fbm, laplace_form,
                                legitimacy_check, model_from_dict,
                                model_from_json, model_to_dict, model_to_json,
                                normalize_fbm_constant, smoothness_exponents,
@@ -101,7 +101,7 @@ def _quadrature_fbm_constant(hurst, dims):
     unit = SpectralModel(kind=KIND_FBM, dims=dims, hurst=hurst, fbm_const=1.0)
     lag = np.zeros(dims)
     lag[0] = 1.0
-    value, _ = spectral_integral(density_parts(unit), dims, lag)
+    value, _ = spectral_integral(laplace_form(unit), lag)
     return 1.0 / (2.0 * value)
 
 
@@ -161,19 +161,35 @@ def test_fbm_3d_variogram_is_power_law_at_mixed_scales():
 
 
 def test_laplace_form_reproduces_density():
-    models = [canonical_c(beta=(1.0, 2.5), gamma=2.4, scale=1.5),
-              fbm(0.35, 3),
-              stein(c=(1.0, 2.0), a=(0.5, 1.5), alpha=(1.0, 1.7), nu=1.2)]
-    lam = np.random.default_rng(8).uniform(0.01, 20.0, (25, 3))
-    for model in models:
-        form = density_parts(model).laplace
-        assert len(form.axes) == model.dims
-        S = sum(ax.term(lam[:, j]) for j, ax in enumerate(form.axes))
-        expected = form.prefactor * (form.rate + S) ** -form.power
-        assert np.allclose(evaluate_density(model, lam[:, :model.dims]),
-                           expected, rtol=1e-12, atol=0)
+    # each family's formula, written out independently of the Laplace form
+    cases = [
+        (canonical_c(beta=(1.0, 2.5), gamma=2.4, scale=1.5),
+         lambda x: 1.5 / (1.0 + np.abs(x[:, 0]) + np.abs(x[:, 1]) ** 2.5) ** 2.4),
+        (fbm(0.35, 3),
+         lambda x: normalize_fbm_constant(0.35, 3)
+         * np.linalg.norm(x, axis=1) ** -(2 * 0.35 + 3)),
+        (stein(c=(1.0, 2.0), a=(0.5, 1.5), alpha=(1.0, 1.7), nu=1.2),
+         lambda x: (1.0 * (0.5 + x[:, 0] ** 2) ** 1.0
+                    + 2.0 * (1.5 + x[:, 1] ** 2) ** 1.7) ** -1.2),
+    ]
+    lam = np.random.default_rng(8).uniform(-20.0, 20.0, (25, 3))
+    for model, formula in cases:
+        x = lam[:, :model.dims]
+        value = evaluate_density(model, x)
+        np.testing.assert_allclose(value, formula(x), rtol=1e-12, atol=0)
+        assert evaluate_density(model, x[0]) == value[0]
+        for j in range(model.dims):  # even in each coordinate
+            mirrored = x.copy()
+            mirrored[:, j] *= -1.0
+            assert np.array_equal(evaluate_density(model, mirrored), value)
+    with pytest.raises(SingularDensityError):
+        evaluate_density(fbm(0.35, 3), np.zeros(3))
+    with pytest.raises(SingularDensityError):
+        evaluate_density(fbm(0.35, 3), [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ModelError):
+        evaluate_density(fbm(0.35, 1), 1.0)
     # a stein axis with alpha = 1 is a Gaussian power axis
-    kinds = [(ax.kind, ax.expo) for ax in density_parts(models[2]).laplace.axes]
+    kinds = [(ax.kind, ax.expo) for ax in laplace_form(cases[2][0]).axes]
     assert kinds == [("power", 2.0), ("shifted", 1.7)]
 
 

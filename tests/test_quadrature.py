@@ -1,13 +1,14 @@
 """The Laplace-domain engine behind every spectral integral."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from tensor_rule import tensor_integral
 
 from anisofield.errors import ModelError, QuadratureError
-from anisofield.models import (canonical_c, density_parts, fbm,
+from anisofield.models import (canonical_c, fbm, laplace_form,
                                smoothness_exponents, stein)
 from anisofield.quadrature import QuadratureSpec, spectral_integral
 from anisofield.smoothness import derivative_variance, variogram_gradient
@@ -17,13 +18,13 @@ TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
 
 
 def _engine(model, lag, partial=(0, 0)):
-    return spectral_integral(density_parts(model), model.dims, np.asarray(lag, float),
+    return spectral_integral(laplace_form(model), np.asarray(lag, float),
                              partial=partial)
 
 
 def _tensor(model, lag, quad, partial=(0, 0)):
     """The tensor-product rule that integrated every order before the engine."""
-    return tensor_integral(density_parts(model), np.asarray(lag, float), quad, *partial)
+    return tensor_integral(laplace_form(model), np.asarray(lag, float), quad, *partial)
 
 
 def test_error_estimate_bounds_fbm_closed_form():
@@ -81,10 +82,10 @@ def test_order_zero_has_no_dimension_limit():
 
 
 def test_engine_rejects_a_non_integrable_density():
-    parts = density_parts(canonical_c((1.0, 1.0), 2.0))
+    form = laplace_form(canonical_c((1.0, 1.0), 2.0))
     with pytest.raises(ModelError):
-        spectral_integral(parts, 2, np.array([0.5, 0.5]))
-    assert spectral_integral(parts, 2, np.zeros(2)) == (0.0, 0.0)
+        spectral_integral(form, np.array([0.5, 0.5]))
+    assert spectral_integral(form, np.zeros(2)) == (0.0, 0.0)
 
 
 FBM_PARTIAL_LAGS = {2: [(0.6, 0.3), (-0.2, 0.5), (0.001, 1.0), (40.0, 7.0), (2e-4, 3e-4)],
@@ -157,9 +158,30 @@ def test_spacetime_partials_all_evaluate():
 
 
 def test_partial_batch_rows_equal_one_row_calls():
-    parts = density_parts(stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0))
+    form = laplace_form(stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0))
     lags = np.array([[0.5, 0.25], [0.0, 0.3], [1.0, 0.0], [0.0, 0.0], [-0.3, 2.0]])
     for partial in ((1, 1), (1, 2)):
-        values, errs = spectral_integral(parts, 2, lags, partial=partial)
+        values, errs = spectral_integral(form, lags, partial=partial)
         for lag, value, err in zip(lags, values, errs):
-            assert (value, err) == spectral_integral(parts, 2, lag, partial=partial)
+            assert (value, err) == spectral_integral(form, lag, partial=partial)
+
+
+def test_lags_out_of_float_range_raise_quadrature_error():
+    # time scales |h_j|^beta / coef that under- or overflow: an empty t rule
+    # (fbm), squares that vanish into 0/0 (canonical_c, stein's error), and a
+    # partial whose t0 follows its smallest lagged component
+    for model, lag in ((fbm(0.4, 2), (1e-200, 1e-200)),
+                       (canonical_c((1.0, 2.0), 4.0), (1e-200, 1e-200)),
+                       (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0), (1e-200, 1e-200)),
+                       (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0), (1e-160, 1.0)),
+                       (fbm(0.4, 2), (1e160, 1e160)),
+                       (canonical_c((1.0, 2.0), 4.0), (1e300, 1e300))):
+        with pytest.raises(QuadratureError, match=re.escape(str(list(lag)))):
+            variogram_numeric(model, lag)
+    with pytest.raises(QuadratureError, match="1e-150"):
+        variogram_gradient(fbm(0.4, 2), 0, (1e-150, 1.0))
+    with pytest.raises(QuadratureError, match="1e-200"):
+        variogram_gradient(canonical_c((1.0, 2.0), 4.0), 1, (1e-200, 1.0))
+    # a tiny component next to an ordinary one still integrates
+    value, err = variogram_numeric(canonical_c((1.0, 2.0), 4.0), (1.0, 1e-200))
+    assert np.isfinite(value) and 0 < err < 1e-6 * value

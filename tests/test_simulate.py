@@ -4,10 +4,10 @@ import scipy.stats
 
 from anisofield import simulate
 from anisofield.errors import ModelError
-from anisofield.models import canonical_c, fbm
-from anisofield.simulate import (FieldSample, Grid, SynthesisSpec,
-                                 empirical_variogram, multi_copy_field,
-                                 sample_field, sample_stationary_exact)
+from anisofield.models import canonical_c, fbm, laplace_form, stein
+from anisofield.simulate import (FieldSample, Grid, empirical_variogram,
+                                 multi_copy_field, sample_field,
+                                 sample_stationary_exact)
 from anisofield.variogram import GneitingModel
 
 BM = fbm(0.5, 1)
@@ -41,14 +41,6 @@ def test_grid_validation():
         Grid(origin=(0.0,), spacing=(1.0,), shape=(0,))
     with pytest.raises(ModelError):
         Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), shape=(1025, 1025))
-
-
-def test_synthesis_spec_validation():
-    for bad in (dict(octaves=3), dict(octaves=61), dict(mass_nodes=1),
-                dict(mass_nodes=9), dict(oversample=-1.0),
-                dict(freq_cap=0.0)):
-        with pytest.raises(ModelError):
-            SynthesisSpec(**bad)
 
 
 def test_field_sample_validation():
@@ -92,8 +84,7 @@ def test_origin_is_pinned_exactly():
 
 def _direct_sum(model, grid, lattice, channels, seed):
     """Reference synthesis: the trig sum over every (point, cell) pair."""
-    axes, masses, _ = simulate._lattice(model, grid, lattice, seed,
-                                        SynthesisSpec())
+    axes, masses, _ = simulate._lattice(model, grid, lattice, seed)
     active = [j for j in range(grid.ndim)
               if grid.shape[j] > 1 or grid.origin[j] != 0.0]
     masses = masses.sum(axis=tuple(j for j in range(grid.ndim)
@@ -109,6 +100,20 @@ def _direct_sum(model, grid, lattice, channels, seed):
         out[:, c] = ((np.cos(phases) - 1.0) @ (amp * draws[:, 0])
                      + np.sin(phases) @ (amp * draws[:, 1]))
     return out.reshape(grid.shape + (channels,))
+
+
+def test_axis_cutoffs_equalize_the_increment_level():
+    # stein terms c_j (a_j + l^2)^alpha_j differ at l = 0 by c_j a_j^alpha_j;
+    # the cutoffs equalize the increments a_j(l) of the Laplace form
+    model = stein((3.0, 0.2), (4.0, 0.1), (1.0, 1.0), 1.5)
+    base = [64.0 * np.pi / 0.05] * 2
+    cutoffs, extensions = simulate._axis_cutoffs(model, base)
+    axes = laplace_form(model).axes
+    top = max(float(ax.term(b)) for ax, b in zip(axes, base))
+    assert extensions[0] == 0 and extensions[1] > 0
+    for ax, cutoff, ext in zip(axes, cutoffs, extensions):
+        if ext:
+            assert float(ax.term(cutoff)) == pytest.approx(top, rel=1e-12)
 
 
 @pytest.mark.parametrize("model, grid, channels, origins", [
@@ -153,6 +158,12 @@ def test_repeat_call_is_deterministic():
     assert np.array_equal(a.values, b.values)
     c = sample_field(BM, GRID65, lattice=512, seed=4)
     assert not np.array_equal(a.values, c.values)
+    # the lattice masses are computed once and shared read-only
+    hits = simulate._masses.cache_info().hits
+    sample_field(BM, GRID65, lattice=512, seed=5)
+    assert simulate._masses.cache_info().hits == hits + 1
+    cutoffs = tuple(a.metadata["freq_cutoffs"])
+    assert not simulate._masses(BM, cutoffs, (0,), 512).flags.writeable
 
 
 def test_single_copy_matches_multi_copy_prefix():
@@ -161,14 +172,9 @@ def test_single_copy_matches_multi_copy_prefix():
     assert np.array_equal(joint.values[..., :2], pair.values)
     single = sample_field(BM, GRID65, lattice=512, seed=5)
     assert np.array_equal(single.values, joint.values[..., :1])
-
-
-def test_jitter_flag_and_freq_cap_reach_metadata():
-    spec = SynthesisSpec(jitter=False, freq_cap=50.0)
-    fs = sample_field(BM, GRID65, lattice=256, seed=0, spec=spec)
-    assert fs.metadata["jitter"] is False
-    assert fs.metadata["freq_cutoffs"] == (50.0,)
-    assert fs.metadata["model"]["kind"] == "fbm"
+    assert single.metadata["model"]["kind"] == "fbm"
+    assert single.metadata["jitter"] is True
+    assert single.metadata["oversample"] == 64.0
 
 
 def test_unit_lag_variance(bm_500_seeds):

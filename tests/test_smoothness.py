@@ -5,7 +5,7 @@ import pytest
 
 from anisofield import quadrature, smoothness, variogram
 from anisofield.errors import ModelError
-from anisofield.models import canonical_c, density_parts, fbm, stein
+from anisofield.models import canonical_c, fbm, laplace_form, stein
 from anisofield.simulate import Grid, multi_copy_field
 from anisofield.smoothness import (cross_cov_matrix, cross_covariance,
                                    derivative_covariance, derivative_variance,
@@ -179,7 +179,7 @@ def test_derivative_paths_reject_bad_axis_and_lag():
     with pytest.raises(ModelError):
         variogram_gradient(SMOOTH, 0, [0.3])
     with pytest.raises(ModelError):
-        quadrature.spectral_integral(density_parts(SMOOTH), 2, lag, partial=(0, 3))
+        quadrature.spectral_integral(laplace_form(SMOOTH), lag, partial=(0, 3))
 
 
 def test_cross_cov_matrix_runs_seven_integrals(monkeypatch):

@@ -6,7 +6,7 @@ from tensor_rule import tensor_integral
 
 from anisofield import quadrature
 from anisofield.errors import ModelError, QuadratureError
-from anisofield.models import (canonical_c, density_parts, fbm,
+from anisofield.models import (canonical_c, fbm, laplace_form,
                                smoothness_exponents, stein)
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import (GneitingModel, covariance_increment,
@@ -180,7 +180,7 @@ def test_quadrature_refinement_converges():
     # Tightening the rule of a numeric axis must shrink both the true
     # error (against the tight tensor rule) and the estimate.
     model = canonical_c(beta=(1.5,), gamma=2.0)
-    ref, ref_err = tensor_integral(density_parts(model), np.array([0.7]), TIGHT, 0, 0)
+    ref, ref_err = tensor_integral(laplace_form(model), np.array([0.7]), TIGHT, 0, 0)
     specs = [QuadratureSpec(truncation=16.0, panels=16, rel_tol=0.09),
              QuadratureSpec(truncation=64.0, panels=64, rel_tol=0.09),
              QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.09)]
