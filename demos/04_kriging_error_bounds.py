@@ -14,7 +14,7 @@ from anisofield.kriging import (Observations, krige,
 from anisofield.models import fbm, smoothness_exponents
 from anisofield.quadrature import QuadratureSpec
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
+TIGHT = QuadratureSpec(rel_tol=0.01)
 
 
 def main():

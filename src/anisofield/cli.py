@@ -70,10 +70,6 @@ def _build_parser():
             p.add_argument("--model", metavar="FILE",
                            help="spectral model JSON document")
         if quadrature:
-            p.add_argument("--truncation", type=float, metavar="L",
-                           help="quadrature truncation half-width")
-            p.add_argument("--panels", type=int, metavar="N",
-                           help="quadrature panel budget per axis")
             p.add_argument("--rel-tol", type=float, metavar="TOL",
                            help="quadrature relative error tolerance")
 
@@ -128,7 +124,8 @@ def _build_parser():
                    help="fbm, exponents, simulation, kriging, dims, "
                         "smoothness, derivative, modulus, or all (default)")
     # config keys are the subcommand's options, and their values go
-    # through the same conversions and choices as the flags
+    # through the same conversions and choices as the flags: no JSON
+    # boolean is a number and no fraction an integer
     for p in sub.choices.values():
         p.set_defaults(_options={a.dest: a for a in p._actions
                                  if a.dest != "help"})
@@ -144,6 +141,10 @@ def _resolve(args, name, required=False):
         if value is not None and option is not None:
             if option.type is not None:
                 try:
+                    if isinstance(value, bool) or (
+                            option.type is int and isinstance(value, float)
+                            and not value.is_integer()):
+                        raise TypeError
                     value = option.type(value)
                 except (TypeError, ValueError):
                     raise ModelError(f"config key {name!r}: {value!r} is not a "
@@ -171,12 +172,8 @@ def _load_config(args):
 
 
 def _quad_spec(args):
-    fields = {}
-    for name in ("truncation", "panels", "rel_tol"):
-        value = _resolve(args, name)
-        if value is not None:
-            fields[name] = value
-    return QuadratureSpec(**fields)
+    rel_tol = _resolve(args, "rel_tol")
+    return QuadratureSpec() if rel_tol is None else QuadratureSpec(rel_tol)
 
 
 def _load_model(args):

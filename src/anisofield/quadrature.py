@@ -23,15 +23,16 @@ The engine integrates a batch of lags, a block of rows at a time, on one
 (lag x t node) matrix; each row keeps the t nodes it would have alone
 and sums in node order, so its result does not depend on the batch.
 
-The 1-D rule of a numeric axis splits it at a truncation point L.  The
-inner interval [0, L] is covered by dyadically graded Gauss-Legendre
-panels (the grading resolves the behaviour near the origin), with panel
-widths additionally capped by the local oscillation wavelength.  The
-outer interval (L, inf) is mapped to u in (0, 1] via lambda = L/u and
-integrated on its own graded panels; there an oscillatory factor is
-replaced by its two integration-by-parts boundary terms.
-``QuadratureSpec.truncation`` and ``panels`` govern only this rule;
-closed-form axes use neither.
+The 1-D rule of a numeric axis splits it at a truncation point L that
+the axis's own lag component sets (L = 64/|h_j|, 256/|h_j| for the
+partials).  The inner interval [0, L] is covered by dyadically graded
+Gauss-Legendre panels (the grading resolves the behaviour near the
+origin), with panel widths capped by the local oscillation wavelength.
+The outer interval (L, inf) is mapped to u in (0, 1] via lambda = L/u
+and integrated on its own graded panels; there an oscillatory factor is
+replaced by its two integration-by-parts boundary terms.  No setting
+shapes this rule or the t rule: ``QuadratureSpec`` holds only the
+tolerance that callers hold each error estimate to.
 
 Each error estimate combines the difference between two Gauss orders,
 the integration-by-parts terms and the charges at both ends of the t
@@ -58,43 +59,28 @@ def _gauss(order):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Settings for the spectral quadrature.
+    """Tolerance of the spectral quadrature.
 
-    ``truncation`` and ``panels`` shape the 1-D rule of the numeric axes
-    only; closed-form axes use neither.
+    The rule itself has no settings: closed-form axes are exact, and a
+    numeric axis derives its 1-D rule from its lag component.
 
     Parameters
     ----------
-    truncation : float or None
-        Truncation point L of a numeric axis.  None selects L = 64/|h_j|
-        from the axis's own lag component (64 when it is 0); partials,
-        whose integration-by-parts tails converge more slowly, take
-        256/|h_j|.
-    panels : int
-        Per-axis panel budget; oscillation-driven subdivision never
-        produces more than about this many panels on one axis.
     rel_tol : float
         Relative error threshold; public operations raise
         QuadratureError when the estimate exceeds rel_tol * value.
     """
 
-    truncation: float | None = None
-    panels: int = 256
     rel_tol: float = 0.05
 
     def __post_init__(self):
-        if self.truncation is not None and not self.truncation > 0:
-            raise ModelError("quadrature truncation must be positive")
-        if self.panels < 16:
-            raise ModelError("quadrature needs a panel budget of at least 16")
         if not 0 < self.rel_tol < 0.1:
             raise ModelError("rel_tol must lie in (0, 0.1)")
 
 
-def _inner_panels(L, freq, panels_budget, depth):
+def _inner_panels(L, freq, depth):
     """Midpoints and half-widths of the graded panels on [0, L] for one axis."""
     cap = math.inf if freq == 0 else 10.0 / abs(freq)
-    cap = max(cap, 4.0 * L / panels_budget)
     mids, halves = [], []
     hi = L
     for level in range(depth + 1):
@@ -136,14 +122,19 @@ def _tail_ibp(point_density, L, h, phase):
 
     A phase of pi/2 turns the cosine into sin(h*l).  Returns
     (correction, err) where err bounds the first dropped term.  Uses
-    centered differences of g at L for the derivative terms.
+    centered differences of g at L for the derivative terms.  A term
+    whose factor of g has vanished is 0, also where its power of a tiny
+    h underflows to 0.
     """
+    def term(factor, h_power):
+        return np.divide(factor, h_power, out=np.zeros_like(factor), where=factor != 0)
+
     delta = 0.02 * L
     g_hi, g0, g_lo = point_density(L + delta), point_density(L), point_density(L - delta)
     gp = (g_hi - g_lo) / (2 * delta)
     gpp = (g_hi - 2 * g0 + g_lo) / delta**2
-    corr = -g0 * math.sin(h * L - phase) / h - gp * math.cos(h * L - phase) / h**2
-    return corr, 2 * abs(gpp / h**3)
+    corr = term(-g0 * math.sin(h * L - phase), h) - term(gp * math.cos(h * L - phase), h**2)
+    return corr, 2 * np.abs(term(gpp, h**3))
 
 
 def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
@@ -169,6 +160,8 @@ def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
         The lag vector h, shape (N,), finite; or a batch of lags, shape
         (m, N), one per row.
     quad : QuadratureSpec, optional
+        Not read: the rule has no settings, and callers hold ``err`` to
+        ``quad.rel_tol`` themselves.
     partial : (axis, order)
         Integrate d^order K / dh_axis^order, with axis in [0, N) and
         order 0, 1 or 2; the default (0, 0) is K itself.
@@ -186,7 +179,6 @@ def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
         partial outside the lag's axes or orders, a density that is not
         integrable, or a second partial whose spectral moment diverges.
     """
-    quad = quad or QuadratureSpec()
     freqs = np.asarray(freqs, dtype=float)
     n_dims = len(form.axes)
     axis, order = partial
@@ -206,7 +198,7 @@ def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
                           else np.any(rows != 0, axis=1) | (order == 2))
     for start in range(0, live.size, _BLOCK_ROWS):
         idx = live[start:start + _BLOCK_ROWS]
-        values[idx], errs[idx] = _laplace_increment(form, rows[idx], quad, axis, order)
+        values[idx], errs[idx] = _laplace_increment(form, rows[idx], axis, order)
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
 
@@ -278,7 +270,7 @@ def _closed_axis(axis, h, t, log_t, moment=None):
     return log_e, k_r, p_r
 
 
-def _numeric_axis(axis, lags, t, used, quad, order, t_lo, t_hi, moment=None):
+def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     """log E, two ratios and the tail error over E of one axis, by the 1-D rule.
 
     E, C, D, K_k and P_k are the integrals of 1, cos(h l),
@@ -298,12 +290,12 @@ def _numeric_axis(axis, lags, t, used, quad, order, t_lo, t_hi, moment=None):
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
     for i, (h, cols) in enumerate(zip(lags, used)):
-        L = quad.truncation or (64.0 if h == 0 else min(1e12, reach / abs(h)))
+        L = 64.0 if h == 0 else min(1e12, reach / abs(h))
         lam_lo = 1e-4 * (axis.coef * t_hi[i]) ** -inv
         lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
         depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
-        lam_in, w_in = _inner_axis(_inner_panels(L, h, quad.panels, depth_in), order)
+        lam_in, w_in = _inner_axis(_inner_panels(L, h, depth_in), order)
         lam_out, w_out = _outer_axis(L, depth_out, order)
         row = t[i, cols]
         decay_out = np.exp(-row[:, None] * axis.term(lam_out))
@@ -333,7 +325,7 @@ def _numeric_axis(axis, lags, t, used, quad, order, t_lo, t_hi, moment=None):
     return out
 
 
-def _laplace_increment(lap, lags, quad, axis=0, order=0):
+def _laplace_increment(lap, lags, axis=0, order=0):
     """int_{R^N} K f dlambda through the Laplace form, K the increment kernel
     or its ``order``-th partial in h_axis.
 
@@ -437,8 +429,8 @@ def _laplace_increment(lap, lags, quad, axis=0, order=0):
                 log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment)
                 e_r = 0.0
             else:
-                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t, used, quad, lam_order,
-                                                     t0, T, moment)
+                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t, used, lam_order, t0, T,
+                                                     moment)
             log_f = log_f + log_e
             if order == 0:
                 ibp = ibp + e_r

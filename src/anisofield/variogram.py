@@ -109,7 +109,7 @@ class VariogramTable:
             raise ModelError("table lags, values and errs must align")
 
 
-def variogram_table(model, lags, quad=None, model_id=None):
+def variogram_table(model, lags, quad=None):
     """Variogram by spectral quadrature on rows of lag vectors, in one batch.
 
     Parameters
@@ -119,7 +119,6 @@ def variogram_table(model, lags, quad=None, model_id=None):
         One lag per row; v(0) = 0 and v(h) = v(-h).  Each row's value
         and error estimate do not depend on the other rows.
     quad : QuadratureSpec, optional
-    model_id : str, optional
 
     Returns
     -------
@@ -148,11 +147,11 @@ def variogram_table(model, lags, quad=None, model_id=None):
         reason = (f"came out negative ({value:g}) beyond its error estimate {err:g}"
                   if value < 0 else
                   f"error estimate {err:g} exceeds rel_tol * value = "
-                  f"{quad.rel_tol * value:g}; enlarge truncation or panels")
+                  f"{quad.rel_tol * value:g}")
         raise QuadratureError(f"variogram at lag {lags[i].tolist()} {reason}",
                               value=value, err=err)
     values = np.where(values < 0, 0.0, values)
-    return VariogramTable(model_id=model_id or model.kind, lags=lags,
+    return VariogramTable(model_id=model.kind, lags=lags,
                           values=values, errs=errs)
 
 

@@ -24,7 +24,7 @@ from .smoothness import (cross_cov_matrix, derivative_covariance,
                          ms_derivative_report)
 from .variogram import GneitingModel, modulus_envelope, variogram_numeric
 
-TIGHT_QUAD = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
+TIGHT_QUAD = QuadratureSpec(rel_tol=0.01)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ grids cannot resolve are replaced by their means (1 for the sin^2
 factor, 0 for cosines and sines) and the dropped part is charged to the
 error estimate, except in one dimension where two integration-by-parts
 boundary terms are added instead.  Limited to N <= 3 and to 2^24 nodes.
+
+The truncation L and the per-axis panel budget are this rule's own
+arguments; the engine derives its numeric-axis rule from the lag.
 """
 
 import itertools
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from anisofield.errors import QuadratureError
-from anisofield.quadrature import _inner_axis, _inner_panels, _outer_axis, _tail_ibp
+from anisofield.quadrature import _inner_axis, _outer_axis, _tail_ibp
 
 # Dyadic grading depth (octaves below the truncation point / below u = 1)
 # and Gauss-Legendre orders per dimension count.  The low order feeds the
@@ -36,6 +39,23 @@ def auto_truncation(freqs):
     if nz.size == 0:
         return 64.0
     return min(1e4, 64.0 * max(1.0, 1.0 / nz.min()))
+
+
+def _inner_panels(L, freq, panels_budget, depth):
+    """Midpoints and half-widths of the graded panels on [0, L] for one axis."""
+    cap = math.inf if freq == 0 else 10.0 / abs(freq)
+    cap = max(cap, 4.0 * L / panels_budget)
+    mids, halves = [], []
+    hi = L
+    for level in range(depth + 1):
+        lo = 0.0 if level == depth else hi * 0.5
+        width = hi - lo
+        nsub = 1 if not math.isfinite(cap) or width <= cap else math.ceil(width / cap)
+        edges = np.linspace(lo, hi, nsub + 1)
+        mids.append(0.5 * (edges[1:] + edges[:-1]))
+        halves.append(0.5 * np.diff(edges))
+        hi = lo
+    return np.concatenate(mids), np.concatenate(halves)
 
 
 def _bshape(vec, axis, n):
@@ -64,9 +84,11 @@ _FACTORS = {
 _ZERO_MEAN = ("c", "s")
 
 
-def tensor_integral(form, freqs, quad, axis, order):
-    """``spectral_integral(form, freqs, quad, (axis, order))`` by the
-    tensor rule, for one lag in N <= 3; (value, err)."""
+def tensor_integral(form, freqs, axis=0, order=0, truncation=None, panels=256):
+    """``spectral_integral(form, freqs, partial=(axis, order))`` by the
+    tensor rule, for one lag in N <= 3; (value, err).  ``truncation``
+    None selects ``auto_truncation(freqs)``; ``panels`` is the per-axis
+    panel budget."""
     n_dims = freqs.size
     if order == 0:
         terms = [("c",) * a + ("s2",) + ("1",) * (n_dims - a - 1)
@@ -75,12 +97,12 @@ def tensor_integral(form, freqs, quad, axis, order):
         own = "s" if order == 1 else "c"
         terms = [tuple(own if b == axis else "c" for b in range(n_dims))]
 
-    L = quad.truncation if quad.truncation is not None else auto_truncation(freqs)
+    L = truncation if truncation is not None else auto_truncation(freqs)
     depth = _DEPTH[n_dims]
-    panels = [_inner_panels(L, freqs[a], quad.panels, depth) for a in range(n_dims)]
+    grids = [_inner_panels(L, freqs[a], panels, depth) for a in range(n_dims)]
 
     def one_pass(gauss_order):
-        axes_in = [_inner_axis(p, gauss_order) for p in panels]
+        axes_in = [_inner_axis(p, gauss_order) for p in grids]
         axis_out = _outer_axis(L, depth, gauss_order)
         n_nodes = math.prod(a[0].size for a in axes_in)
         if n_nodes > _MAX_TENSOR_NODES:

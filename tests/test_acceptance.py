@@ -23,7 +23,7 @@ from anisofield.smoothness import (cross_cov_matrix, derivative_covariance,
 from anisofield.variogram import (GneitingModel, modulus_envelope,
                                   variogram_numeric)
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
+TIGHT = QuadratureSpec(rel_tol=0.01)
 
 
 def _report(capfd, name, ok, detail):

@@ -16,7 +16,7 @@ from anisofield.models import canonical_c, fbm, model_from_dict, model_to_dict
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import variogram_table
 
-TIGHT_FLAGS = ["--truncation", "4096", "--panels", "4096", "--rel-tol", "0.01"]
+TIGHT_FLAGS = ["--rel-tol", "0.01"]
 
 
 @pytest.fixture
@@ -148,7 +148,7 @@ def test_krige_interpolation_and_extrapolation(tmp_path, bm_model):
     assert rows[2, 2] == pytest.approx(0.25, abs=1e-4)
     obs = Observations(sites=[[1.0]], values=[0.7],
                        model=model_from_dict(read_json(bm_model)))
-    quad = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
+    quad = QuadratureSpec(rel_tol=0.01)
     for row in rows:
         result = krige(obs, row[:1], quad)
         assert row[1] == float(format_float(result.prediction))
@@ -175,14 +175,15 @@ def test_exit_code_1_for_bad_grid(bm_model, tmp_path, capsys):
     assert "start:stop:count" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("seed", "x"), ("panels", "abc")])
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("panels", "abc"),
+                                        ("seed", 1.5), ("seed", True),
+                                        ("lattice", 64.9)])
 def test_exit_code_1_for_mistyped_config_value(tmp_path, bm_model, capsys,
                                                 key, value):
     config = tmp_path / "config.json"
-    write_json(config, {key: value})
+    write_json(config, {"lattice": 64, key: value})
     assert main(["simulate", "--model", bm_model, "--config", str(config),
-                 "--grid", "0:1:8", "--lattice", "64",
-                 "--out", str(tmp_path / "x.csv")]) == 1
+                 "--grid", "0:1:8", "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and repr(key) in err
 
@@ -216,27 +217,29 @@ def test_quadrature_settings_only_where_a_quadrature_runs(tmp_path, bm_model,
     lags, vario = tmp_path / "lags.csv", tmp_path / "v.csv"
     write_csv(lags, ["h_1"], [[1.0]])
     assert main(["variogram", "--model", bm_model, "--lags", str(lags),
-                 "--panels", "64", "--out", str(vario)]) == 0
+                 "--rel-tol", "0.01", "--out", str(vario)]) == 0
     first = vario.read_text().splitlines()[0]
     quad = json.loads(first[len("# provenance: "):])["quadrature"]
-    assert quad == {"truncation": None, "panels": 64, "rel_tol": 0.05}
+    assert quad == {"rel_tol": 0.01}
 
     # a config key is a flag name, so one simulate does not take is refused
     config = tmp_path / "config.json"
-    write_json(config, {"panels": 64})
+    write_json(config, {"rel_tol": 0.01})
     assert main(["simulate", "--model", bm_model, "--config", str(config),
                  "--grid", "0:1:8", "--out", str(field)]) == 1
-    assert "'panels'" in capsys.readouterr().err
-    write_json(config, {"panels": "abc"})
+    assert "'rel_tol'" in capsys.readouterr().err
+    write_json(config, {"rel_tol": "abc"})
     assert main(["variogram", "--model", bm_model, "--config", str(config),
                  "--lags", str(lags), "--out", str(vario)]) == 1
-    assert "'panels'" in capsys.readouterr().err
+    assert "'rel_tol'" in capsys.readouterr().err
 
 
 _USAGE_ERRORS = ([["simulate", "--lattice", "abc"], ["analyze", "--bogus"],
                   ["bogus"]]
                  + [[cmd, flag, "64"] for cmd in ("simulate", "dims")
                     for flag in ("--truncation", "--panels", "--rel-tol")]
+                 + [[cmd, flag, "64"] for cmd in ("analyze", "variogram", "krige")
+                    for flag in ("--truncation", "--panels")]
                  + [[cmd, "--tail-order", "2"]
                     for cmd in ("analyze", "variogram", "krige")])
 

@@ -10,8 +10,7 @@ from anisofield.models import canonical_c, fbm, smoothness_exponents
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import covariance_increment, variogram_numeric
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
-MED = QuadratureSpec(truncation=2048.0, panels=2048, rel_tol=0.01)
+TIGHT = QuadratureSpec(rel_tol=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +26,7 @@ def test_interpolation_at_observation_sites(bm):
         values = rng.standard_normal(n)
         obs = Observations(sites=sites, values=values, model=bm)
         pick = int(rng.integers(0, n))
-        result = krige(obs, sites[pick], quad=MED)
+        result = krige(obs, sites[pick], quad=TIGHT)
         assert result.prediction == pytest.approx(values[pick], abs=1e-8)
         assert result.variance <= 1e-8
 
@@ -194,8 +193,8 @@ def test_added_observation_never_hurts(bm):
             continue
         small = Observations(sites=sites[:2], values=values[:2], model=bm)
         large = Observations(sites=sites, values=values, model=bm)
-        var_small = krige(small, target, quad=MED).variance
-        var_large = krige(large, target, quad=MED).variance
+        var_small = krige(small, target, quad=TIGHT).variance
+        var_large = krige(large, target, quad=TIGHT).variance
         assert var_large <= var_small + 1e-9
 
 
@@ -205,10 +204,10 @@ def test_permutation_invariance(bm):
     values = rng.standard_normal(4)
     target = np.array([1.3])
     base = krige(Observations(sites=sites, values=values, model=bm), target,
-                 quad=MED)
+                 quad=TIGHT)
     perm = rng.permutation(4)
     shuffled = krige(Observations(sites=sites[perm], values=values[perm],
-                                  model=bm), target, quad=MED)
+                                  model=bm), target, quad=TIGHT)
     assert shuffled.prediction == pytest.approx(base.prediction, abs=1e-12)
     assert shuffled.variance == pytest.approx(base.variance, abs=1e-12)
 
@@ -275,7 +274,7 @@ def test_variance_tracks_envelope(bm):
             continue
         obs = Observations(sites=sites, values=rng.standard_normal(n),
                            model=bm)
-        variance = krige(obs, target, quad=MED).variance
+        variance = krige(obs, target, quad=TIGHT).variance
         shape, _ = prediction_error_envelope(exps, sites, target)
         ratios.append(variance / shape)
     assert len(ratios) > 60

@@ -16,7 +16,7 @@ from anisofield.variogram import (GneitingModel, covariance_increment,
                                   sigma_scale, variogram_envelope,
                                   variogram_numeric, variogram_table)
 
-TIGHT = QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.01)
+TIGHT = QuadratureSpec(rel_tol=0.01)
 
 
 def test_zero_lag_is_exactly_zero():
@@ -176,23 +176,23 @@ def test_variogram_table_rejects_misaligned_arrays():
                        values=np.ones(2), errs=np.ones(3))
 
 
-def test_quadrature_refinement_converges():
-    # Tightening the rule of a numeric axis must shrink both the true
-    # error (against the tight tensor rule) and the estimate.
+def test_numeric_axis_matches_closed_form():
+    # beta = 4 has no closed-form axis transform, but its variogram is
+    # sqrt(2) pi (1 - e^-a (cos a + sin a)) with a = h / sqrt(2)
+    model = canonical_c(beta=(4.0,), gamma=1.0)
+    for lag in (0.01, 0.1, 0.7, 3.0, 30.0):
+        value, err = variogram_numeric(model, [lag])
+        a = lag / math.sqrt(2.0)
+        exact = math.sqrt(2.0) * math.pi * (1.0 - math.exp(-a) * (math.cos(a) + math.sin(a)))
+        assert abs(value - exact) <= err
+    # the default rule of a numeric axis against the tight tensor rule
     model = canonical_c(beta=(1.5,), gamma=2.0)
-    ref, ref_err = tensor_integral(laplace_form(model), np.array([0.7]), TIGHT, 0, 0)
-    specs = [QuadratureSpec(truncation=16.0, panels=16, rel_tol=0.09),
-             QuadratureSpec(truncation=64.0, panels=64, rel_tol=0.09),
-             QuadratureSpec(truncation=4096.0, panels=4096, rel_tol=0.09)]
-    true_errs, estimates = [], []
-    for spec in specs:
-        value, err = variogram_numeric(model, [0.7], spec)
-        true_errs.append(abs(value - 2.0 * ref))
-        estimates.append(err)
+    ref, ref_err = tensor_integral(laplace_form(model), np.array([0.7]),
+                                   truncation=4096.0, panels=4096)
+    value, err = variogram_numeric(model, [0.7])
     assert 2.0 * ref_err < 1e-9
-    assert true_errs[2] < true_errs[0]
-    assert estimates[2] < estimates[0]
-    assert true_errs[2] < 1e-4
+    assert abs(value - 2.0 * ref) <= err
+    assert abs(value - 2.0 * ref) < 1e-4
 
 
 def test_one_dimensional_large_lags():
