@@ -9,7 +9,7 @@ from anisofield.fileio import (format_float, read_csv, read_field_afld,
                                write_field_csv, write_json,
                                write_prediction_csv, write_variogram_csv)
 from anisofield.models import fbm
-from anisofield.simulate import Grid, sample_field
+from anisofield.simulate import Grid, multi_copy_field, sample_field
 from anisofield.variogram import variogram_table
 
 
@@ -45,6 +45,47 @@ def test_csv_round_trip(tmp_path):
     back = read_csv(path, min_columns=2)
     assert back.shape == (2, 2)
     assert np.allclose(back, rows, rtol=1e-9)
+
+
+def _reference_csv(header, rows):
+    """CSV body formatted one value at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(format_float(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.0 / 3.0, 12345678901234.0,
+            9999999999.5, 1.8e308, -1e300, 1e-300, 1.0, 64.0]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_csv_bytes_match_per_value_formatting(tmp_path, width):
+    rng = np.random.default_rng(width)
+    n = 400
+    mags = 10.0 ** rng.uniform(-300, 300, size=(n, width))
+    table = np.where(rng.random((n, width)) < 0.5, -mags, mags)
+    table.ravel()[:len(_AWKWARD)] = _AWKWARD[:table.size]
+    header = [f"c{j}" for j in range(width)]
+    path = tmp_path / "bulk.csv"
+    write_csv(path, header, table, provenance={"seed": width})
+    expected = '# provenance: {"seed":%d}\n' % width
+    expected += _reference_csv(header, table.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+def test_field_csv_bytes_match_per_value_formatting(tmp_path):
+    grid = Grid(origin=(0.5, -1.0, 2.0), spacing=(0.25, 0.5, 1.0 / 3.0),
+                shape=(4, 3, 2))
+    fs = multi_copy_field(fbm(0.6, 3), grid, lattice=64, channels=3, seed=3)
+    assert fs.nchannels == 3
+    path = tmp_path / "field.csv"
+    write_field_csv(path, fs)
+    points = grid.points()
+    values = fs.values.reshape(grid.npoints, 3)
+    rows = [list(points[i]) + [c, values[i, c]]
+            for i in range(grid.npoints) for c in range(3)]
+    header = ["t_1", "t_2", "t_3", "channel", "value"]
+    assert path.read_text() == _reference_csv(header, rows)
 
 
 def test_csv_rejects_misshapen_rows(tmp_path):
