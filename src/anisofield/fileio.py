@@ -1,18 +1,20 @@
 """Readers and writers for the package's file formats.
 
 CSV carries tabular numbers at 10 significant digits, with provenance
-embedded in leading ``#`` comment lines.  JSON reports use Python's
-shortest round-trip float representation and sorted keys, so reruns with
-the same inputs are byte-identical.  Large fields use the AFLD1
-container: the 5-byte magic ``AFLD1``, a little-endian uint32 header
-length, a UTF-8 JSON header carrying the grid and provenance, then the
-sample values as little-endian float64 in row-major order with the
-channel axis fastest.  Every writer goes through a temporary file and
-``os.replace``, so a reader never sees partial output.
+embedded in leading ``#`` comment lines.  A CSV table is formatted in
+one bulk pass, one ``%`` of a repeated row template per chunk of rows;
+the bytes are those of formatting each value on its own, as earlier
+versions did.  JSON reports use Python's shortest round-trip float
+representation and sorted keys, so reruns with the same inputs are
+byte-identical.  Large fields use the AFLD1 container: the 5-byte magic
+``AFLD1``, a little-endian uint32 header length, a UTF-8 JSON header
+carrying the grid and provenance, then the sample values as
+little-endian float64 in row-major order with the channel axis fastest.
+Every writer goes through a temporary file and ``os.replace``, so a
+reader never sees partial output.
 """
 
 import csv
-import io
 import json
 import os
 import struct
@@ -23,11 +25,15 @@ import numpy as np
 from .errors import FileFormatError
 
 AFLD_MAGIC = b"AFLD1"
+# Decimal text at 10 significant digits, for single values and CSV rows.
+_FLOAT = "%.10g"
+# Rows per bulk format: bounds the transient tuple of Python floats.
+_CHUNK_ROWS = 65536
 
 
 def format_float(x):
     """Decimal text at 10 significant digits."""
-    return f"{float(x):.10g}"
+    return _FLOAT % float(x)
 
 
 def _atomic_write_bytes(path, data):
@@ -61,6 +67,24 @@ def read_json(path):
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _table(path, rows, width):
+    """rows as a float array of shape (n, width), or FileFormatError."""
+    try:
+        table = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(
+            f"{path}: rows are not a numeric table ({exc})") from None
+    if table.shape == (0,):
+        return table.reshape(0, width)
+    if table.ndim != 2:
+        raise FileFormatError(
+            f"{path}: rows must form a 2-D table, got shape {table.shape}")
+    if table.shape[1] != width:
+        raise FileFormatError(
+            f"{path}: rows have {table.shape[1]} values, header has {width}")
+    return table
+
+
 def write_csv(path, header, rows, provenance=None):
     """Write numeric rows under a named header, atomically.
 
@@ -68,24 +92,25 @@ def write_csv(path, header, rows, provenance=None):
     ----------
     path : str
     header : sequence of str
-        Column names, one per entry of each row.
-    rows : iterable of sequences
-        Numeric rows; every value is formatted at 10 significant digits.
+        Column names, one per column of rows.
+    rows : array-like, shape (n, len(header))
+        Numeric table; every value is formatted at 10 significant digits.
+        Empty rows write the header alone; any other shape raises
+        FileFormatError.
     provenance : dict, optional
         Embedded as one compact-JSON comment line before the header.
     """
-    buf = io.StringIO()
+    table = _table(path, rows, len(header))
+    parts = []
     if provenance:
         blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))
-        buf.write(f"# provenance: {blob}\n")
-    buf.write(",".join(header) + "\n")
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise FileFormatError(
-                f"{path}: row has {len(row)} values, header has {width}")
-        buf.write(",".join(format_float(v) for v in row) + "\n")
-    _atomic_write_bytes(path, buf.getvalue().encode())
+        parts.append(f"# provenance: {blob}\n")
+    parts.append(",".join(header) + "\n")
+    row = ",".join([_FLOAT] * len(header)) + "\n"
+    for start in range(0, table.shape[0], _CHUNK_ROWS):
+        chunk = table[start:start + _CHUNK_ROWS]
+        parts.append((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    _atomic_write_bytes(path, "".join(parts).encode())
 
 
 def read_csv(path, min_columns=1):
@@ -125,24 +150,19 @@ def write_variogram_csv(path, table, provenance=None):
     """Write a VariogramTable as columns h_1..h_N, value, err."""
     n = table.lags.shape[1]
     header = [f"h_{j + 1}" for j in range(n)] + ["value", "err"]
-    rows = [list(table.lags[i]) + [table.values[i], table.errs[i]]
-            for i in range(len(table.values))]
+    rows = np.column_stack([table.lags, table.values, table.errs])
     write_csv(path, header, rows, provenance)
 
 
 def write_field_csv(path, fs, provenance=None):
     """Write a FieldSample as columns t_1..t_N, channel, value."""
     header = [f"t_{j + 1}" for j in range(fs.grid.ndim)] + ["channel", "value"]
-    points = fs.grid.points()
-    values = fs.values.reshape(fs.grid.npoints, fs.nchannels)
-
-    def rows():
-        for i in range(points.shape[0]):
-            coords = list(points[i])
-            for c in range(fs.nchannels):
-                yield coords + [c, values[i, c]]
-
-    write_csv(path, header, rows(), provenance)
+    channels = fs.nchannels
+    # values are row-major with the channel fastest: one row per (point, channel)
+    rows = np.column_stack([np.repeat(fs.grid.points(), channels, axis=0),
+                            np.tile(np.arange(channels), fs.grid.npoints),
+                            fs.values.reshape(-1)])
+    write_csv(path, header, rows, provenance)
 
 
 def write_prediction_csv(path, sites, predictions, variances, provenance=None):
@@ -150,8 +170,7 @@ def write_prediction_csv(path, sites, predictions, variances, provenance=None):
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     header = [f"t_{j + 1}" for j in range(sites.shape[1])]
     header += ["prediction", "variance"]
-    rows = [list(sites[i]) + [predictions[i], variances[i]]
-            for i in range(sites.shape[0])]
+    rows = np.column_stack([sites, predictions, variances])
     write_csv(path, header, rows, provenance)
 
 

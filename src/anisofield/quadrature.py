@@ -80,7 +80,8 @@ class QuadratureSpec:
 
 def _inner_panels(L, freq, depth):
     """Midpoints and half-widths of the graded panels on [0, L] for one axis."""
-    cap = math.inf if freq == 0 else 10.0 / abs(freq)
+    # Python float division: a subnormal freq gives inf without an overflow warning
+    cap = math.inf if freq == 0 else 10.0 / abs(float(freq))
     mids, halves = [], []
     hi = L
     for level in range(depth + 1):
@@ -290,7 +291,7 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
     for i, (h, cols) in enumerate(zip(lags, used)):
-        L = 64.0 if h == 0 else min(1e12, reach / abs(h))
+        L = 64.0 if h == 0 else min(1e12, reach / abs(float(h)))
         lam_lo = 1e-4 * (axis.coef * t_hi[i]) ** -inv
         lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))

@@ -158,6 +158,7 @@ def _axis_partition(cutoff, cells, octaves):
         bot = cutoff * 2.0 ** (-o)
         edges.extend(np.linspace(bot, 2.0 * bot, per + 1)[1:])
     edges = np.asarray(edges)
+    edges.setflags(write=False)  # cached by _partitions
     return edges[:-1], edges[1:]
 
 
@@ -194,12 +195,14 @@ def _cell_masses(form, partitions):
     return masses.reshape(block_shape).sum(axis=tuple(range(1, 2 * n, 2)))
 
 
+@functools.lru_cache(maxsize=8)
 def _partitions(cutoffs, extensions, lattice):
     """Per-axis cell edges: `lattice` cells over _OCTAVES octaves below the
-    cutoff, and as many per octave on the axis's extra octaves."""
+    cutoff, and as many per octave on the axis's extra octaves; read-only,
+    as cached."""
     per = max(1, -(-lattice // _OCTAVES))
-    return [_axis_partition(c, per * (_OCTAVES + ext), _OCTAVES + ext)
-            for c, ext in zip(cutoffs, extensions)]
+    return tuple(_axis_partition(c, per * (_OCTAVES + ext), _OCTAVES + ext)
+                 for c, ext in zip(cutoffs, extensions))
 
 
 @functools.lru_cache(maxsize=8)

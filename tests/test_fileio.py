@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from anisofield import fileio
 from anisofield.errors import FileFormatError
 from anisofield.fileio import (format_float, read_csv, read_field_afld,
                                read_json, write_csv, write_field_afld,
@@ -12,11 +13,26 @@ from anisofield.models import fbm
 from anisofield.simulate import Grid, multi_copy_field, sample_field
 from anisofield.variogram import variogram_table
 
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.0 / 3.0, 12345678901234.0,
+            9999999999.5, 1.8e308, -1e300, 1e-300, 1.0, 64.0]
+
 
 def test_format_float_ten_digits():
     assert format_float(1.0) == "1"
     assert format_float(1.0 / 3.0) == "0.3333333333"
     assert format_float(12345678901234.0) == "1.23456789e+13"
+
+
+def test_format_float_matches_format_spec():
+    # the %-template and the ".10g" format spec share CPython's routine
+    rng = np.random.default_rng(0)
+    values = 10.0 ** rng.uniform(-300, 300, 100_000)
+    values[::2] *= -1.0
+    values = np.concatenate([values, _AWKWARD]).tolist()
+    assert [format_float(v) for v in values] == [f"{v:.10g}" for v in values]
+    assert format_float(9999999999.5) == "1e+10"
+    assert format_float(-0.0) == "-0"
+    assert format_float(5e-324) == "4.940656458e-324"
 
 
 def test_json_round_trip(tmp_path):
@@ -54,10 +70,6 @@ def _reference_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.0 / 3.0, 12345678901234.0,
-            9999999999.5, 1.8e308, -1e300, 1e-300, 1.0, 64.0]
-
-
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_csv_bytes_match_per_value_formatting(tmp_path, width):
     rng = np.random.default_rng(width)
@@ -92,6 +104,39 @@ def test_csv_rejects_misshapen_rows(tmp_path):
     path = tmp_path / "data.csv"
     with pytest.raises(FileFormatError):
         write_csv(path, ["x", "y"], [[1.0], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize("rows", [
+    [1.0, 2.0],                       # flat list
+    [[1.0, 2.0], [3.0]],              # ragged
+    [[1.0, 2.0, 3.0]],                # wider than the header
+    [[]],                             # a row with no values
+    np.zeros((2, 2, 2)),              # 3-D
+    [["a", "b"]],                     # not numbers
+], ids=["flat", "ragged", "wide", "empty-row", "3d", "text"])
+def test_csv_malformed_rows_raise_file_format_error(tmp_path, rows):
+    path = tmp_path / "data.csv"
+    with pytest.raises(FileFormatError, match="data.csv"):
+        write_csv(path, ["x", "y"], rows)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 2))], ids=["list", "array"])
+def test_csv_empty_rows_write_header_only(tmp_path, rows):
+    path = tmp_path / "data.csv"
+    write_csv(path, ["x", "y"], rows, provenance={"n": 0})
+    assert path.read_text() == '# provenance: {"n":0}\nx,y\n'
+
+
+def test_csv_chunks_join_seamlessly(tmp_path, monkeypatch):
+    table = np.arange(23.0).reshape(-1, 1) / 7.0
+    whole = tmp_path / "whole.csv"
+    write_csv(whole, ["x"], table)
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", 5)
+    chunked = tmp_path / "chunked.csv"
+    write_csv(chunked, ["x"], table)
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert whole.read_text() == _reference_csv(["x"], table)
 
 
 def test_read_csv_rejects_bad_content(tmp_path):
