@@ -54,82 +54,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser():
+def _parser(command=None):
+    """The parser of ``command`` alone, or of every subcommand for None.
+
+    Only help, the version and usage errors without a valid subcommand
+    need them all; one command's parser is a fraction of their cost.
+    """
     parser = _Parser(
         prog="anisofield",
         description="Spectral models with stationary increments: analysis, "
                     "variograms, simulation, kriging, fractal dimensions.")
     parser.add_argument("--version", action="version",
                         version=f"anisofield {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model=True, quadrature=True):
-        p.add_argument("--config", metavar="FILE",
-                       help="JSON object of default flag values")
-        if model:
-            p.add_argument("--model", metavar="FILE",
-                           help="spectral model JSON document")
-        if quadrature:
-            p.add_argument("--rel-tol", type=float, metavar="TOL",
-                           help="quadrature relative error tolerance")
-
-    p = sub.add_parser("analyze", help="legitimacy, exponents and "
-                                       "differentiability report")
-    common(p)
-    p.add_argument("--out", metavar="FILE", help="report JSON path")
-
-    p = sub.add_parser("variogram", help="variogram table over lag vectors")
-    common(p)
-    p.add_argument("--lags", metavar="FILE",
-                   help="CSV of lag vectors, columns h_1..h_N")
-    p.add_argument("--out", metavar="FILE", help="output CSV path")
-
-    p = sub.add_parser("simulate", help="seeded synthesis over a grid")
-    common(p, quadrature=False)
-    p.add_argument("--grid", metavar="SPEC",
-                   help="per-axis start:stop:count, comma separated; count "
-                        "points from start with spacing (stop-start)/count")
-    p.add_argument("--lattice", type=int, metavar="N",
-                   help="frequency cells per axis (default 4096)")
-    p.add_argument("--seed", type=int, metavar="S", help="base seed (default 0)")
-    p.add_argument("--realizations", type=int, metavar="R",
-                   help="independent copies (default 1)")
-    p.add_argument("--format", choices=("csv", "afld"),
-                   help="output format (default: afld when --out ends in "
-                        ".afld or .afld1, else csv)")
-    p.add_argument("--out", metavar="FILE", help="output path")
-
-    p = sub.add_parser("krige", help="simple-kriging predictions")
-    common(p)
-    p.add_argument("--obs", metavar="FILE",
-                   help="observations CSV, columns t_1..t_N,value")
-    p.add_argument("--targets", metavar="FILE",
-                   help="target sites CSV, columns t_1..t_N")
-    p.add_argument("--out", metavar="FILE", help="output CSV path")
-
-    p = sub.add_parser("dims", help="fractal dimension report")
-    common(p, model=False, quadrature=False)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--model", metavar="FILE",
-                       help="spectral model JSON document")
-    group.add_argument("--gneiting", metavar="FILE",
-                       help="space-time covariance model JSON document")
-    p.add_argument("--p", type=int, metavar="P",
-                   help="number of independent copies (default 1)")
-    p.add_argument("--out", metavar="FILE", help="report JSON path")
-
-    p = sub.add_parser("verify", help="run the acceptance battery")
-    common(p, model=False, quadrature=False)
-    p.add_argument("--suite", metavar="NAME",
-                   help="fbm, exponents, simulation, kriging, dims, "
-                        "smoothness, derivative, modulus, or all (default)")
-    # config keys are the subcommand's options, and their values go
-    # through the same conversions and choices as the flags: no JSON
-    # boolean is a number and no fraction an integer
-    for p in sub.choices.values():
+    # the usage line names every subcommand, however many are registered
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        text, arguments, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        arguments(p)
+        # config keys are the subcommand's options, and their values go
+        # through the same conversions and choices as the flags: no JSON
+        # boolean is a number and no fraction an integer
         p.set_defaults(_options={a.dest: a for a in p._actions
                                  if a.dest != "help"})
     return parser
+
+
+def _common(p, model=True, quadrature=True):
+    p.add_argument("--config", metavar="FILE",
+                   help="JSON object of default flag values")
+    if model:
+        p.add_argument("--model", metavar="FILE",
+                       help="spectral model JSON document")
+    if quadrature:
+        p.add_argument("--rel-tol", type=float, metavar="TOL",
+                       help="quadrature relative error tolerance")
 
 
 def _resolve(args, name, required=False):
@@ -217,6 +178,11 @@ def _provenance(model_doc, quad=None, seed=None):
     return doc
 
 
+def _analyze_args(p):
+    _common(p)
+    p.add_argument("--out", metavar="FILE", help="report JSON path")
+
+
 def _cmd_analyze(args):
     quad = _quad_spec(args)
     model = _load_model(args)
@@ -247,6 +213,13 @@ def _cmd_analyze(args):
     return 0
 
 
+def _variogram_args(p):
+    _common(p)
+    p.add_argument("--lags", metavar="FILE",
+                   help="CSV of lag vectors, columns h_1..h_N")
+    p.add_argument("--out", metavar="FILE", help="output CSV path")
+
+
 def _cmd_variogram(args):
     quad = _quad_spec(args)
     model = _load_model(args)
@@ -261,6 +234,22 @@ def _cmd_variogram(args):
                         _provenance(model_to_dict(model), quad))
     print(f"wrote {out} ({len(table.values)} lags)")
     return 0
+
+
+def _simulate_args(p):
+    _common(p, quadrature=False)
+    p.add_argument("--grid", metavar="SPEC",
+                   help="per-axis start:stop:count, comma separated; count "
+                        "points from start with spacing (stop-start)/count")
+    p.add_argument("--lattice", type=int, metavar="N",
+                   help="frequency cells per axis (default 4096)")
+    p.add_argument("--seed", type=int, metavar="S", help="base seed (default 0)")
+    p.add_argument("--realizations", type=int, metavar="R",
+                   help="independent copies (default 1)")
+    p.add_argument("--format", choices=("csv", "afld"),
+                   help="output format (default: afld when --out ends in "
+                        ".afld or .afld1, else csv)")
+    p.add_argument("--out", metavar="FILE", help="output path")
 
 
 def _cmd_simulate(args):
@@ -285,6 +274,15 @@ def _cmd_simulate(args):
     return 0
 
 
+def _krige_args(p):
+    _common(p)
+    p.add_argument("--obs", metavar="FILE",
+                   help="observations CSV, columns t_1..t_N,value")
+    p.add_argument("--targets", metavar="FILE",
+                   help="target sites CSV, columns t_1..t_N")
+    p.add_argument("--out", metavar="FILE", help="output CSV path")
+
+
 def _cmd_krige(args):
     quad = _quad_spec(args)
     model = _load_model(args)
@@ -307,6 +305,18 @@ def _cmd_krige(args):
                          _provenance(model_to_dict(model), quad))
     print(f"wrote {out} ({len(predictions)} predictions)")
     return 0
+
+
+def _dims_args(p):
+    _common(p, model=False, quadrature=False)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--model", metavar="FILE",
+                       help="spectral model JSON document")
+    group.add_argument("--gneiting", metavar="FILE",
+                       help="space-time covariance model JSON document")
+    p.add_argument("--p", type=int, metavar="P",
+                   help="number of independent copies (default 1)")
+    p.add_argument("--out", metavar="FILE", help="report JSON path")
 
 
 def _marker_text(value):
@@ -342,6 +352,13 @@ def _cmd_dims(args):
     return 0
 
 
+def _verify_args(p):
+    _common(p, model=False, quadrature=False)
+    p.add_argument("--suite", metavar="NAME",
+                   help="fbm, exponents, simulation, kriging, dims, "
+                        "smoothness, derivative, modulus, or all (default)")
+
+
 def _cmd_verify(args):
     suite = str(_resolve(args, "suite"))
     results = run_suites([s.strip() for s in suite.split(",") if s.strip()])
@@ -349,21 +366,25 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "variogram": _cmd_variogram,
-    "simulate": _cmd_simulate,
-    "krige": _cmd_krige,
-    "dims": _cmd_dims,
-    "verify": _cmd_verify,
+# each subcommand: its help line, its arguments and its handler
+_COMMANDS = {
+    "analyze": ("legitimacy, exponents and differentiability report",
+                _analyze_args, _cmd_analyze),
+    "variogram": ("variogram table over lag vectors", _variogram_args, _cmd_variogram),
+    "simulate": ("seeded synthesis over a grid", _simulate_args, _cmd_simulate),
+    "krige": ("simple-kriging predictions", _krige_args, _cmd_krige),
+    "dims": ("fractal dimension report", _dims_args, _cmd_dims),
+    "verify": ("run the acceptance battery", _verify_args, _cmd_verify),
 }
 
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _parser(command).parse_args(argv)
         _load_config(args)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

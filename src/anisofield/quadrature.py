@@ -19,9 +19,17 @@ other axis (a numeric axis) gets them from the 1-D rule below, for all
 t nodes at once.  The cost is O(n_t N n_lambda) in every dimension
 N >= 1, with no node cap.
 
-The engine integrates a batch of lags, a block of rows at a time, on one
-(lag x t node) matrix; each row keeps the t nodes it would have alone
-and sums in node order, so its result does not depend on the batch.
+The engine integrates a batch of lags, a block of rows at a time.  When
+the Laplace weight decays (rate > 0), every row has the same upper end
+T, so the block shares one t grid: the body nodes scaled by T, then one
+end column per distinct lower end t0, then T.  The t-only factors (log t,
+the weight, and a closed-form axis's log E and powers of t) are computed
+once on that grid; only the lag-dependent ratios, the exponential and
+the weighted sums run per (lag x t node).  Each row reads its own t0
+column and gives the body nodes below its t0 zero weight, so it keeps
+the t nodes it would have alone and sums in node order: its result does
+not depend on the batch.  fbm (rate 0) sets T from each lag's time
+scale and keeps a grid per row.
 
 The 1-D rule of a numeric axis splits it at a truncation point L that
 the axis's own lag component sets (L = 64/|h_j|, 256/|h_j| for the
@@ -48,13 +56,39 @@ import numpy as np
 
 from .errors import ModelError, QuadratureError
 
-_gauss_cache = {}
+# The Gauss-Legendre rules of the orders in use, exactly as numpy's leggauss
+# gives them: the nodes >= 0 in increasing order and their weights.  Each
+# rule is symmetric about 0.
+_GAUSS_LEGENDRE = {
+    3: ((0.0, 0.7745966692414834), (0.8888888888888888, 0.5555555555555557)),
+    5: ((0.0, 0.5384693101056831, 0.906179845938664),
+        (0.5688888888888887, 0.4786286704993663, 0.23692688505618928)),
+    6: ((0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+    7: ((0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+        (0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+         0.12948496616886973)),
+    8: ((0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+         0.9602898564975362),
+        (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+         0.10122853629037706)),
+    12: ((0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+          0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+         (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+          0.16007832854334642, 0.10693932599531907, 0.04717533638651141)),
+}
 
 
+@functools.cache
 def _gauss(order):
-    if order not in _gauss_cache:
-        _gauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _gauss_cache[order]
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1],
+    bit-equal to numpy's leggauss; read-only, as cached."""
+    x, w = (np.array(half) for half in _GAUSS_LEGENDRE[order])
+    mirror = slice(None, order // 2)  # the negative nodes: all but a node at 0
+    rule = np.concatenate([-x[::-1][mirror], x]), np.concatenate([w[::-1][mirror], w])
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @dataclass(frozen=True)
@@ -95,16 +129,17 @@ def _inner_panels(L, freq, depth):
     return np.concatenate(mids), np.concatenate(halves)
 
 
-def _inner_axis(panels, order):
-    """GL nodes and weights of one order on the panels of _inner_panels."""
+def _inner_axis(panels, rule):
+    """Nodes and weights of the rule (x, w) on [-1, 1] mapped to the panels
+    of _inner_panels."""
     mid, half = panels
-    x, w = _gauss(order)
+    x, w = rule
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _outer_axis(L, depth, order):
-    """GL nodes and weights on (L, inf) via the map lambda = L/u."""
-    x, w = _gauss(order)
+def _outer_axis(L, depth, rule):
+    """Nodes and weights of the rule (x, w) on (L, inf) via the map lambda = L/u."""
+    x, w = rule
     u_nodes, u_weights = [], []
     hi = 1.0
     for _ in range(depth):
@@ -138,7 +173,7 @@ def _tail_ibp(point_density, L, h, phase):
     return corr, 2 * np.abs(term(gpp, h**3))
 
 
-def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
+def spectral_integral(form, freqs, partial=(0, 0)):
     """Integrate the increment kernel, or one of its h-partials, against a density.
 
     The kernel is K(h, lambda) = 1 - cos<h, lambda>.  Because the density
@@ -160,9 +195,6 @@ def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
     freqs : array_like
         The lag vector h, shape (N,), finite; or a batch of lags, shape
         (m, N), one per row.
-    quad : QuadratureSpec, optional
-        Not read: the rule has no settings, and callers hold ``err`` to
-        ``quad.rel_tol`` themselves.
     partial : (axis, order)
         Integrate d^order K / dh_axis^order, with axis in [0, N) and
         order 0, 1 or 2; the default (0, 0) is K itself.
@@ -172,6 +204,9 @@ def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
     (value, err) : tuple of floats
         The integral over R^N and its error estimate; for a batch of
         lags, two arrays of shape (m,) whose rows equal the one-lag calls.
+        The rule has no settings, so no tolerance is checked here:
+        callers hold ``err`` to their ``QuadratureSpec.rel_tol``
+        themselves.
 
     Raises
     ------
@@ -197,9 +232,12 @@ def spectral_integral(form, freqs, quad=None, partial=(0, 0)):
     # the increment vanishes at h = 0 and the first partial at h_axis = 0
     live = np.flatnonzero(rows[:, axis] != 0 if order == 1
                           else np.any(rows != 0, axis=1) | (order == 2))
-    for start in range(0, live.size, _BLOCK_ROWS):
-        idx = live[start:start + _BLOCK_ROWS]
-        values[idx], errs[idx] = _laplace_increment(form, rows[idx], axis, order)
+    # a lag whose time scales or transforms leave the float range is
+    # refused by name (_refuse), so its overflows and 0/0 warn nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, live.size, _BLOCK_ROWS):
+            idx = live[start:start + _BLOCK_ROWS]
+            values[idx], errs[idx] = _laplace_increment(form, rows[idx], axis, order)
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
 
@@ -231,7 +269,7 @@ def _t_rule(levels, cap, order):
     width = np.repeat(lo / count, count)
     start = np.repeat(lo, count) + width * (
         np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
-    nodes, weights = _inner_axis((start + 0.5 * width, 0.5 * width), order)
+    nodes, weights = _inner_axis((start + 0.5 * width, 0.5 * width), _gauss(order))
     rule = nodes, weights, np.repeat(np.arange(1, levels + 1), count * order)
     for a in rule:
         a.setflags(write=False)
@@ -284,20 +322,21 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     e^{-t_lo a} has vanished; beyond the truncation L an oscillatory
     factor is replaced by its two integration-by-parts boundary terms.
     """
-    out = [np.zeros_like(t), np.ones_like(t), np.zeros_like(t), np.zeros_like(t)]
+    out = [np.zeros(t.shape), np.ones(t.shape), np.zeros(t.shape), np.zeros(t.shape)]
     inv = 1.0 / axis.growth
     k = moment or 0
     phase = 0.5 * math.pi if k == 1 else 0.0
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
+    rule = _gauss(order)
     for i, (h, cols) in enumerate(zip(lags, used)):
         L = 64.0 if h == 0 else min(1e12, reach / abs(float(h)))
         lam_lo = 1e-4 * (axis.coef * t_hi[i]) ** -inv
         lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
         depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
-        lam_in, w_in = _inner_axis(_inner_panels(L, h, depth_in), order)
-        lam_out, w_out = _outer_axis(L, depth_out, order)
+        lam_in, w_in = _inner_axis(_inner_panels(L, h, depth_in), rule)
+        lam_out, w_out = _outer_axis(L, depth_out, rule)
         row = t[i, cols]
         decay_out = np.exp(-row[:, None] * axis.term(lam_out))
         outer = decay_out @ w_out
@@ -360,7 +399,10 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     integrand is expanded in powers of 1/t and integrated term by term.
 
     Rows share one t rule as deep as the deepest row, scaled by each
-    row's T; the levels below a row's own t0 get zero weight.
+    row's T; the levels below a row's own t0 get zero weight.  With
+    rate > 0 every T is the same, so the rows share the t grid itself,
+    with one end column per distinct t0, and its t-only factors are
+    computed once.
 
     The error estimate adds the difference of two Gauss orders, the
     axes' integration-by-parts error and both end charges.
@@ -414,15 +456,28 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     levels = np.maximum(1, np.ceil(np.log2(T / t0))).astype(int)
     t0 = T * 2.0**-levels
 
+    n_rows = len(lags)
+    if lap.rate > 0:
+        # every row has the same T, so the batch shares one t grid: the body
+        # nodes, then each distinct t0, then T; a row reads its own t0 column
+        distinct, lo_col = (np.unique(levels, return_inverse=True) if n_rows > 1
+                            else (levels, np.zeros(1, int)))
+        span, lows = T[:1], T[:1] * 2.0**-distinct
+    else:
+        # T follows each lag's time scale, so each row has its own grid
+        span, lows, lo_col = T, t0, np.zeros(n_rows, int)
+    ends = np.concatenate([lows.reshape(len(span), -1), span[:, None]], axis=1)
+
     def one_pass(t_order, lam_order):
         # the rule on [t0, T] is T times the rule on [2^-levels, 1]
         t, w, level = _t_rule(int(levels.max()), cap / T[0], t_order)
-        w = T[:, None] * w * (level <= levels[:, None])
-        t = np.concatenate([T[:, None] * t, np.stack([t0, T], axis=1)], axis=1)
-        used = np.append(level, [0, 0]) <= levels[:, None]  # t0 and T too
+        n_body, lo = len(t), len(t) + lo_col
+        body = level <= levels[:, None]
+        w = span[:, None] * w * body
+        t = np.concatenate([span[:, None] * t, ends], axis=1)
         log_t = np.log(t)
         log_f = log_pref + (lap.power - 1.0) * log_t - lap.rate * t
-        ratio, carry, ibp, envelope = 0.0, 1.0, 0.0, 1.0
+        ratio, carry, ibp, envelope, used = 0.0, 1.0, 0.0, 1.0, None
         for j, (h, ax) in enumerate(zip(lags.T, axes)):
             # a partial's own axis takes its moment, every other axis C (moment 0)
             moment = (order if j == axis else 0) if order else None
@@ -430,8 +485,12 @@ def _laplace_increment(lap, lags, axis=0, order=0):
                 log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment)
                 e_r = 0.0
             else:
-                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t, used, lam_order, t0, T,
-                                                     moment)
+                if used is None:  # a row's body nodes, its own t0 and T
+                    used = np.zeros((n_rows, t.shape[1]), bool)
+                    used[:, :n_body] = body
+                    used[np.arange(n_rows), lo] = used[:, -1] = True
+                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, np.broadcast_to(t, used.shape),
+                                                     used, lam_order, t0, T, moment)
             log_f = log_f + log_e
             if order == 0:
                 ibp = ibp + e_r
@@ -445,10 +504,10 @@ def _laplace_increment(lap, lags, axis=0, order=0):
         scale = np.exp(log_f)
         F = scale * (carry if order else ratio)
         # sums run in node order, which the zero weights cannot change
-        ibp_err = np.cumsum(w * (scale * ibp)[:, :-2], axis=1)[:, -1] if np.ndim(ibp) else 0
+        ibp_err = np.cumsum(w * (scale * ibp)[:, :n_body], axis=1)[:, -1] if np.ndim(ibp) else 0
         f_hi = F[:, -1] if order == 0 else (scale * envelope)[:, -1]
-        return (np.cumsum(w * F[:, :-2], axis=1)[:, -1], ibp_err,
-                F[:, -2], f_hi, log_f[:, -1])
+        return (np.cumsum(w * F[:, :n_body], axis=1)[:, -1], ibp_err,
+                F[np.arange(n_rows), lo], f_hi, log_f[:, -1])
 
     value, ibp_err, f_lo, f_hi, log_f_hi = one_pass(*_LAPLACE_ORDERS[0])
     value_lo = one_pass(*_LAPLACE_ORDERS[1 if order == 0 else 2])[0]

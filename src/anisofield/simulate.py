@@ -51,11 +51,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox
 
 from .errors import FactorizationError, ModelError
 from .models import laplace_form, model_to_dict, smoothness_exponents
+from .quadrature import _gauss
 from .variogram import VariogramTable, gneiting_covariance, gneiting_to_dict
 
 _MAX_GRID_POINTS = 2**20
@@ -164,7 +164,7 @@ def _axis_partition(cutoff, cells, octaves):
 
 def _gauss_nodes(lo, hi, order):
     """Per-cell Gauss-Legendre nodes and weights, shape (cells, order)."""
-    x, w = leggauss(order)
+    x, w = _gauss(order)
     half = 0.5 * (hi - lo)
     nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
     weights = half[:, None] * w[None, :]

@@ -49,7 +49,7 @@ class SmoothnessReport:
 def variogram_gradient(model, axis, t, quad=None):
     """dv/dh_axis at lag t = 2 int lambda_axis sin<t, lambda> f(lambda) dlambda."""
     smoothness_exponents(model)  # raises ModelError on an illegitimate model
-    value, _ = spectral_integral(laplace_form(model), t, quad, partial=(axis, 1))
+    value, _ = spectral_integral(laplace_form(model), t, partial=(axis, 1))
     return 2.0 * value
 
 
@@ -67,7 +67,7 @@ def _require_axis_derivative(model, axis):
 def derivative_covariance(model, axis, delta, quad=None):
     """Cov(X'_axis(t + delta), X'_axis(t)) = int lambda_axis^2 cos<delta, lambda> f."""
     _require_axis_derivative(model, axis)
-    value, _ = spectral_integral(laplace_form(model), delta, quad, partial=(axis, 2))
+    value, _ = spectral_integral(laplace_form(model), delta, partial=(axis, 2))
     return value
 
 
@@ -75,7 +75,7 @@ def derivative_variance(model, axis, quad=None):
     """Var X'_axis = int lambda_axis^2 f(lambda) dlambda; needs H_axis > 1."""
     _require_axis_derivative(model, axis)
     quad = quad or QuadratureSpec()
-    value, err = spectral_integral(laplace_form(model), np.zeros(model.dims), quad,
+    value, err = spectral_integral(laplace_form(model), np.zeros(model.dims),
                                    partial=(axis, 2))
     if err > quad.rel_tol * value:
         raise QuadratureError(

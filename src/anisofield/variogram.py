@@ -138,7 +138,7 @@ def variogram_table(model, lags, quad=None):
     if not verdict.ok:
         raise ModelError(f"illegitimate model: {verdict.reason}")
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    values, errs = spectral_integral(laplace_form(model), lags, quad)
+    values, errs = spectral_integral(laplace_form(model), lags)
     values, errs = 2.0 * values, 2.0 * errs
     bad = (values < -errs) | ((errs > quad.rel_tol * values) & (values > 0))
     if np.any(bad):

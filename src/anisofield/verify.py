@@ -18,7 +18,7 @@ from .fractal import (EMPTY, UNDETERMINED, dimension_report,
                       gneiting_dimensions)
 from .kriging import Observations, krige, scaling_exponent_check
 from .models import canonical_c, fbm, smoothness_exponents, stein
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, _gauss
 from .simulate import FieldSample, Grid, empirical_variogram, sample_field
 from .smoothness import (cross_cov_matrix, derivative_covariance,
                          ms_derivative_report)
@@ -69,7 +69,7 @@ def _partial_density_integral(beta, gamma, radius):
     per_axis = []
     for _ in beta:
         edges = np.concatenate([[0.0], np.geomspace(radius * 2.0**-40, radius, 41)])
-        x, w = np.polynomial.legendre.leggauss(8)
+        x, w = _gauss(8)
         lo, hi = edges[:-1], edges[1:]
         half = 0.5 * (hi - lo)
         nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)

@@ -102,8 +102,9 @@ def tensor_integral(form, freqs, axis=0, order=0, truncation=None, panels=256):
     grids = [_inner_panels(L, freqs[a], panels, depth) for a in range(n_dims)]
 
     def one_pass(gauss_order):
-        axes_in = [_inner_axis(p, gauss_order) for p in grids]
-        axis_out = _outer_axis(L, depth, gauss_order)
+        rule = np.polynomial.legendre.leggauss(gauss_order)
+        axes_in = [_inner_axis(p, rule) for p in grids]
+        axis_out = _outer_axis(L, depth, rule)
         n_nodes = math.prod(a[0].size for a in axes_in)
         if n_nodes > _MAX_TENSOR_NODES:
             raise QuadratureError(

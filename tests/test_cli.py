@@ -343,11 +343,62 @@ def test_exit_code_3_for_junk_observations(tmp_path, bm_model, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; the command line must not pay its import
+def _after_cli_import(expression):
+    """``expression`` evaluated in a fresh interpreter that imported the CLI."""
     src = str(Path(anisofield.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, anisofield.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
+    code = f"import sys, anisofield.cli as cli; print(repr({expression}))"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the command line must not pay its import
+    assert _after_cli_import("'scipy' in sys.modules") == "False"
+
+
+def test_cli_import_does_no_per_call_work():
+    # the Gauss rules are a table, and parsers and rules are built on first use
+    assert _after_cli_import("'numpy.polynomial' in sys.modules") == "False"
+    assert _after_cli_import("(cli._parser.cache_info().currsize, "
+                             "sys.modules['anisofield.quadrature']._gauss"
+                             ".cache_info().currsize)") == "(0, 0)"
+
+
+_FLAGS = {
+    "analyze": ["--config", "--model", "--rel-tol", "--out"],
+    "variogram": ["--config", "--model", "--rel-tol", "--lags", "--out"],
+    "simulate": ["--config", "--model", "--grid", "--lattice", "--seed",
+                 "--realizations", "--format", "--out"],
+    "krige": ["--config", "--model", "--rel-tol", "--obs", "--targets", "--out"],
+    "dims": ["--config", "--model", "--gneiting", "--p", "--out"],
+    "verify": ["--config", "--suite"],
+}
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(_FLAGS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_subcommand_help_names_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: anisofield {command} ")
+    assert all(flag in out for flag in _FLAGS[command])
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["krige", "--bogus"]])
+def test_usage_line_names_every_subcommand(capsys, argv):
+    # an unknown first word parses against them all, and a known one
+    # against its own parser, yet both usage lines name all six
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: anisofield ")
+    assert "{" + ",".join(_FLAGS) + "}" in err

@@ -11,7 +11,7 @@ from tensor_rule import tensor_integral
 from anisofield.errors import ModelError, QuadratureError
 from anisofield.models import (canonical_c, fbm, laplace_form,
                                smoothness_exponents, stein)
-from anisofield.quadrature import spectral_integral
+from anisofield.quadrature import _GAUSS_LEGENDRE, _gauss, spectral_integral
 from anisofield.smoothness import derivative_variance, variogram_gradient
 from anisofield.variogram import variogram_numeric
 
@@ -168,6 +168,37 @@ def test_partial_batch_rows_equal_one_row_calls():
             assert (value, err) == spectral_integral(form, lag, partial=partial)
 
 
+@pytest.mark.parametrize("model", [
+    canonical_c((1.0, 2.0), 4.0),                             # closed-form axes
+    canonical_c((1.0, 2.0, 2.0), 4.0),                        # closed-form axes
+    stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0),           # numeric axes
+], ids=["canonical-2d", "canonical-3d", "stein-numeric"])
+def test_shared_t_grid_rows_equal_one_row_calls(model):
+    # rows share one t grid with an end column per distinct t0; lags from
+    # 1e-6 to 1 in size put the rows on many t0 levels
+    form = laplace_form(model)
+    rng = np.random.default_rng(12)
+    sizes = np.logspace(-6.0, 0.0, 13)
+    lags = sizes[:, None] * rng.uniform(0.2, 1.0, (13, model.dims)) \
+        * rng.choice([-1.0, 1.0], (13, model.dims))
+    for partial in [(0, 0)] + [(axis, order) for axis in (0, model.dims - 1)
+                               for order in (1, 2)]:
+        values, errs = spectral_integral(form, lags, partial=partial)
+        for lag, value, err in zip(lags, values, errs):
+            assert (value, err) == spectral_integral(form, lag, partial=partial)
+        one = spectral_integral(form, lags[:1], partial=partial)
+        assert (one[0][0], one[1][0]) == (values[0], errs[0])
+
+
+def test_tabulated_gauss_rules_equal_leggauss():
+    assert sorted(_GAUSS_LEGENDRE) == [3, 5, 6, 7, 8, 12]
+    for order in _GAUSS_LEGENDRE:
+        x, w = _gauss(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        assert not x.flags.writeable and not w.flags.writeable
+
+
 def test_lags_out_of_float_range_raise_quadrature_error():
     # time scales |h_j|^beta / coef that under- or overflow: an empty t rule
     # (fbm, stein), squares that vanish into 0/0 (canonical_c), and a
@@ -208,3 +239,11 @@ def test_tiny_numeric_axis_component_warns_nothing():
         for tiny in (1e-300, 5e-324):
             value, err = variogram_numeric(model, (tiny, 1.0))
             assert np.isfinite(value) and err <= 1e-6 * value
+
+
+def test_lags_out_of_float_range_warn_nothing():
+    # the refused lags overflow and divide 0 by 0 on their way to the
+    # refusal; the engine keeps that quiet and still refuses each one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        test_lags_out_of_float_range_raise_quadrature_error()
