@@ -9,6 +9,12 @@ dimension report), and ``verify`` (the built-in acceptance battery).
 Exit codes: 0 success, 1 invalid model, parameters or usage (or a
 failed verify), 2 numerical failure, 3 unreadable or malformed files.
 
+Each subcommand's long flags live in one option table.  A well-formed
+call (the subcommand, then ``--flag value`` pairs that convert and lie
+in their choices) is read from that table directly; argparse is imported
+and built from the same table only for help, ``--version`` and usage
+errors, so it writes every such message.
+
 Flags override config-file values and the config file overrides
 defaults: ``--config`` names a JSON object whose keys are the long flag
 names of the subcommand, dashes replaced by underscores.  Every output
@@ -16,10 +22,11 @@ embeds the model, the seed, the tool version and the quadrature settings
 if one ran; no timestamps, so identical inputs give byte-identical outputs.
 """
 
-import argparse
+import collections
 import dataclasses
 import functools
 import sys
+import types
 
 import numpy as np
 
@@ -44,23 +51,39 @@ _DEFAULTS = {
     "suite": "all",
 }
 
+# one long flag of a subcommand; `exclusive` flags may not be given together
+_Option = collections.namedtuple(
+    "_Option", "flag dest type choices metavar help exclusive")
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as ModelError, so they exit 1 like bad values."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ModelError(f"{self.prog}: {message}")
+def _option(flag, metavar, help, type=None, choices=None, exclusive=False):
+    return _Option(flag, flag[2:].replace("-", "_"), type, choices, metavar,
+                   help, exclusive)
+
+
+_CONFIG = _option("--config", "FILE", "JSON object of default flag values")
+_MODEL = _option("--model", "FILE", "spectral model JSON document")
+_REL_TOL = _option("--rel-tol", "TOL", "quadrature relative error tolerance",
+                   float)
 
 
 @functools.cache
 def _parser(command=None):
-    """The parser of ``command`` alone, or of every subcommand for None.
+    """The argparse parser of ``command`` alone, or of every subcommand for None.
 
-    Only help, the version and usage errors without a valid subcommand
-    need them all; one command's parser is a fraction of their cost.
+    Only help, the version and usage errors reach argparse, and only
+    those without a valid subcommand need every subcommand's parser.
     """
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Reports usage errors as ModelError, so they exit 1 like bad values."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise ModelError(f"{self.prog}: {message}")
+
+    parser = Parser(
         prog="anisofield",
         description="Spectral models with stationary increments: analysis, "
                     "variograms, simulation, kriging, fractal dimensions.")
@@ -71,26 +94,60 @@ def _parser(command=None):
         dest="command", required=True,
         metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
     for name in [command] if command else _COMMANDS:
-        text, arguments, _ = _COMMANDS[name]
+        text, options, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
-        arguments(p)
-        # config keys are the subcommand's options, and their values go
-        # through the same conversions and choices as the flags: no JSON
-        # boolean is a number and no fraction an integer
-        p.set_defaults(_options={a.dest: a for a in p._actions
-                                 if a.dest != "help"})
+        group = None
+        for o in options:
+            if o.exclusive and group is None:
+                group = p.add_mutually_exclusive_group()
+            (group if o.exclusive else p).add_argument(
+                o.flag, type=o.type, choices=o.choices, metavar=o.metavar,
+                help=o.help)
+        p.set_defaults(_options=_by_dest(options))
     return parser
 
 
-def _common(p, model=True, quadrature=True):
-    p.add_argument("--config", metavar="FILE",
-                   help="JSON object of default flag values")
-    if model:
-        p.add_argument("--model", metavar="FILE",
-                       help="spectral model JSON document")
-    if quadrature:
-        p.add_argument("--rel-tol", type=float, metavar="TOL",
-                       help="quadrature relative error tolerance")
+def _by_dest(options):
+    # config keys are the subcommand's options, and their values go
+    # through the same conversions and choices as the flags: no JSON
+    # boolean is a number and no fraction an integer
+    return {o.dest: o for o in options}
+
+
+def _read(argv):
+    """The Namespace argparse would give ``argv``, for the argv it reads exactly.
+
+    That is a subcommand followed by ``--flag value`` pairs of its own
+    long flags, each value not starting with ``-``, converting by the
+    flag's type and lying in its choices, with at most one flag of an
+    exclusive pair.  Anything else (help, the version, abbreviations,
+    ``--flag=value``, ``--``, a missing or bad value) gives None and is
+    left to argparse, so every message stays argparse's own.
+    """
+    if (len(argv) % 2 == 0 or not all(isinstance(a, str) for a in argv)
+            or argv[0] not in _COMMANDS):
+        return None
+    options = _COMMANDS[argv[0]][1]
+    by_flag = {o.flag: o for o in options}
+    values, exclusive = dict.fromkeys(o.dest for o in options), set()
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        o = by_flag.get(flag)
+        if o is None or value.startswith("-"):
+            return None
+        if o.type is not None:
+            try:
+                value = o.type(value)
+            except (TypeError, ValueError):
+                return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        if o.exclusive:
+            exclusive.add(o.dest)
+        values[o.dest] = value
+    if len(exclusive) > 1:
+        return None
+    return types.SimpleNamespace(command=argv[0], **values,
+                                 _options=_by_dest(options))
 
 
 def _resolve(args, name, required=False):
@@ -178,11 +235,6 @@ def _provenance(model_doc, quad=None, seed=None):
     return doc
 
 
-def _analyze_args(p):
-    _common(p)
-    p.add_argument("--out", metavar="FILE", help="report JSON path")
-
-
 def _cmd_analyze(args):
     quad = _quad_spec(args)
     model = _load_model(args)
@@ -213,13 +265,6 @@ def _cmd_analyze(args):
     return 0
 
 
-def _variogram_args(p):
-    _common(p)
-    p.add_argument("--lags", metavar="FILE",
-                   help="CSV of lag vectors, columns h_1..h_N")
-    p.add_argument("--out", metavar="FILE", help="output CSV path")
-
-
 def _cmd_variogram(args):
     quad = _quad_spec(args)
     model = _load_model(args)
@@ -234,22 +279,6 @@ def _cmd_variogram(args):
                         _provenance(model_to_dict(model), quad))
     print(f"wrote {out} ({len(table.values)} lags)")
     return 0
-
-
-def _simulate_args(p):
-    _common(p, quadrature=False)
-    p.add_argument("--grid", metavar="SPEC",
-                   help="per-axis start:stop:count, comma separated; count "
-                        "points from start with spacing (stop-start)/count")
-    p.add_argument("--lattice", type=int, metavar="N",
-                   help="frequency cells per axis (default 4096)")
-    p.add_argument("--seed", type=int, metavar="S", help="base seed (default 0)")
-    p.add_argument("--realizations", type=int, metavar="R",
-                   help="independent copies (default 1)")
-    p.add_argument("--format", choices=("csv", "afld"),
-                   help="output format (default: afld when --out ends in "
-                        ".afld or .afld1, else csv)")
-    p.add_argument("--out", metavar="FILE", help="output path")
 
 
 def _cmd_simulate(args):
@@ -274,15 +303,6 @@ def _cmd_simulate(args):
     return 0
 
 
-def _krige_args(p):
-    _common(p)
-    p.add_argument("--obs", metavar="FILE",
-                   help="observations CSV, columns t_1..t_N,value")
-    p.add_argument("--targets", metavar="FILE",
-                   help="target sites CSV, columns t_1..t_N")
-    p.add_argument("--out", metavar="FILE", help="output CSV path")
-
-
 def _cmd_krige(args):
     quad = _quad_spec(args)
     model = _load_model(args)
@@ -305,18 +325,6 @@ def _cmd_krige(args):
                          _provenance(model_to_dict(model), quad))
     print(f"wrote {out} ({len(predictions)} predictions)")
     return 0
-
-
-def _dims_args(p):
-    _common(p, model=False, quadrature=False)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--model", metavar="FILE",
-                       help="spectral model JSON document")
-    group.add_argument("--gneiting", metavar="FILE",
-                       help="space-time covariance model JSON document")
-    p.add_argument("--p", type=int, metavar="P",
-                   help="number of independent copies (default 1)")
-    p.add_argument("--out", metavar="FILE", help="report JSON path")
 
 
 def _marker_text(value):
@@ -352,13 +360,6 @@ def _cmd_dims(args):
     return 0
 
 
-def _verify_args(p):
-    _common(p, model=False, quadrature=False)
-    p.add_argument("--suite", metavar="NAME",
-                   help="fbm, exponents, simulation, kriging, dims, "
-                        "smoothness, derivative, modulus, or all (default)")
-
-
 def _cmd_verify(args):
     suite = str(_resolve(args, "suite"))
     results = run_suites([s.strip() for s in suite.split(",") if s.strip()])
@@ -366,23 +367,53 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-# each subcommand: its help line, its arguments and its handler
+_OUT = _option("--out", "FILE", "output CSV path")
+_REPORT = _option("--out", "FILE", "report JSON path")
+
+# each subcommand: its help line, its options in help order and its handler
 _COMMANDS = {
     "analyze": ("legitimacy, exponents and differentiability report",
-                _analyze_args, _cmd_analyze),
-    "variogram": ("variogram table over lag vectors", _variogram_args, _cmd_variogram),
-    "simulate": ("seeded synthesis over a grid", _simulate_args, _cmd_simulate),
-    "krige": ("simple-kriging predictions", _krige_args, _cmd_krige),
-    "dims": ("fractal dimension report", _dims_args, _cmd_dims),
-    "verify": ("run the acceptance battery", _verify_args, _cmd_verify),
+                (_CONFIG, _MODEL, _REL_TOL, _REPORT), _cmd_analyze),
+    "variogram": ("variogram table over lag vectors", (
+        _CONFIG, _MODEL, _REL_TOL,
+        _option("--lags", "FILE", "CSV of lag vectors, columns h_1..h_N"),
+        _OUT), _cmd_variogram),
+    "simulate": ("seeded synthesis over a grid", (
+        _CONFIG, _MODEL,
+        _option("--grid", "SPEC", "per-axis start:stop:count, comma separated; "
+                "count points from start with spacing (stop-start)/count"),
+        _option("--lattice", "N", "frequency cells per axis (default 4096)", int),
+        _option("--seed", "S", "base seed (default 0)", int),
+        _option("--realizations", "R", "independent copies (default 1)", int),
+        _option("--format", None, "output format (default: afld when --out "
+                "ends in .afld or .afld1, else csv)", choices=("csv", "afld")),
+        _option("--out", "FILE", "output path")), _cmd_simulate),
+    "krige": ("simple-kriging predictions", (
+        _CONFIG, _MODEL, _REL_TOL,
+        _option("--obs", "FILE", "observations CSV, columns t_1..t_N,value"),
+        _option("--targets", "FILE", "target sites CSV, columns t_1..t_N"),
+        _OUT), _cmd_krige),
+    "dims": ("fractal dimension report", (
+        _CONFIG, _MODEL._replace(exclusive=True),
+        _option("--gneiting", "FILE",
+                "space-time covariance model JSON document", exclusive=True),
+        _option("--p", "P", "number of independent copies (default 1)", int),
+        _REPORT), _cmd_dims),
+    "verify": ("run the acceptance battery", (
+        _CONFIG,
+        _option("--suite", "NAME", "fbm, exponents, simulation, kriging, dims, "
+                "smoothness, derivative, modulus, or all (default)")),
+        _cmd_verify),
 }
 
 
 def main(argv=None):
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = _parser(command).parse_args(argv)
+        args = _read(argv)
+        if args is None:
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            args = _parser(command).parse_args(argv)
         _load_config(args)
         return _COMMANDS[args.command][2](args)
     except FileFormatError as exc:

@@ -496,8 +496,10 @@ def _laplace_increment(lap, lags, axis=0, order=0):
                 ibp = ibp + e_r
                 ratio = ratio + carry * d_r
             else:
-                # first-order error of the product prod_j (K/E)_j
-                ibp = ibp * np.abs(c_r) + np.abs(carry) * e_r
+                if used is not None:
+                    # first-order error of the product prod_j (K/E)_j; it
+                    # stays 0 until the first numeric axis
+                    ibp = ibp * np.abs(c_r) + np.abs(carry) * e_r
                 if j == axis:
                     envelope = d_r
             carry = carry * c_r

@@ -174,11 +174,6 @@ def _gauss_nodes(lo, hi, order):
 def _cell_masses(form, partitions):
     """Spectral mass of every positive-orthant cell, via tensor quadrature."""
     nodes, weights = zip(*(_gauss_nodes(lo, hi, _MASS_NODES) for lo, hi in partitions))
-    total = math.prod(v.size for v in nodes)
-    if total > _MAX_MASS_NODES:
-        raise ModelError(
-            f"frequency lattice needs {total} quadrature nodes, above the "
-            f"{_MAX_MASS_NODES} memory cap; lower the lattice size")
     n = len(nodes)
 
     def spread(vec, j):
@@ -277,14 +272,23 @@ def _lattice(model, grid, lattice, seed):
     oversample = _OVERSAMPLE_ROUGH if rough else _OVERSAMPLE_SMOOTH
     base = [oversample * np.pi / s for s in grid.spacing]
     cutoffs, extensions = _axis_cutoffs(model, base)
-    masses = _masses(model, cutoffs, extensions, lattice)
-    reps = _representatives(_partitions(cutoffs, extensions, lattice), seed)
-    axes, masses = _signed_axes(reps, masses)
-    n_cells = masses.size
+    # refuse an oversized lattice before building it: each axis has as many
+    # cells as _partitions gives it, and every axis but the first is mirrored
+    per = max(1, -(-lattice // _OCTAVES))
+    cells = [per * (_OCTAVES + ext) for ext in extensions]
+    total = math.prod(c * _MASS_NODES for c in cells)
+    if total > _MAX_MASS_NODES:
+        raise ModelError(
+            f"frequency lattice needs {total} quadrature nodes, above the "
+            f"{_MAX_MASS_NODES} memory cap; lower the lattice size")
+    n_cells = math.prod(cells) * 2 ** (len(cells) - 1)
     if n_cells > _MAX_CELLS:
         raise ModelError(
             f"frequency lattice has {n_cells} cells, above the {_MAX_CELLS} "
             "memory cap; lower the lattice size or the dimension")
+    masses = _masses(model, cutoffs, extensions, lattice)
+    reps = _representatives(_partitions(cutoffs, extensions, lattice), seed)
+    axes, masses = _signed_axes(reps, masses)
     return axes, masses, {"oversample": oversample, "freq_cutoffs": cutoffs}
 
 

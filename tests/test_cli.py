@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import anisofield
+from anisofield import cli
 from anisofield.cli import main
+from anisofield.errors import ModelError
 from anisofield.fileio import (format_float, read_csv, read_field_afld,
                                read_json, write_csv, write_json)
 from anisofield.kriging import Observations, krige
@@ -166,6 +168,14 @@ def test_exit_code_1_for_illegitimate_model(tmp_path, bad_model, capsys):
     assert main(["analyze", "--model", bad_model, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "illegitimate" in err
+    assert not out.exists()
+
+
+def test_exit_code_1_for_oversized_lattice(tmp_path, bm_model, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--model", bm_model, "--grid", "0:1:8",
+                 "--lattice", str(10**12), "--out", str(out)]) == 1
+    assert "memory cap" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -358,12 +368,72 @@ def test_cli_import_loads_no_scipy():
     assert _after_cli_import("'scipy' in sys.modules") == "False"
 
 
-def test_cli_import_does_no_per_call_work():
+def test_cli_import_does_no_per_call_work(tmp_path, bm_model):
     # the Gauss rules are a table, and parsers and rules are built on first use
     assert _after_cli_import("'numpy.polynomial' in sys.modules") == "False"
     assert _after_cli_import("(cli._parser.cache_info().currsize, "
                              "sys.modules['anisofield.quadrature']._gauss"
                              ".cache_info().currsize)") == "(0, 0)"
+    assert _after_cli_import("'argparse' in sys.modules") == "False"
+    # a valid call is read from the option tables: argparse, and the
+    # locale module its messages pull in, stay unloaded
+    argv = ["dims", "--model", bm_model, "--out", str(tmp_path / "d.json")]
+    last = _after_cli_import(f"(cli.main({argv!r}), 'argparse' in sys.modules, "
+                             "'locale' in sys.modules, "
+                             "cli._parser.cache_info().currsize)")
+    assert last.splitlines()[-1] == "(0, False, False, 0)"
+
+
+_READER_ARGVS = [
+    # the benchmark's argv shapes
+    (["variogram", "--model", "m.json", "--lags", "l.csv", "--out", "v.csv"], True),
+    (["krige", "--model", "m.json", "--obs", "o.csv", "--targets", "t.csv",
+      "--out", "k.csv"], True),
+    (["simulate", "--config", "c.json", "--model", "m.json", "--out", "f.csv"], True),
+    (["simulate", "--model", "m.json", "--grid", "0:1:8,0:1:8", "--lattice", "64",
+      "--seed", "3", "--realizations", "2", "--format", "afld", "--out", "f"], True),
+    (["analyze", "--model", "m.json", "--rel-tol", "0.01", "--out", "a.json"], True),
+    (["dims", "--gneiting", "g.json", "--p", "2", "--out", "d.json"], True),
+    (["verify", "--suite", "dims"], True),
+    (["krige"], True),
+    # what argparse reads in its own way
+    (["dims", "--p", "2", "--p", "1", "--out", "d.json"], True),
+    (["simulate", "--seed", "-3"], False),
+    (["simulate", "--out", ""], True),
+    (["simulate", "--lat", "64"], False),
+    (["simulate", "--out=x"], False),
+    (["simulate", "--", "--out", "x"], False),
+    (["simulate", "-h"], False),
+    (["-h"], False),
+    (["--version"], False),
+    ([], False),
+    (["simulate", "--model", "m.json", "--out"], False),
+    # usage errors
+    (["simulate", "--lattice", "abc"], False),
+    (["simulate", "--format", "xyz"], False),
+    (["dims", "--model", "m.json", "--gneiting", "g.json"], False),
+    (["dims", "--model", "m.json", "extra"], False),
+    (["dims", "extra", "--model", "m.json"], False),
+    (["bogus", "--model", "m.json"], False),
+    (["krige", "--p", "1"], False),
+]
+
+
+@pytest.mark.parametrize("argv, read", _READER_ARGVS,
+                         ids=[" ".join(a) or "empty" for a, _ in _READER_ARGVS])
+def test_reader_agrees_with_argparse(capsys, argv, read):
+    # the reader gives argparse's Namespace or leaves the argv to argparse
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    try:
+        parsed = vars(cli._parser(command).parse_args(argv))
+    except (ModelError, SystemExit):
+        parsed = None
+    fast = cli._read(argv)
+    assert (fast is not None) == read
+    if fast is not None:
+        assert vars(fast) == parsed
+        assert list(fast._options) == list(parsed["_options"])
+    capsys.readouterr()
 
 
 _FLAGS = {

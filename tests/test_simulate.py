@@ -70,6 +70,20 @@ def test_simulate_input_validation():
                      Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), shape=(2, 2)))
 
 
+@pytest.mark.parametrize("model, grid, lattice, cap", [
+    (BM, GRID65, 10**12, "quadrature nodes"),
+    (BM, GRID65, 4_500_000, "cells"),
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(4, 4)), 10**12,
+     "quadrature nodes")])
+def test_oversized_lattice_is_refused_before_it_is_built(model, grid, lattice,
+                                                         cap):
+    # 10**12 cells per axis would need terabytes; the caps are checked
+    # from the cell counts alone
+    with pytest.raises(ModelError, match=f"{cap}, above the .* memory cap"):
+        multi_copy_field(model, grid, lattice=lattice)
+
+
 def test_origin_is_pinned_exactly():
     grid = Grid(origin=(-0.5,), spacing=(0.25,), shape=(5,))
     fs = multi_copy_field(BM, grid, lattice=256, channels=3, seed=7)
