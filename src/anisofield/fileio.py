@@ -15,6 +15,7 @@ reader never sees partial output.
 """
 
 import csv
+import itertools
 import json
 import os
 import struct
@@ -101,15 +102,21 @@ def write_csv(path, header, rows, provenance=None):
         Embedded as one compact-JSON comment line before the header.
     """
     table = _table(path, rows, len(header))
+    row = ",".join([_FLOAT] * len(header)) + "\n"
+    chunk = _CHUNK_ROWS
+    _write_table(path, header, provenance, (
+        (row * part.shape[0]) % tuple(part.ravel().tolist())
+        for part in (table[s:s + chunk] for s in range(0, table.shape[0], chunk))))
+
+
+def _write_table(path, header, provenance, body):
+    """Write the provenance comment, the header line and the body texts."""
     parts = []
     if provenance:
         blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))
         parts.append(f"# provenance: {blob}\n")
     parts.append(",".join(header) + "\n")
-    row = ",".join([_FLOAT] * len(header)) + "\n"
-    for start in range(0, table.shape[0], _CHUNK_ROWS):
-        chunk = table[start:start + _CHUNK_ROWS]
-        parts.append((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    parts.extend(body)
     _atomic_write_bytes(path, "".join(parts).encode())
 
 
@@ -155,14 +162,35 @@ def write_variogram_csv(path, table, provenance=None):
 
 
 def write_field_csv(path, fs, provenance=None):
-    """Write a FieldSample as columns t_1..t_N, channel, value."""
-    header = [f"t_{j + 1}" for j in range(fs.grid.ndim)] + ["channel", "value"]
-    channels = fs.nchannels
-    # values are row-major with the channel fastest: one row per (point, channel)
-    rows = np.column_stack([np.repeat(fs.grid.points(), channels, axis=0),
-                            np.tile(np.arange(channels), fs.grid.npoints),
-                            fs.values.reshape(-1)])
-    write_csv(path, header, rows, provenance)
+    """Write a FieldSample as columns t_1..t_N, channel, value.
+
+    Rows run over the grid in row-major order with the channel fastest.
+    Each grid coordinate and channel index is formatted once and the row
+    templates are joined from those texts, so only the values go through
+    the bulk format.
+    """
+    grid = fs.grid
+    header = [f"t_{j + 1}" for j in range(grid.ndim)] + ["channel", "value"]
+    coords = [[format_float(x) + "," for x in grid.axis_coords(j).tolist()]
+              for j in range(grid.ndim)]
+    # a line is one run of the last axis: its rows share the leading text
+    lines = list(map("".join, itertools.product(*coords[:-1])))
+    line = [f"{x}{format_float(c)},{_FLOAT}\n"
+            for x in coords[-1] for c in range(fs.nchannels)]
+    width = len(line)
+    values = fs.values.reshape(-1)
+    chunk = _CHUNK_ROWS
+
+    def body():
+        for start in range(0, values.size, chunk):
+            stop = min(start + chunk, values.size)
+            template = "".join(
+                lead + lead.join(line[max(start - i * width, 0):stop - i * width])
+                for i, lead in enumerate(lines[start // width:-(-stop // width)],
+                                         start // width))
+            yield template % tuple(values[start:stop].tolist())
+
+    _write_table(path, header, provenance, body())
 
 
 def write_prediction_csv(path, sites, predictions, variances, provenance=None):

@@ -59,6 +59,8 @@ from .quadrature import _gauss
 from .variogram import VariogramTable, gneiting_covariance, gneiting_to_dict
 
 _MAX_GRID_POINTS = 2**20
+# Grid points times channels of one output: 512 MB of float64.
+_MAX_FIELD_VALUES = 2**26
 _MAX_CELLS = 2**22
 _MAX_MASS_NODES = 2**24
 _JITTER_KEY = 0x6A177E12
@@ -71,6 +73,8 @@ _OVERSAMPLE_ROUGH, _OVERSAMPLE_SMOOTH = 64.0, 8.0
 _OCTAVES = 24
 # Gauss-Legendre order per axis and cell of the lattice masses.
 _MASS_NODES = 3
+# Bytes of one node array per block of the lattice mass quadrature.
+_MASS_BLOCK_BYTES = 65536
 
 
 @dataclass(frozen=True)
@@ -172,22 +176,38 @@ def _gauss_nodes(lo, hi, order):
 
 
 def _cell_masses(form, partitions):
-    """Spectral mass of every positive-orthant cell, via tensor quadrature."""
+    """Spectral mass of every positive-orthant cell, via tensor quadrature.
+
+    Runs over blocks of first-axis cells whose work arrays stay far below
+    glibc's 128 KB mmap threshold, so they are recycled from the heap
+    rather than page-faulted in afresh; every value is computed exactly as
+    over the whole node grid at once.
+    """
     nodes, weights = zip(*(_gauss_nodes(lo, hi, _MASS_NODES) for lo, hi in partitions))
     n = len(nodes)
 
     def spread(vec, j):
         return vec.reshape((1,) * j + (vec.size,) + (1,) * (n - j - 1))
 
-    wgt = spread(weights[0].ravel(), 0)
-    for j in range(1, n):
-        wgt = wgt * spread(weights[j].ravel(), j)
-    masses = form.density([spread(v.ravel(), j) for j, v in enumerate(nodes)]) * wgt
-    # fold the quadrature axis of each (cells, order) block
-    block_shape = []
-    for lo, _ in partitions:
-        block_shape.extend([lo.size, _MASS_NODES])
-    return masses.reshape(block_shape).sum(axis=tuple(range(1, 2 * n, 2)))
+    cells = [lo.size for lo, _ in partitions]
+    row = _MASS_NODES * math.prod(c * _MASS_NODES for c in cells[1:])
+    step = max(1, _MASS_BLOCK_BYTES // (8 * row))
+    # the quadrature axis of each (cells, order) block, folded below
+    block_shape = [-1]
+    for c in cells[1:]:
+        block_shape.extend([_MASS_NODES, c])
+    block_shape.append(_MASS_NODES)
+    fold = tuple(range(1, 2 * n, 2))
+    masses = np.empty(cells)
+    for start in range(0, cells[0], step):
+        block = slice(start, start + step)
+        wgt = spread(weights[0][block].ravel(), 0)
+        for j in range(1, n):
+            wgt = wgt * spread(weights[j].ravel(), j)
+        lam = [spread(v[block].ravel() if j == 0 else v.ravel(), j)
+               for j, v in enumerate(nodes)]
+        masses[block] = (form.density(lam) * wgt).reshape(block_shape).sum(axis=fold)
+    return masses
 
 
 @functools.lru_cache(maxsize=8)
@@ -366,6 +386,11 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
     channels = int(channels)
     if channels < 1:
         raise ModelError("channel count must be at least 1")
+    values = grid.npoints * channels
+    if values > _MAX_FIELD_VALUES:
+        raise ModelError(
+            f"field has {values} values ({grid.npoints} points x {channels} "
+            f"channels), above the {_MAX_FIELD_VALUES} memory cap")
     axes, masses, info = _lattice(model, grid, lattice, seed)
     n_cells = int(masses.size)
     active = _active_axes(grid)
@@ -382,11 +407,13 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
     # one channel at a time: BLAS rounding depends on the GEMM shape, so
     # channels as GEMM columns would let the channel count move the bits
     out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
+    draws = np.empty(masses.shape + (2,))
+    re_c, im_c = np.empty(masses.shape), np.empty(masses.shape)
     for c in range(channels):
-        rng = Generator(Philox(key=(seed, c)))
-        draws = rng.standard_normal(masses.shape + (2,))
-        out[..., c] = _evaluate(tables, amp * draws[..., 0],
-                                amp * draws[..., 1])
+        Generator(Philox(key=(seed, c))).standard_normal(out=draws)
+        np.multiply(amp, draws[..., 0], out=re_c)
+        np.multiply(amp, draws[..., 1], out=im_c)
+        out[..., c] = _evaluate(tables, re_c, im_c)
 
     meta = {"method": "spectral-lattice", "lattice": lattice,
             "n_cells": n_cells, "jitter": True,

@@ -179,6 +179,14 @@ def test_exit_code_1_for_oversized_lattice(tmp_path, bm_model, capsys):
     assert not out.exists()
 
 
+def test_exit_code_1_for_oversized_output(tmp_path, bm_model, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--model", bm_model, "--grid", "0:1:8",
+                 "--realizations", "100000000000", "--out", str(out)]) == 1
+    assert "memory cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_1_for_bad_grid(bm_model, tmp_path, capsys):
     assert main(["simulate", "--model", bm_model, "--grid", "0:1",
                  "--out", str(tmp_path / "x.csv")]) == 1

@@ -84,6 +84,15 @@ def test_oversized_lattice_is_refused_before_it_is_built(model, grid, lattice,
         multi_copy_field(model, grid, lattice=lattice)
 
 
+@pytest.mark.parametrize("grid, channels", [
+    (GRID65, 100_000_000_000),
+    (Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), shape=(1024, 1024)), 65)])
+def test_oversized_output_is_refused_before_it_is_built(grid, channels):
+    # the output array alone would need 512 MB or more
+    with pytest.raises(ModelError, match="values .* above the .* memory cap"):
+        multi_copy_field(fbm(0.5, grid.ndim), grid, channels=channels)
+
+
 def test_origin_is_pinned_exactly():
     grid = Grid(origin=(-0.5,), spacing=(0.25,), shape=(5,))
     fs = multi_copy_field(BM, grid, lattice=256, channels=3, seed=7)
