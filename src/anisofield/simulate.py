@@ -75,6 +75,8 @@ _OCTAVES = 24
 _MASS_NODES = 3
 # Bytes of one node array per block of the lattice mass quadrature.
 _MASS_BLOCK_BYTES = 65536
+# Rows per block of the angle-addition trig tables of the synthesis.
+_ANGLE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -318,37 +320,101 @@ def _active_axes(grid):
 
 
 def _contract(table, x, axis):
-    """Apply an (n, K) table along `axis` of x as one real GEMM."""
-    front = np.moveaxis(x, axis, 0)
-    out = table @ front.reshape(front.shape[0], -1)
-    return np.moveaxis(out.reshape(table.shape[:1] + front.shape[1:]), 0, axis)
+    """Apply an (n, K) table along `axis` of x by real GEMMs.
+
+    x may be a half of an array along `axis`: the axes before and after it
+    still merge into one stride each, so BLAS reads x in place.
+    """
+    lead, rest = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
+    if rest == 1:
+        out = x.reshape(lead, -1) @ table.T
+    else:
+        out = table @ x.reshape(lead, -1, rest)
+    return out.reshape(x.shape[:axis] + table.shape[:1] + x.shape[axis + 1:])
+
+
+def _trig_table(grid, axis, lam):
+    """cos - 1 and sin of t lam for the coordinates t of a grid axis.
+
+    Both have shape (points, cells).  Angle addition: with origin o,
+    spacing s and k = B q + r, the phase of point k is
+    (o + r s) lam + B q s lam, so about n/B + B rows of cos and sin give
+    the whole table by complex products, formed block by block of B
+    rows.  Entries at a coordinate of exactly 0 are set to 0 so the
+    origin stays pinned.
+    """
+    n, s, o = grid.shape[axis], grid.spacing[axis], grid.origin[axis]
+    coarse = np.multiply.outer(s * np.arange(0, n, _ANGLE_BLOCK), lam)
+    fine = np.multiply.outer(s * np.arange(min(n, _ANGLE_BLOCK)), lam)
+    cos_q, sin_q = np.cos(coarse), np.sin(coarse)
+    cos_r, sin_r = np.cos(fine), np.sin(fine)
+    if o != 0.0:
+        cos_o, sin_o = np.cos(o * lam), np.sin(o * lam)
+        cos_r, sin_r = cos_r * cos_o - sin_r * sin_o, sin_r * cos_o + cos_r * sin_o
+    # one allocation for both tables: freed and reallocated whole, it stays
+    # on the heap across calls instead of being page-faulted in afresh
+    table = np.empty((2, coarse.shape[0]) + fine.shape)
+    cos, sin = table
+    tmp = np.empty_like(fine)
+    for q in range(coarse.shape[0]):
+        np.multiply(cos_r, cos_q[q], out=cos[q])
+        cos[q] -= np.multiply(sin_r, sin_q[q], out=tmp)
+        np.multiply(sin_r, cos_q[q], out=sin[q])
+        sin[q] += np.multiply(cos_r, sin_q[q], out=tmp)
+    cos -= 1.0
+    table = table.reshape(2, -1, lam.size)[:, :n]
+    table[:, grid.axis_coords(axis) == 0.0] = 0.0
+    return table
+
+
+def _fold_mirrored(x, axes, scratch):
+    """Replace the halves lambda, -lambda of x along each axis by their sum
+    and difference, in place; scratch holds half of x."""
+    for b in axes:
+        plus, minus = np.split(x, 2, axis=b)
+        diff = np.subtract(plus, minus, out=scratch.reshape(plus.shape))
+        plus += minus
+        minus[...] = diff
 
 
 def _evaluate(tables, re_c, im_c):
     """Re sum_k (re_c - i im_c)_k (e^{i<t, lambda_k>} - 1) over the grid.
 
-    tables holds one (cos, sin) pair of (points, cells) arrays per axis;
-    re_c and im_c have one axis per table.  Term a of the telescoped sum
-    sums the axes above a, contracts axis a with e^{i theta} - 1 and the
-    axes below it with e^{i theta}, keeping only the real part at the
-    last contraction.
+    tables holds one (cos - 1, sin, mirrored) triple per axis, the tables
+    of shape (points, cells); re_c and im_c have one axis per table.
+    Term a of the telescoped sum sums the axes above a, contracts axis a
+    with e^{i theta} - 1 and the axes below it with e^{i theta}, that is
+    with e^{i theta} - 1 plus the sum over the cells, keeping only the
+    real part at the last contraction.  A mirrored axis tabulates only
+    the cells lambda > 0, and re_c and im_c hold the sums then the
+    differences of the coefficients of lambda and -lambda along it (see
+    _fold_mirrored): cos is even and sin odd, so a pair contracts as
+    cos (c+ + c-) on the sums and sin (c+ - c-) on the differences.
     """
     ndim = len(tables)
     out = np.zeros(())
     for a in reversed(range(ndim)):
         if a < ndim - 1:
+            if tables[a + 1][2]:
+                re_c = np.split(re_c, 2, axis=a + 1)[0]
+                im_c = np.split(im_c, 2, axis=a + 1)[0]
             re_c = re_c.sum(axis=a + 1)
             im_c = im_c.sum(axis=a + 1)
         re, im = re_c, im_c
         for b in reversed(range(a + 1)):
-            cos, sin = tables[b]
-            if b == a:
-                cos = cos - 1.0
-            if b == 0:
-                re = _contract(cos, re, 0) + _contract(sin, im, 0)
-            else:
-                re, im = (_contract(cos, re, b) + _contract(sin, im, b),
-                          _contract(cos, im, b) - _contract(sin, re, b))
+            cosm1, sin, mirrored = tables[b]
+            re_s = re_d = re
+            im_s = im_d = im
+            if mirrored:
+                re_s, re_d = np.split(re, 2, axis=b)
+                im_s, im_d = np.split(im, 2, axis=b)
+            re = _contract(cosm1, re_s, b) + _contract(sin, im_d, b)
+            if b < a:
+                re += re_s.sum(axis=b, keepdims=True)
+            if b > 0:
+                im = _contract(cosm1, im_s, b) - _contract(sin, re_d, b)
+                if b < a:
+                    im += im_s.sum(axis=b, keepdims=True)
         term = re.reshape(re.shape + (1,) * (ndim - 1 - a))
         out = term if a == ndim - 1 else out + term
     return out
@@ -399,20 +465,26 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
         # axes the grid never leaves contribute a constant (zero) phase, so
         # their cells fold into one normal draw of the summed mass
         masses = masses.sum(axis=inactive)
-    amp = np.sqrt(2.0 * masses)
+    amp = 2.0 * masses
+    np.sqrt(amp, out=amp)
+    # every model axis but the first is mirrored: tabulate its positive half
     tables = []
     for j in active:
-        phases = np.multiply.outer(grid.axis_coords(j), axes[j])
-        tables.append((np.cos(phases), np.sin(phases)))
+        lam = axes[j][:axes[j].size // 2] if j else axes[j]
+        tables.append((*_trig_table(grid, j, lam), j > 0))
     # one channel at a time: BLAS rounding depends on the GEMM shape, so
     # channels as GEMM columns would let the channel count move the bits
     out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
     draws = np.empty(masses.shape + (2,))
     re_c, im_c = np.empty(masses.shape), np.empty(masses.shape)
+    mirrored = [b for b, j in enumerate(active) if j > 0]
+    scratch = np.empty(masses.size // 2) if mirrored else None
     for c in range(channels):
         Generator(Philox(key=(seed, c))).standard_normal(out=draws)
         np.multiply(amp, draws[..., 0], out=re_c)
         np.multiply(amp, draws[..., 1], out=im_c)
+        _fold_mirrored(re_c, mirrored, scratch)
+        _fold_mirrored(im_c, mirrored, scratch)
         out[..., c] = _evaluate(tables, re_c, im_c)
 
     meta = {"method": "spectral-lattice", "lattice": lattice,

@@ -104,6 +104,17 @@ def test_origin_is_pinned_exactly():
     fs2 = sample_field(model, grid2, lattice=128, seed=7)
     assert np.all(fs2.values[1, 1] == 0.0)
 
+    # the origin past the first block of the angle-addition tables
+    grid3 = Grid(origin=(-1.0,), spacing=(1.0 / 16,), shape=(40,))
+    fs3 = multi_copy_field(BM, grid3, lattice=256, channels=2, seed=7)
+    assert np.all(fs3.values[16] == 0.0)
+    assert np.all(fs3.values[np.arange(40) != 16] != 0.0)
+    grid4 = Grid(origin=(-0.75, -1.0), spacing=(1.0 / 16, 1.0 / 8),
+                 shape=(20, 17))
+    fs4 = multi_copy_field(model, grid4, lattice=64, channels=2, seed=7)
+    assert np.all(fs4.values[12, 8] == 0.0)
+    assert np.count_nonzero(fs4.values == 0.0) == 2
+
 
 def _direct_sum(model, grid, lattice, channels, seed):
     """Reference synthesis: the trig sum over every (point, cell) pair."""
@@ -150,6 +161,17 @@ def test_axis_cutoffs_equalize_the_increment_level():
     (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
      Grid(origin=(-0.2, 0.0, -0.5), spacing=(0.1, 0.2, 0.25), shape=(4, 3, 3)),
      3, 1),
+    # 2-D with an inactive first axis: the first active axis is mirrored
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(0.0, -0.5), spacing=(0.5, 0.1), shape=(1, 12)), 2, 1),
+    # 3-D with an inactive middle axis
+    (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
+     Grid(origin=(-0.2, 0.0, -0.5), spacing=(0.1, 0.2, 0.25), shape=(4, 1, 5)),
+     2, 1),
+    # 3-D whose two active axes are both mirrored
+    (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
+     Grid(origin=(0.0, -0.3, -0.5), spacing=(1.0, 0.15, 0.25), shape=(1, 7, 5)),
+     2, 1),
 ])
 def test_separable_evaluation_matches_direct_sum(model, grid, channels,
                                                  origins):
