@@ -4,7 +4,9 @@ CSV carries tabular numbers at 10 significant digits, with provenance
 embedded in leading ``#`` comment lines.  A CSV table is formatted in
 one bulk pass, one ``%`` of a repeated row template per chunk of rows;
 the bytes are those of formatting each value on its own, as earlier
-versions did.  JSON reports use Python's shortest round-trip float
+versions did.  A field CSV formats each grid coordinate and channel
+index once and joins its row templates from those texts, so only the
+values go through the bulk format; its bytes are unchanged too.  JSON reports use Python's shortest round-trip float
 representation and sorted keys, so reruns with the same inputs are
 byte-identical.  Large fields use the AFLD1 container: the 5-byte magic
 ``AFLD1``, a little-endian uint32 header length, a UTF-8 JSON header

@@ -38,8 +38,20 @@ phases theta_a = t_a lambda_a, the telescoped identity
 
 turns X(t) = Re sum_k C_k (e^{i<t, lambda_k>} - 1) into one term per
 axis, each a chain of per-axis contractions of C with cos and sin
-tables.  Every term carries the factor e^{i theta_a} - 1, which is
-exactly 0 at t_a = 0, so the origin stays pinned without special cases.
+tables.  Every term carries the factor e^{i theta_a} - 1, which the
+tables hold exactly 0 at t_a = 0, so the origin stays pinned.
+
+The work is arranged to touch little fresh memory.  Cell masses are
+integrated over blocks of first-axis cells whose work arrays stay on
+the heap, with the same values as one pass over the whole node grid.
+The trig tables come from angle addition: with k = B q + r (B = 8),
+e^{i k s lambda} = e^{i B q s lambda} e^{i r s lambda}, so an axis of n
+points needs cos and sin of about n/B + B rows rather than n.  Every
+axis but the first is mirrored (cells lambda and -lambda share a mass);
+its table covers lambda > 0 only, and since cos is even and sin odd the
+coefficients of each pair enter as their sum and difference, which
+halves the contraction length on that axis.  The draws keep the signed
+layout, so the random streams do not depend on the fold.
 
 Randomness is counter-based: channel c of seed s draws its coefficients
 from an independent stream keyed (s, c), and the jitter stream has its
@@ -194,11 +206,10 @@ def _cell_masses(form, partitions):
     cells = [lo.size for lo, _ in partitions]
     row = _MASS_NODES * math.prod(c * _MASS_NODES for c in cells[1:])
     step = max(1, _MASS_BLOCK_BYTES // (8 * row))
-    # the quadrature axis of each (cells, order) block, folded below
-    block_shape = [-1]
+    # fold the quadrature axis of each (cells, order) block
+    block_shape = [-1, _MASS_NODES]
     for c in cells[1:]:
-        block_shape.extend([_MASS_NODES, c])
-    block_shape.append(_MASS_NODES)
+        block_shape.extend([c, _MASS_NODES])
     fold = tuple(range(1, 2 * n, 2))
     masses = np.empty(cells)
     for start in range(0, cells[0], step):
