@@ -6,9 +6,9 @@ one bulk pass, one ``%`` of a repeated row template per chunk of rows;
 the bytes are those of formatting each value on its own, as earlier
 versions did.  A field CSV formats each grid coordinate and channel
 index once and joins its row templates from those texts, so only the
-values go through the bulk format; its bytes are unchanged too.  JSON reports use Python's shortest round-trip float
-representation and sorted keys, so reruns with the same inputs are
-byte-identical.  Large fields use the AFLD1 container: the 5-byte magic
+values go through the bulk format; its bytes are unchanged too.  JSON
+reports use Python's shortest round-trip float representation and
+sorted keys, so reruns with the same inputs are byte-identical.  Large fields use the AFLD1 container: the 5-byte magic
 ``AFLD1``, a little-endian uint32 header length, a UTF-8 JSON header
 carrying the grid and provenance, then the sample values as
 little-endian float64 in row-major order with the channel axis fastest.
@@ -105,10 +105,9 @@ def write_csv(path, header, rows, provenance=None):
     """
     table = _table(path, rows, len(header))
     row = ",".join([_FLOAT] * len(header)) + "\n"
-    chunk = _CHUNK_ROWS
-    _write_table(path, header, provenance, (
-        (row * part.shape[0]) % tuple(part.ravel().tolist())
-        for part in (table[s:s + chunk] for s in range(0, table.shape[0], chunk))))
+    chunks = (table[s:s + _CHUNK_ROWS] for s in range(0, len(table), _CHUNK_ROWS))
+    _write_table(path, header, provenance,
+                 ((row * len(c)) % tuple(c.ravel().tolist()) for c in chunks))
 
 
 def _write_table(path, header, provenance, body):
@@ -176,20 +175,21 @@ def write_field_csv(path, fs, provenance=None):
     coords = [[format_float(x) + "," for x in grid.axis_coords(j).tolist()]
               for j in range(grid.ndim)]
     # a line is one run of the last axis: its rows share the leading text
-    lines = list(map("".join, itertools.product(*coords[:-1])))
-    line = [f"{x}{format_float(c)},{_FLOAT}\n"
-            for x in coords[-1] for c in range(fs.nchannels)]
-    width = len(line)
+    # of the other coordinates, which lead.join puts before each row
+    leads = list(map("".join, itertools.product(*coords[:-1])))
+    tails = [f"{x}{format_float(c)},{_FLOAT}\n"
+             for x in coords[-1] for c in range(fs.nchannels)]
+    width = len(tails)
     values = fs.values.reshape(-1)
     chunk = _CHUNK_ROWS
 
     def body():
         for start in range(0, values.size, chunk):
             stop = min(start + chunk, values.size)
+            first = start // width
             template = "".join(
-                lead + lead.join(line[max(start - i * width, 0):stop - i * width])
-                for i, lead in enumerate(lines[start // width:-(-stop // width)],
-                                         start // width))
+                lead + lead.join(tails[max(start - i * width, 0):stop - i * width])
+                for i, lead in enumerate(leads[first:-(-stop // width)], first))
             yield template % tuple(values[start:stop].tolist())
 
     _write_table(path, header, provenance, body())
