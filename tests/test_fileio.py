@@ -85,36 +85,33 @@ def test_csv_bytes_match_per_value_formatting(tmp_path, width):
     assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("model, grid, channels, chunk", [
-    (fbm(0.6, 3), Grid(origin=(0.5, -1.0, 2.0), spacing=(0.25, 0.5, 1.0 / 3.0),
-                       shape=(4, 3, 2)), 3, None),
-    # two-digit channel indices
-    (fbm(0.5, 1), Grid(origin=(0.0,), spacing=(0.25,), shape=(5,)), 12, None),
-    # awkward coordinates
-    (fbm(0.6, 2), Grid(origin=(1e-300, -7.0), spacing=(1.0 / 3.0, 1.0 / 3.0),
-                       shape=(4, 5)), 2, None),
-    # chunks that split a run of the last axis, and chunks of whole runs
-    (fbm(0.6, 3), Grid(origin=(0.5, -1.0, 2.0), spacing=(0.25, 0.5, 1.0 / 3.0),
-                       shape=(4, 3, 2)), 3, 5),
-    (fbm(0.6, 2), Grid(origin=(1e-300, -7.0), spacing=(1.0 / 3.0, 1.0 / 3.0),
-                       shape=(4, 5)), 2, 20),
-    (fbm(0.5, 1), Grid(origin=(0.0,), spacing=(0.25,), shape=(5,)), 12, 7),
-], ids=["3d", "12-channels", "awkward", "chunk-5", "chunk-20", "1d-chunk-7"])
-def test_field_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch,
-                                                    model, grid, channels,
-                                                    chunk):
-    if chunk is not None:
+def test_field_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch):
+    grid_3d = Grid(origin=(0.5, -1.0, 2.0), spacing=(0.25, 0.5, 1.0 / 3.0),
+                   shape=(4, 3, 2))
+    grid_1d = Grid(origin=(0.0,), spacing=(0.25,), shape=(5,))
+    awkward = Grid(origin=(1e-300, -7.0), spacing=(1.0 / 3.0, 1.0 / 3.0),
+                   shape=(4, 5))
+    whole = fileio._CHUNK_ROWS
+    for model, grid, channels, chunk in [
+            (fbm(0.6, 3), grid_3d, 3, whole),
+            (fbm(0.5, 1), grid_1d, 12, whole),  # two-digit channel indices
+            (fbm(0.6, 2), awkward, 2, whole),
+            # chunks that split a run of the last axis, and whole runs
+            (fbm(0.6, 3), grid_3d, 3, 5),
+            (fbm(0.6, 2), awkward, 2, 20),
+            (fbm(0.5, 1), grid_1d, 12, 7)]:
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk)
-    fs = multi_copy_field(model, grid, lattice=64, channels=channels, seed=3)
-    path = tmp_path / "field.csv"
-    write_field_csv(path, fs, provenance={"seed": 3})
-    points = grid.points()
-    values = fs.values.reshape(grid.npoints, channels)
-    rows = [list(points[i]) + [c, values[i, c]]
-            for i in range(grid.npoints) for c in range(channels)]
-    header = [f"t_{j + 1}" for j in range(grid.ndim)] + ["channel", "value"]
-    expected = '# provenance: {"seed":3}\n' + _reference_csv(header, rows)
-    assert path.read_text() == expected
+        fs = multi_copy_field(model, grid, lattice=64, channels=channels,
+                              seed=3)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, fs, provenance={"seed": 3})
+        points = grid.points()
+        values = fs.values.reshape(grid.npoints, channels)
+        rows = [list(points[i]) + [c, values[i, c]]
+                for i in range(grid.npoints) for c in range(channels)]
+        header = [f"t_{j + 1}" for j in range(grid.ndim)] + ["channel", "value"]
+        expected = '# provenance: {"seed":3}\n' + _reference_csv(header, rows)
+        assert path.read_text() == expected
 
 
 def test_csv_rejects_misshapen_rows(tmp_path):
