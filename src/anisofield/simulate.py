@@ -192,10 +192,10 @@ def _gauss_nodes(lo, hi, order):
 def _cell_masses(form, partitions):
     """Spectral mass of every positive-orthant cell, via tensor quadrature.
 
-    Runs over blocks of first-axis cells whose work arrays stay far below
-    glibc's 128 KB mmap threshold, so they are recycled from the heap
-    rather than page-faulted in afresh; every value is computed exactly as
-    over the whole node grid at once.
+    Runs over blocks of first-axis cells whose work arrays stay at half of
+    glibc's 128 KB mmap threshold or less, so they are recycled from the
+    heap rather than page-faulted in afresh; every value is computed
+    exactly as over the whole node grid at once.
     """
     nodes, weights = zip(*(_gauss_nodes(lo, hi, _MASS_NODES) for lo, hi in partitions))
     n = len(nodes)
@@ -347,8 +347,8 @@ def _contract(table, x, axis):
 def _trig_table(grid, axis, lam):
     """cos - 1 and sin of t lam for the coordinates t of a grid axis.
 
-    Both have shape (points, cells).  Angle addition: with origin o,
-    spacing s and k = B q + r, the phase of point k is
+    Returns them stacked, shape (2, points, cells).  Angle addition: with
+    origin o, spacing s and k = B q + r, the phase of point k is
     (o + r s) lam + B q s lam, so about n/B + B rows of cos and sin give
     the whole table by complex products, formed block by block of B
     rows.  Entries at a coordinate of exactly 0 are set to 0 so the
@@ -406,7 +406,7 @@ def _evaluate(tables, re_c, im_c):
     out = np.zeros(())
     for a in reversed(range(ndim)):
         if a < ndim - 1:
-            if tables[a + 1][2]:
+            if tables[a + 1][2]:  # the sum over a pair is its sum entry
                 re_c = np.split(re_c, 2, axis=a + 1)[0]
                 im_c = np.split(im_c, 2, axis=a + 1)[0]
             re_c = re_c.sum(axis=a + 1)
