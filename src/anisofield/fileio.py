@@ -30,8 +30,9 @@ from .errors import FileFormatError
 AFLD_MAGIC = b"AFLD1"
 # Decimal text at 10 significant digits, for single values and CSV rows.
 _FLOAT = "%.10g"
-# Rows per bulk format: bounds the transient tuple of Python floats.
-_CHUNK_ROWS = 65536
+# Rows per bulk format: bounds the transient tuple of Python floats and the
+# texts of the one chunk being written.
+_CHUNK_ROWS = 16384
 
 
 def format_float(x):
@@ -39,13 +40,14 @@ def format_float(x):
     return _FLOAT % float(x)
 
 
-def _atomic_write_bytes(path, data):
+def _atomic_write_bytes(path, chunks):
+    """Write an iterable of bytes-like chunks to ``path`` through a temporary file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".aniso-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -58,7 +60,7 @@ def _atomic_write_bytes(path, data):
 def write_json(path, doc):
     """Write a JSON document atomically, keys sorted, trailing newline."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(path, text.encode())
+    _atomic_write_bytes(path, [text.encode()])
 
 
 def read_json(path):
@@ -111,14 +113,17 @@ def write_csv(path, header, rows, provenance=None):
 
 
 def _write_table(path, header, provenance, body):
-    """Write the provenance comment, the header line and the body texts."""
-    parts = []
-    if provenance:
-        blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))
-        parts.append(f"# provenance: {blob}\n")
-    parts.append(",".join(header) + "\n")
-    parts.extend(body)
-    _atomic_write_bytes(path, "".join(parts).encode())
+    """Write the provenance comment, the header line and the body texts,
+    each chunk encoded and written as it is made."""
+    def chunks():
+        if provenance:
+            blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))
+            yield f"# provenance: {blob}\n".encode()
+        yield (",".join(header) + "\n").encode()
+        for text in body:
+            yield text.encode()
+
+    _atomic_write_bytes(path, chunks())
 
 
 def read_csv(path, min_columns=1):
@@ -216,9 +221,8 @@ def write_field_afld(path, fs, provenance=None):
         "provenance": provenance or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = np.ascontiguousarray(fs.values, dtype="<f8").tobytes()
-    _atomic_write_bytes(
-        path, AFLD_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+    payload = np.ascontiguousarray(fs.values, dtype="<f8").reshape(-1)
+    _atomic_write_bytes(path, [AFLD_MAGIC, struct.pack("<I", len(blob)), blob, payload])
 
 
 def read_field_afld(path):

@@ -40,7 +40,7 @@ The outer interval (L, inf) is mapped to u in (0, 1] via lambda = L/u
 and integrated on its own graded panels; there an oscillatory factor is
 replaced by its two integration-by-parts boundary terms.  No setting
 shapes this rule or the t rule: ``QuadratureSpec`` holds only the
-tolerance that callers hold each error estimate to.
+tolerance that :func:`certify` holds each error estimate to.
 
 Each error estimate combines the difference between two Gauss orders,
 the integration-by-parts terms and the charges at both ends of the t
@@ -101,8 +101,8 @@ class QuadratureSpec:
     Parameters
     ----------
     rel_tol : float
-        Relative error threshold; public operations raise
-        QuadratureError when the estimate exceeds rel_tol * value.
+        Relative error threshold; public operations raise QuadratureError
+        when an error estimate exceeds rel_tol times its scale (:func:`certify`).
     """
 
     rel_tol: float = 0.05
@@ -110,6 +110,20 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 0 < self.rel_tol < 0.1:
             raise ModelError("rel_tol must lie in (0, 0.1)")
+
+
+def certify(values, errs, scales, quad, lags, what):
+    """The package's one tolerance check, run on every public spectral result:
+    row i passes when errs[i] <= quad.rel_tol * scales[i] (a NaN fails; an
+    infinite scale marks an exact row).  The first failing row raises
+    QuadratureError naming ``what`` and its lag, with its value and err."""
+    rel_tol = (quad or QuadratureSpec()).rel_tol
+    bad = ~(errs <= rel_tol * scales)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise QuadratureError(f"{what} at lag {lags[i].tolist()}: error estimate {errs[i]:g} "
+                              f"exceeds rel_tol * scale = {rel_tol * scales[i]:g}",
+                              value=float(values[i]), err=float(errs[i]))
 
 
 def _inner_panels(L, freq, depth):
@@ -204,9 +218,8 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     (value, err) : tuple of floats
         The integral over R^N and its error estimate; for a batch of
         lags, two arrays of shape (m,) whose rows equal the one-lag calls.
-        The rule has no settings, so no tolerance is checked here:
-        callers hold ``err`` to their ``QuadratureSpec.rel_tol``
-        themselves.
+        Raw: no tolerance is checked here; public callers hold ``err``
+        to their ``QuadratureSpec`` through :func:`certify`.
 
     Raises
     ------
@@ -383,27 +396,28 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     where E_j, C_j, D_j and K_k,j are the per-axis transforms of 1,
     cos(h_j l), 2 sin^2(h_j l / 2) and l^k sin(h_j l) (k = 1) or
     l^2 cos(h_j l) (k = 2) against e^{-t a_j(l)}.  The t integral runs
-    on dyadic panels over [t0, T].
+    on dyadic panels over [t0, T].  One rule sets t0 for every order:
+    1e-8 times the largest lagged time scale max_j |h_j|^beta_j / coef_j
+    (infinite at h = 0), lowered so that rate t0 and each axis shift
+    stay below _T_EPS.
 
     Below t0 the increment kernel, and the second partial at h = 0, are
     their small-t power law A t^(p - 1), integrated exactly; the
-    deviation at t0 bounds the error there.  For the other partials
-    every lagged axis decays as t -> 0 (C_b/E_b and K_k,axis/E_axis go
-    to 0 at least like t), so t0 lies below each lagged axis's time
-    scale, the integrand falls off like a positive power of t below it,
-    and the part below t0 is charged with the bound t0 |F(t0)|.
+    deviation at t0 bounds the error there.  The other partials are
+    charged t0 |F(t0)| below t0, which bounds that part because F falls
+    off like a positive power of t there: t0 is eight decades below the
+    largest lagged time scale, where that axis's ratio (C/E, or K_k/E
+    on the partial's own axis) decays like t^(1 + 1/beta) or faster
+    (exponentially on a Gaussian axis), every other lagged C/E stays
+    within [-1, 1], and the decay outweighs the growth
+    t^(margin - 1 - k/beta_axis) of the rest (margin > k/beta_axis
+    suffices).
 
     Above T the weight's e^{-rate t} bounds the rest against the
     decreasing envelope of the integrand (E_b, and P_k for the partial's
     own axis), or, at rate 0 (where every axis is Gaussian), the
     integrand is expanded in powers of 1/t and integrated term by term.
-
-    Rows share one t rule as deep as the deepest row, scaled by each
-    row's T; the levels below a row's own t0 get zero weight.  With
-    rate > 0 every T is the same, so the rows share the t grid itself,
-    with one end column per distinct t0, and its t-only factors are
-    computed once.
-
+    Rows share one t rule, or one t grid at rate > 0 (module docstring).
     The error estimate adds the difference of two Gauss orders, the
     axes' integration-by-parts error and both end charges.
     """
@@ -428,13 +442,9 @@ def _laplace_increment(lap, lags, axis=0, order=0):
         i, ax = inv[axis], axes[axis]
         log_lead += math.lgamma(3.0 * i) - math.lgamma(i) - 2.0 * i * math.log(ax.coef)
     # Lower end: every neglected relative term (rate t, C/E on the
-    # longest-lag axis, the shift of a shifted axis) is below _T_EPS; a
-    # partial goes below every lagged axis's time scale.
-    scales = [np.abs(lags[:, j]) ** ax.growth / ax.coef for j, ax in enumerate(axes)]
-    if order == 0:
-        t0 = 1e-8 * np.max(scales, axis=0)
-    else:
-        t0 = 1e-8 * np.min(np.where(np.array(scales) > 0, scales, np.inf), axis=0)
+    # longest-lag axis, the shift of a shifted axis) is below _T_EPS.
+    top = np.max([np.abs(h) ** ax.growth / ax.coef for h, ax in zip(lags.T, axes)], axis=0)
+    t0 = np.where(np.any(lags != 0, axis=1), 1e-8 * top, math.inf)
     if lap.rate > 0:
         t0 = np.minimum(t0, _T_EPS / lap.rate)
     for ax in axes:

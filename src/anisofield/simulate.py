@@ -65,7 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import FactorizationError, ModelError
+from .errors import ModelError
+from .kriging import _factor_with_jitter
 from .models import laplace_form, model_to_dict, smoothness_exponents
 from .quadrature import _gauss
 from .variogram import VariogramTable, gneiting_covariance, gneiting_to_dict
@@ -515,7 +516,8 @@ def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):
 
     Grid axes are the d spatial coordinates followed by time.  With
     pin_origin the draw is shifted by its value at the origin, giving a
-    field with X(0) = 0.
+    field with X(0) = 0.  The covariance is factored as kriging factors
+    it, unjittered first; the jitter applied is in the metadata.
     """
     seed = _check_seed(seed)
     if grid.ndim != gm.d + 1:
@@ -534,24 +536,7 @@ def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):
     dx = points[:, None, :gm.d] - points[None, :, :gm.d]
     dt = points[:, None, gm.d] - points[None, :, gm.d]
     cov = gneiting_covariance(gm, dx, dt)
-
-    jitter = 1e-10 * gm.sigma2
-    chol = None
-    applied = 0.0
-    for attempt in range(4):
-        scaled = jitter * 10.0**attempt
-        try:
-            chol = np.linalg.cholesky(cov + scaled * np.eye(cov.shape[0]))
-            applied = scaled
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        floor = float(np.linalg.eigvalsh(cov).min())
-        raise FactorizationError(
-            f"covariance failed to factorize; smallest eigenvalue {floor:.3e}",
-            min_eigenvalue=floor)
-
+    chol, applied = _factor_with_jitter(cov)
     rng = Generator(Philox(key=(seed, 0)))
     draw = chol @ rng.standard_normal(cov.shape[0])
     if pin_origin:

@@ -20,27 +20,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, QuadratureError
+from .errors import ModelError
 from .models import check_fields, is_integer, laplace_form, legitimacy_check
-from .quadrature import QuadratureSpec, spectral_integral
+from .quadrature import certify, spectral_integral
 
 
 def variogram_numeric(model, h, quad=None):
-    """Variogram v(h) and its error estimate at one lag, shape (dims,).
-
-    The one-row :func:`variogram_table`, returned as a tuple of floats.
-    """
+    """Variogram v(h) and its error estimate at one lag, shape (dims,), as
+    a tuple of floats: the one-row :func:`variogram_table`."""
     table = variogram_table(model, [h], quad)
     return float(table.values[0]), float(table.errs[0])
 
 
 def covariance_increment(model, s, t, quad=None):
     """Covariance C(s, t) = (v(s) + v(t) - v(s - t)) / 2 of the pinned field."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    vs, _ = variogram_numeric(model, s, quad)
-    vt, _ = variogram_numeric(model, t, quad)
-    vst, _ = variogram_numeric(model, s - t, quad)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    vs, vt, vst = variogram_table(model, [s, t, s - t], quad).values.tolist()
     return 0.5 * (vs + vt - vst)
 
 
@@ -127,30 +122,19 @@ def variogram_table(model, lags, quad=None):
     Raises
     ------
     QuadratureError
-        If a row's error estimate exceeds ``quad.rel_tol`` times its
-        value; it names the first such row and carries its value and err.
+        If a row's error estimate exceeds ``quad.rel_tol`` times its value
+        (so a negative value fails), naming that row, its value and err.
     ModelError
         Before any quadrature, if the model fails the legitimacy check,
         or a lag has the wrong shape or a non-finite entry.
     """
-    quad = quad or QuadratureSpec()
     verdict = legitimacy_check(model)
     if not verdict.ok:
         raise ModelError(f"illegitimate model: {verdict.reason}")
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     values, errs = spectral_integral(laplace_form(model), lags)
     values, errs = 2.0 * values, 2.0 * errs
-    bad = (values < -errs) | ((errs > quad.rel_tol * values) & (values > 0))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        value, err = float(values[i]), float(errs[i])
-        reason = (f"came out negative ({value:g}) beyond its error estimate {err:g}"
-                  if value < 0 else
-                  f"error estimate {err:g} exceeds rel_tol * value = "
-                  f"{quad.rel_tol * value:g}")
-        raise QuadratureError(f"variogram at lag {lags[i].tolist()} {reason}",
-                              value=value, err=err)
-    values = np.where(values < 0, 0.0, values)
+    certify(values, errs, values, quad, lags, "variogram")
     return VariogramTable(model_id=model.kind, lags=lags,
                           values=values, errs=errs)
 

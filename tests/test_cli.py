@@ -328,6 +328,23 @@ def test_exit_code_2_for_a_lag_out_of_float_range(tmp_path, capsys):
     assert "[1e-200, 1e-200]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, lag", [
+    (canonical_c((1.5, 0.8), 4.0), [0.6, 1e-60]),
+    (canonical_c((0.7, 1.3), 5.0), [1e-30, 0.6]),
+])
+def test_exit_code_2_for_an_uncertified_beta_below_one_lag(tmp_path, model, lag, capsys):
+    # these lags once came out 0 with a huge err and were written with exit 0
+    model_path = tmp_path / "model.json"
+    write_json(model_path, model_to_dict(model))
+    lags_path = tmp_path / "lags.csv"
+    write_csv(lags_path, ["h_1", "h_2"], [[0.5, 0.5], lag])
+    out = tmp_path / "v.csv"
+    assert main(["variogram", "--model", str(model_path), "--lags", str(lags_path),
+                 "--out", str(out)]) == 2
+    assert str(lag) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_3_for_missing_file(tmp_path, capsys):
     assert main(["analyze", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r.json")]) == 3

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from anisofield.fileio import (format_float, read_csv, read_field_afld,
                                write_field_csv, write_json,
                                write_prediction_csv, write_variogram_csv)
 from anisofield.models import fbm
-from anisofield.simulate import Grid, multi_copy_field, sample_field
+from anisofield.simulate import FieldSample, Grid, multi_copy_field, sample_field
 from anisofield.variogram import variogram_table
 
 _AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.0 / 3.0, 12345678901234.0,
@@ -214,6 +215,22 @@ def test_field_and_prediction_csv(tmp_path):
     write_prediction_csv(ppath, [[1.0], [2.0]], [0.5, 0.25], [0.1, 0.2])
     pred = read_csv(ppath, min_columns=3)
     assert pred[1].tolist() == [2.0, 0.25, 0.2]
+
+
+def test_field_csv_write_streams_its_chunks(tmp_path):
+    # each chunk's text is encoded and written as it is made, so no copy of
+    # the whole file is held: this one is 10.8 MB of text
+    grid = Grid(origin=(0.0, -1.0), spacing=(1 / 255, 2 / 255), shape=(256, 256))
+    values = np.random.default_rng(0).normal(size=grid.shape + (4,))
+    fs = FieldSample(grid=grid, values=values, seed=0, metadata={})
+    path = tmp_path / "field.csv"
+    tracemalloc.start()
+    try:
+        write_field_csv(path, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_afld_round_trip_is_exact(tmp_path):

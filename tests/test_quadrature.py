@@ -11,9 +11,11 @@ from tensor_rule import tensor_integral
 from anisofield.errors import ModelError, QuadratureError
 from anisofield.models import (canonical_c, fbm, laplace_form,
                                smoothness_exponents, stein)
-from anisofield.quadrature import _GAUSS_LEGENDRE, _gauss, spectral_integral
-from anisofield.smoothness import derivative_variance, variogram_gradient
-from anisofield.variogram import variogram_numeric
+from anisofield.quadrature import (_GAUSS_LEGENDRE, QuadratureSpec, _gauss, certify,
+                                   spectral_integral)
+from anisofield.smoothness import (derivative_covariance, derivative_variance,
+                                   variogram_gradient)
+from anisofield.variogram import variogram_numeric, variogram_table
 
 # the tensor rule with a tight truncation and panel budget
 TIGHT = {"truncation": 4096.0, "panels": 4096}
@@ -201,8 +203,7 @@ def test_tabulated_gauss_rules_equal_leggauss():
 
 def test_lags_out_of_float_range_raise_quadrature_error():
     # time scales |h_j|^beta / coef that under- or overflow: an empty t rule
-    # (fbm, stein), squares that vanish into 0/0 (canonical_c), and a
-    # partial whose t0 follows its smallest lagged component
+    # (fbm, stein) and squares that vanish into 0/0 (canonical_c)
     for model, lag in ((fbm(0.4, 2), (1e-200, 1e-200)),
                        (canonical_c((1.0, 2.0), 4.0), (1e-200, 1e-200)),
                        (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0), (1e-200, 1e-200)),
@@ -210,10 +211,13 @@ def test_lags_out_of_float_range_raise_quadrature_error():
                        (canonical_c((1.0, 2.0), 4.0), (1e300, 1e300))):
         with pytest.raises(QuadratureError, match=re.escape(str(list(lag)))):
             variogram_numeric(model, lag)
-    with pytest.raises(QuadratureError, match="1e-150"):
-        variogram_gradient(fbm(0.4, 2), 0, (1e-150, 1.0))
-    with pytest.raises(QuadratureError, match="1e-200"):
-        variogram_gradient(canonical_c((1.0, 2.0), 4.0), 1, (1e-200, 1.0))
+    # a partial's t0 follows its largest lagged component, so a tiny one is
+    # certified: v'_0 = 0.8 |h|^-1.2 h_0 for fbm(0.4), and the (0, 1) value
+    value, err = _engine(fbm(0.4, 2), (1e-150, 1.0), (0, 1))
+    assert variogram_gradient(fbm(0.4, 2), 0, (1e-150, 1.0)) == 2.0 * value
+    assert abs(2.0 * value - 0.8e-150) <= 2.0 * err <= 1e-6 * 0.8e-150
+    model = canonical_c((1.0, 2.0), 4.0)
+    assert variogram_gradient(model, 1, (1e-200, 1.0)) == variogram_gradient(model, 1, (0.0, 1.0))
     # a tiny component next to an ordinary one still integrates
     value, err = variogram_numeric(canonical_c((1.0, 2.0), 4.0), (1.0, 1e-200))
     assert np.isfinite(value) and 0 < err < 1e-6 * value
@@ -243,7 +247,79 @@ def test_tiny_numeric_axis_component_warns_nothing():
 
 def test_lags_out_of_float_range_warn_nothing():
     # the refused lags overflow and divide 0 by 0 on their way to the
-    # refusal; the engine keeps that quiet and still refuses each one
+    # refusal, and the gradients' scales v / |h_axis| divide by a tiny
+    # component; all of that stays quiet, and each refusal still comes
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         test_lags_out_of_float_range_raise_quadrature_error()
+
+
+def _public(model, lag, axis, order):
+    """The public result of ``order`` at ``lag`` and its err, from the engine."""
+    if order == 0:
+        table = variogram_table(model, [lag])
+        return table.values[0], table.errs[0]
+    _, err = _engine(model, lag, (axis, order))
+    if order == 1:
+        return variogram_gradient(model, axis, lag), 2.0 * err
+    return derivative_covariance(model, axis, lag), err
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("model", [
+    fbm(0.4, 2),
+    canonical_c((1.0, 2.0), 4.0),                             # closed-form axes
+    canonical_c((1.5, 0.8), 4.0),                             # numeric, beta < 1
+    canonical_c((0.7, 1.3), 5.0),                             # numeric, beta < 1
+    stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0),           # numeric axes
+], ids=["fbm", "canonical-closed", "canonical-1.5-0.8", "canonical-0.7-1.3", "stein"])
+def test_tiny_components_are_certified_or_refused(model, order):
+    # a tiny component on the axis other than the partial's: each result
+    # lies within its err of the h_j = 0 value, an err within the default
+    # rel_tol of that value, or is refused naming its lag
+    hurst = smoothness_exponents(model).h
+    for axis in (0, 1):
+        if order == 2 and not hurst[axis] > 1:
+            continue  # no derivative process along this axis
+        ref_lag = np.eye(2)[axis] * 0.6
+        ref, ref_err = _public(model, ref_lag, axis, order)
+        assert ref_err <= 1e-4 * abs(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for tiny in (1e-20, 1e-60, 1e-100, 1e-150, 1e-200, 1e-300):
+                lag = ref_lag + np.eye(2)[1 - axis] * tiny
+                try:
+                    value, err = _public(model, lag, axis, order)
+                except QuadratureError as exc:
+                    assert str(lag.tolist()) in str(exc)
+                    continue
+                assert abs(value - ref) <= err <= 0.05 * abs(ref)
+
+
+def test_beta_below_one_numeric_axis_next_to_a_tiny_component_is_refused():
+    # the beta < 1 axis's truncation stops at its cap while its weight has
+    # not vanished, so the integration-by-parts tail blows up; the variogram
+    # came out 0.0 with err 5.8e125, and now no order passes it
+    for model, lag, axis in ((canonical_c((1.5, 0.8), 4.0), [0.6, 1e-60], 0),
+                             (canonical_c((0.7, 1.3), 5.0), [1e-30, 0.6], 1)):
+        with pytest.raises(QuadratureError, match=re.escape(str(lag))) as info:
+            variogram_table(model, [[0.5, 0.5], lag])
+        assert not info.value.err <= 0.05 * info.value.value
+        for call in (variogram_gradient, derivative_covariance):
+            with pytest.raises(QuadratureError, match=re.escape(str(lag))):
+                call(model, axis, lag)
+
+
+def test_certify_holds_each_err_to_rel_tol_times_its_scale():
+    lags = np.array([[0.1, 0.2], [0.3, 0.4]])
+    values = np.array([1.0, 0.0])
+    # at the bound, an exact zero, and an infinite scale all pass
+    certify(values, np.array([0.05, 0.0]), np.array([1.0, 0.0]), None, lags, "x")
+    certify(values, np.array([0.0, 1e300]), np.array([1.0, np.inf]), None, lags, "x")
+    # a NaN, a negative scale and an err above rel_tol * scale fail
+    for errs, scales in (([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, -1e-300]),
+                         ([0.0, 0.011], [1.0, 1.0])):
+        with pytest.raises(QuadratureError, match=re.escape("x at lag [0.3, 0.4]")) as info:
+            certify(values, np.array(errs), np.array(scales), QuadratureSpec(0.01), lags, "x")
+        assert info.value.value == 0.0
+        assert info.value.err == errs[1] or math.isnan(errs[1])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from anisofield import quadrature, smoothness, variogram
-from anisofield.errors import ModelError
+from anisofield.errors import ModelError, QuadratureError
 from anisofield.models import canonical_c, fbm, laplace_form, stein
 from anisofield.simulate import Grid, multi_copy_field
 from anisofield.smoothness import (cross_cov_matrix, cross_covariance,
                                    derivative_covariance, derivative_variance,
                                    ms_derivative_report, variogram_gradient)
-from anisofield.variogram import variogram_numeric
+from anisofield.variogram import covariance_increment, variogram_numeric
 
 SMOOTH = canonical_c(beta=(1.0, 2.0), gamma=4.0)  # H = (1.25, 2.5)
 
@@ -182,17 +182,48 @@ def test_derivative_paths_reject_bad_axis_and_lag():
         quadrature.spectral_integral(laplace_form(SMOOTH), lag, partial=(0, 3))
 
 
-def test_cross_cov_matrix_runs_seven_integrals(monkeypatch):
+def test_cross_cov_matrix_runs_three_integrals(monkeypatch):
+    # one batch per order: (s - t, 0) for the second partial, then
+    # (s, t, s - t) for the variograms and for the gradients
+    s, t = np.array([0.4, -0.2]), np.array([-0.3, 0.5])
+    expected = cross_cov_matrix(SMOOTH, 1, s, t)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("partial"))
-        return quadrature.spectral_integral(*args, **kwargs)
+    def counting(form, lags, partial=(0, 0)):
+        calls.append((partial, np.asarray(lags).tolist()))
+        return quadrature.spectral_integral(form, lags, partial=partial)
 
     monkeypatch.setattr(smoothness, "spectral_integral", counting)
     monkeypatch.setattr(variogram, "spectral_integral", counting)
-    cross_cov_matrix(SMOOTH, 1, np.array([0.4, -0.2]), np.array([-0.3, 0.5]))
-    assert len(calls) == 7
+    matrix = cross_cov_matrix(SMOOTH, 1, s, t)
+    lags = [s.tolist(), t.tolist(), (s - t).tolist()]
+    assert calls == [((1, 2), [(s - t).tolist(), [0.0, 0.0]]), ((0, 0), lags), ((1, 1), lags)]
+    assert matrix.tobytes() == expected.tobytes()
+    assert matrix[0, 0] == covariance_increment(SMOOTH, s, t)
+    assert matrix[0, 1] == cross_covariance(SMOOTH, 1, s, t)
+    assert matrix[1, 1] == derivative_covariance(SMOOTH, 1, s - t)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_partial_errs_are_held_to_their_scales(monkeypatch, factor):
+    # a gradient's err is held to rel_tol v(h) / |h_axis| and a derivative
+    # covariance's to rel_tol times the derivative variance
+    lag = np.array([0.3, -0.4])
+    limits = {1: 0.05 * variogram_numeric(SMOOTH, lag)[0] / 0.4 / 2.0,
+              2: 0.05 * derivative_variance(SMOOTH, 1)}
+
+    def inflated(form, lags, partial=(0, 0)):
+        values, errs = quadrature.spectral_integral(form, lags, partial=partial)
+        return values, np.full_like(errs, factor * limits[partial[1]])
+
+    monkeypatch.setattr(smoothness, "spectral_integral", inflated)
+    for call, what in ((variogram_gradient, "gradient"),
+                       (derivative_covariance, "derivative covariance")):
+        if factor < 1:
+            assert math.isfinite(call(SMOOTH, 1, lag))
+        else:
+            with pytest.raises(QuadratureError, match=f"{what} along axis 1 at lag"):
+                call(SMOOTH, 1, lag)
 
 
 def test_gradient_is_odd():

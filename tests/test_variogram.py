@@ -75,6 +75,23 @@ def test_covariance_pinned_conventions():
     assert covariance_increment(model, t, np.zeros(1), TIGHT) == 0.0
 
 
+def test_covariance_increment_runs_one_integral(monkeypatch):
+    from anisofield import variogram
+    model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
+    s, t = np.array([0.4, -0.2]), np.array([-0.3, 0.5])
+    expected = [variogram_numeric(model, lag)[0] for lag in (s, t, s - t)]
+    calls = []
+
+    def counting(form, lags, partial=(0, 0)):
+        calls.append(np.asarray(lags).tolist())
+        return quadrature.spectral_integral(form, lags, partial=partial)
+
+    monkeypatch.setattr(variogram, "spectral_integral", counting)
+    value = covariance_increment(model, s, t)
+    assert calls == [[s.tolist(), t.tolist(), (s - t).tolist()]]
+    assert value == 0.5 * (expected[0] + expected[1] - expected[2])
+
+
 def test_covariance_brownian_is_min():
     # C(s, t) = min(s, t) for Brownian motion on the half line
     bm = fbm(0.5, 1)
