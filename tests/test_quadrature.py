@@ -248,7 +248,7 @@ def test_tiny_numeric_axis_component_warns_nothing():
 def test_lags_out_of_float_range_warn_nothing():
     # the refused lags overflow and divide 0 by 0 on their way to the
     # refusal, and the gradients' scales v / |h_axis| divide by a tiny
-    # component; all of that stays quiet, and each refusal still comes
+    # component; all of that stays quiet, and each refusal still happens
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         test_lags_out_of_float_range_raise_quadrature_error()
@@ -275,8 +275,8 @@ def _public(model, lag, axis, order):
 ], ids=["fbm", "canonical-closed", "canonical-1.5-0.8", "canonical-0.7-1.3", "stein"])
 def test_tiny_components_are_certified_or_refused(model, order):
     # a tiny component on the axis other than the partial's: each result
-    # lies within its err of the h_j = 0 value, an err within the default
-    # rel_tol of that value, or is refused naming its lag
+    # lies within its err of the h_j = 0 value, with err within the default
+    # rel_tol of it, or is refused naming its lag
     hurst = smoothness_exponents(model).h
     for axis in (0, 1):
         if order == 2 and not hurst[axis] > 1:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from tensor_rule import tensor_integral
 
-from anisofield import quadrature
+from anisofield import quadrature, variogram
 from anisofield.errors import ModelError, QuadratureError
 from anisofield.models import (canonical_c, fbm, laplace_form,
                                smoothness_exponents, stein)
@@ -76,7 +76,6 @@ def test_covariance_pinned_conventions():
 
 
 def test_covariance_increment_runs_one_integral(monkeypatch):
-    from anisofield import variogram
     model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
     s, t = np.array([0.4, -0.2]), np.array([-0.3, 0.5])
     expected = [variogram_numeric(model, lag)[0] for lag in (s, t, s - t)]
