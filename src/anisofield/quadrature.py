@@ -11,36 +11,31 @@ factors (cosines, sines and 2 sin^2 half-angle terms), so the integral
 folds onto the positive orthant with weight 2^N.
 
 Every family's density is prefactor * int_0^inf m(t) e^{-t S} dt with
-S = sum_j a_j(|lambda_j|) (see ``models.laplace_form``), and e^{-t S}
-factors over the axes, so the N-dimensional integral becomes one
-integral over t of products of 1-D transforms of e^{-t a_j}.  Axes with
-a_j = c lambda or c lambda^2 have those transforms in closed form; any
-other axis (a numeric axis) gets them from the 1-D rule below, for all
-t nodes at once.  The cost is O(n_t N n_lambda) in every dimension
-N >= 1, with no node cap.
+S = sum_j a_j(|lambda_j|) (see ``models.laplace_form``).  fbm, whose
+weight m has no decay (rate 0), has every integral in closed form
+(|h|^(2H) and its partials).  For the others e^{-t S} factors over the
+axes, so the N-dimensional integral becomes one integral over t of
+products of 1-D transforms of e^{-t a_j}: in closed form where
+a_j = c lambda or c lambda^2, from the 1-D rule below on any other
+(numeric) axis, for all t nodes at once.  The cost is O(n_t N n_lambda)
+in every dimension N >= 1, with no node cap.
 
-The engine integrates a batch of lags, a block of rows at a time.  When
-the Laplace weight decays (rate > 0), every row has the same upper end
-T, so the block shares one t grid: the body nodes scaled by T, then one
-end column per distinct lower end t0, then T.  The t-only factors (log t,
-the weight, and a closed-form axis's log E and powers of t) are computed
-once on that grid; only the lag-dependent ratios, the exponential and
-the weighted sums run per (lag x t node).  Each row reads its own t0
-column and gives the body nodes below its t0 zero weight, so it keeps
-the t nodes it would have alone and sums in node order: its result does
-not depend on the batch.  fbm (rate 0) sets T from each lag's time
-scale and keeps a grid per row.
+The engine integrates a batch of lags, a block of rows at a time.  Every
+row has the same upper end T, so the block shares one t grid: the body
+nodes scaled by T, then one end column per distinct lower end t0, then
+T.  The t-only factors are computed once on that grid.  Each row reads
+its own t0 column and gives the body nodes below its t0 zero weight, so
+its result does not depend on the batch.
 
-The 1-D rule of a numeric axis splits it at a truncation point L that
-the axis's own lag component sets (L = 64/|h_j|, 256/|h_j| for the
-partials).  The inner interval [0, L] is covered by dyadically graded
-Gauss-Legendre panels (the grading resolves the behaviour near the
-origin), with panel widths capped by the local oscillation wavelength.
-The outer interval (L, inf) is mapped to u in (0, 1] via lambda = L/u
-and integrated on its own graded panels; there an oscillatory factor is
-replaced by its two integration-by-parts boundary terms.  No setting
-shapes this rule or the t rule: ``QuadratureSpec`` holds only the
-tolerance that :func:`certify` holds each error estimate to.
+The 1-D rule of a numeric axis splits it at a truncation point L, set by
+the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
+no further out than lam_hi, where the weight has vanished.  Dyadically
+graded Gauss-Legendre panels, no wider than the oscillation wavelength,
+cover [0, L]; (L, inf) is mapped to u in (0, 1] via lambda = L/u, and
+there an oscillatory factor is replaced by its two integration-by-parts
+boundary terms, or, at L = lam_hi, charged its mass.  No setting shapes
+either rule: ``QuadratureSpec`` holds only the tolerance that
+:func:`certify` holds each error estimate to.
 
 Each error estimate combines the difference between two Gauss orders,
 the integration-by-parts terms and the charges at both ends of the t
@@ -55,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, QuadratureError
+from .models import normalize_fbm_constant
 
 # The Gauss-Legendre rules of the orders in use, exactly as numpy's leggauss
 # gives them: the nodes >= 0 in increasing order and their weights.  Each
@@ -199,7 +195,7 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     which has no cancellation at small lags, and its partials in h_j fold
     to lambda_j sin(h_j lambda_j) prod_{b!=j} cos(h_b lambda_b) (first)
     and lambda_j^2 prod_b cos(h_b lambda_b) (second).  Every order goes
-    through the Laplace engine, in any number of dimensions.
+    through the Laplace engine in any dimension; fbm's are closed forms.
 
     Parameters
     ----------
@@ -245,12 +241,17 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     # the increment vanishes at h = 0 and the first partial at h_axis = 0
     live = np.flatnonzero(rows[:, axis] != 0 if order == 1
                           else np.any(rows != 0, axis=1) | (order == 2))
+    # only fbm's weight has no decay (rate 0), and it has closed forms
+    engine = _fbm_increment if form.rate == 0 else _laplace_increment
     # a lag whose time scales or transforms leave the float range is
     # refused by name (_refuse), so its overflows and 0/0 warn nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, live.size, _BLOCK_ROWS):
             idx = live[start:start + _BLOCK_ROWS]
-            values[idx], errs[idx] = _laplace_increment(form, rows[idx], axis, order)
+            values[idx], errs[idx] = engine(form, rows[idx], axis, order)
+            # a transform whose squares under- or overflow leaves a NaN or an inf
+            _refuse(rows[idx], ~(np.isfinite(values[idx]) & np.isfinite(errs[idx])),
+                    "the value or its error estimate is not finite")
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
 
@@ -265,11 +266,9 @@ _LAPLACE_ORDERS = ((8, 12), (5, 7), (6, 7))
 _T_EPS = 1e-9
 # e-folds of the weight's e^{-rate t} covered by the t rule.
 _T_EFOLDS = 40.0
-# Terms of the analytic power-law tail above the upper end (rate 0).
-_TAIL_TERMS = 8
 # Lags integrated together; bounds the (lags x t nodes) work arrays.
 _BLOCK_ROWS = 128
-# The smallest positive normal float; t0 and T must reach it.
+# The smallest positive normal float; t0 must reach it.
 _TINY = np.finfo(float).tiny
 
 
@@ -329,28 +328,34 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     2 sin^2(h l / 2), l^k cos(h l - k pi/2) (l^2 cos for k = 2) and l^k
     against e^{-t a(l)} over l > 0.  The ratios are C/E and D/E without
     a moment and K_k/E and P_k/E with moment k, as in _closed_axis.  One
-    matrix product covers all t of a row's ``used`` columns (the others
-    keep log E = 0, ratios 1 and 0 and no tail error).  The graded
-    panels reach down to where e^{-t_hi a} is flat and up to where
-    e^{-t_lo a} has vanished; beyond the truncation L an oscillatory
-    factor is replaced by its two integration-by-parts boundary terms.
+    matrix product covers a row's ``used`` columns of the grid ``t`` (the
+    others keep log E = 0, ratios 1 and 0 and no tail error).  The panels
+    reach from where e^{-t_hi a} is flat to lam_hi, where e^{-t_lo a} has
+    vanished; beyond L < lam_hi an oscillatory factor is replaced by its
+    integration-by-parts terms, and at L = lam_hi by the outer mass,
+    charged to err: nothing divides by h.
     """
-    out = [np.zeros(t.shape), np.ones(t.shape), np.zeros(t.shape), np.zeros(t.shape)]
+    out = [np.zeros(used.shape), np.ones(used.shape), *np.zeros((2, *used.shape))]
     inv = 1.0 / axis.growth
     k = moment or 0
     phase = 0.5 * math.pi if k == 1 else 0.0
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
     rule = _gauss(order)
+    lam_lo = 1e-4 * (axis.coef * t_hi) ** -inv
     for i, (h, cols) in enumerate(zip(lags, used)):
-        L = 64.0 if h == 0 else min(1e12, reach / abs(float(h)))
-        lam_lo = 1e-4 * (axis.coef * t_hi[i]) ** -inv
         lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
+        L = 64.0 if h == 0 else min(reach / abs(float(h)), lam_hi)
+        # a weight that outlasts the floats, or a tail whose (0.02 L)^2
+        # overflows, leaves the row out of range: refused (_refuse)
+        if lam_hi == math.inf or 1e150 < L < lam_hi:
+            out[0][i, cols] = math.nan
+            continue
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
         depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
         lam_in, w_in = _inner_axis(_inner_panels(L, h, depth_in), rule)
         lam_out, w_out = _outer_axis(L, depth_out, rule)
-        row = t[i, cols]
+        row = t[cols]
         decay_out = np.exp(-row[:, None] * axis.term(lam_out))
         outer = decay_out @ w_out
         weights = [w_in] + ([w_in * lam_in**k] if k else [])
@@ -362,13 +367,15 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
         sums = np.exp(-row[:, None] * axis.term(lam_in)) @ np.stack(weights, axis=1)
         E = sums[:, 0] + outer
         out[0][i, cols] = np.log(E)
+        outer_k = decay_out @ (w_out * lam_out**k) if k else outer
         if k:
-            out[2][i, cols] = (sums[:, 1] + decay_out @ (w_out * lam_out**k)) / E
+            out[2][i, cols] = (sums[:, 1] + outer_k) / E
             if h == 0:  # K_2 = P_2; no first partial has h = 0
                 out[1][i, cols] = out[2][i, cols]
         if h != 0:
-            corr, err = _tail_ibp(lambda lam: lam**k * np.exp(-row * axis.term(lam)),
-                                  L, h, phase)
+            # where the weight has vanished at L, the outer mass bounds the rest
+            corr, err = (_tail_ibp(lambda lam: lam**k * np.exp(-row * axis.term(lam)),
+                                   L, h, phase) if L < lam_hi else (0.0, outer_k))
             if moment is None:
                 out[1][i, cols] = (sums[:, 1] + corr) / E
                 out[2][i, cols] = (sums[:, 2] + outer - corr) / E
@@ -378,9 +385,62 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     return out
 
 
+def _check_moments(lap, lags, axis, order):
+    """ModelError unless the density, and for order 2 with some h_axis = 0 its
+    second moment, is integrable; returns the power p of the small-t law
+    A t^(p - 1) of the kernel (of the second partial at h_axis = 0)."""
+    inv = [1.0 / ax.growth for ax in lap.axes]
+    margin = lap.power - sum(inv)
+    if not margin > 0:
+        raise ModelError("density is not integrable: its Laplace weight power "
+                         f"{lap.power:g} must exceed sum(1/beta) = {sum(inv):g}")
+    # at h_axis = 0, l_axis^2 lowers the power by 2/beta_axis
+    lead_power = margin - 2.0 * inv[axis] if order == 2 else margin
+    if not lead_power > 0 and np.any(lags[:, axis] == 0):
+        raise ModelError(f"the second spectral moment along axis {axis} diverges: "
+                         f"{margin:g} must exceed 2/beta = {2.0 * inv[axis]:g}")
+    return lead_power
+
+
+def _fbm_increment(lap, lags, axis=0, order=0):
+    """_laplace_increment for the rate-0 form (fbm), in closed form.
+
+    With g_j = h_j / sqrt(coef_j), r = |g|, u = g_axis / r and
+    H = power - N/2, the partial of order k is
+    prefactor r^(2H - k) phi_k / (2 c(H, N) coef_axis^(k/2) prod_j sqrt(coef_j)),
+    phi = (1, 2H u, 2H (1 + (2H - 2) u^2)), c from normalize_fbm_constant.
+    r = max|g| |g / max|g|| is the only power of |g| formed, so nothing
+    leaves the float range before the result.  err: half the result's
+    spread over H +- 4 eps power (inside (0, 1)), H carrying the rounding
+    of power, plus 16 eps of the result.
+    """
+    _check_moments(lap, lags, axis, order)
+    hurst = lap.power - 0.5 * len(lap.axes)
+    if any(ax.kind != "power" or ax.expo != 2.0 for ax in lap.axes) or not hurst < 1:
+        raise ModelError("a Laplace weight without decay needs Gaussian axes "
+                         "and a margin below 1")
+    g = lags / np.sqrt([ax.coef for ax in lap.axes])
+    top = np.max(np.abs(g), axis=1)
+    r = top * np.linalg.norm(g / top[:, None], axis=1)
+    u = g[:, axis] / r
+    scale = lap.prefactor / (2.0 * math.prod(math.sqrt(ax.coef) for ax in lap.axes)
+                             * lap.axes[axis].coef ** (0.5 * order))
+
+    def result(H):
+        phi = (1.0, 2.0 * H * u, 2.0 * H * (1.0 + (2.0 * H - 2.0) * u**2))[order]
+        return scale / normalize_fbm_constant(H, len(lap.axes)) * r ** (2.0 * H - order) * phi
+
+    eps = np.finfo(float).eps
+    delta = 4.0 * eps * lap.power
+    value = result(hurst)
+    err = 0.5 * np.abs(result(min(hurst + delta, 0.5 + 0.5 * hurst))
+                       - result(max(hurst - delta, 0.5 * hurst))) + 16.0 * eps * np.abs(value)
+    return value, err
+
+
 def _laplace_increment(lap, lags, axis=0, order=0):
     """int_{R^N} K f dlambda through the Laplace form, K the increment kernel
-    or its ``order``-th partial in h_axis.
+    or its ``order``-th partial in h_axis; the weight must decay (rate > 0).
 
     One value and error estimate per row h of ``lags`` (none zero for
     order 0, none with h_axis = 0 for order 1).  With
@@ -396,10 +456,10 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     where E_j, C_j, D_j and K_k,j are the per-axis transforms of 1,
     cos(h_j l), 2 sin^2(h_j l / 2) and l^k sin(h_j l) (k = 1) or
     l^2 cos(h_j l) (k = 2) against e^{-t a_j(l)}.  The t integral runs
-    on dyadic panels over [t0, T].  One rule sets t0 for every order:
-    1e-8 times the largest lagged time scale max_j |h_j|^beta_j / coef_j
-    (infinite at h = 0), lowered so that rate t0 and each axis shift
-    stay below _T_EPS.
+    on dyadic panels over [t0, T], T = (_T_EFOLDS + 2 power) / rate.
+    One rule sets t0 for every order: 1e-8 times the largest lagged time
+    scale max_j |h_j|^beta_j / coef_j (infinite at h = 0), lowered so
+    that rate t0 and each axis shift stay below _T_EPS.
 
     Below t0 the increment kernel, and the second partial at h = 0, are
     their small-t power law A t^(p - 1), integrated exactly; the
@@ -415,25 +475,15 @@ def _laplace_increment(lap, lags, axis=0, order=0):
 
     Above T the weight's e^{-rate t} bounds the rest against the
     decreasing envelope of the integrand (E_b, and P_k for the partial's
-    own axis), or, at rate 0 (where every axis is Gaussian), the
-    integrand is expanded in powers of 1/t and integrated term by term.
-    Rows share one t rule, or one t grid at rate > 0 (module docstring).
-    The error estimate adds the difference of two Gauss orders, the
-    axes' integration-by-parts error and both end charges.
+    own axis).  The error estimate adds the difference of two Gauss
+    orders, the axes' integration-by-parts error and both end charges.
     """
     axes = lap.axes
     n = len(axes)
     inv = [1.0 / ax.growth for ax in axes]
-    margin = lap.power - sum(inv)
-    if not margin > 0:
-        raise ModelError("density is not integrable: its Laplace weight power "
-                         f"{lap.power:g} must exceed sum(1/beta) = {sum(inv):g}")
     # the small-t power law of the increment, and of the second partial at
-    # h_axis = 0, where l_axis^2 lowers it by 2/beta_axis
-    lead_power = margin - 2.0 * inv[axis] if order == 2 else margin
-    if not lead_power > 0 and np.any(lags[:, axis] == 0):
-        raise ModelError(f"the second spectral moment along axis {axis} diverges: "
-                         f"{margin:g} must exceed 2/beta = {2.0 * inv[axis]:g}")
+    # h_axis = 0
+    lead_power = _check_moments(lap, lags, axis, order)
     log_pref = math.log(lap.prefactor) + n * math.log(2.0) - math.lgamma(lap.power)
     log_lead = log_pref + sum(math.lgamma(1.0 + i) - i * math.log(ax.coef)
                               for i, ax in zip(inv, axes))
@@ -444,47 +494,32 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     # Lower end: every neglected relative term (rate t, C/E on the
     # longest-lag axis, the shift of a shifted axis) is below _T_EPS.
     top = np.max([np.abs(h) ** ax.growth / ax.coef for h, ax in zip(lags.T, axes)], axis=0)
-    t0 = np.where(np.any(lags != 0, axis=1), 1e-8 * top, math.inf)
-    if lap.rate > 0:
-        t0 = np.minimum(t0, _T_EPS / lap.rate)
+    t0 = np.minimum(np.where(np.any(lags != 0, axis=1), 1e-8 * top, math.inf),
+                    _T_EPS / lap.rate)
     for ax in axes:
         if ax.kind == "shifted":
             t0 = np.minimum(t0, (_T_EPS / (ax.expo * ax.shift)) ** ax.expo / ax.coef)
-    if lap.rate > 0:
-        T = np.full(len(lags), (_T_EFOLDS + 2.0 * lap.power) / lap.rate)
-        cap = 4.0 / lap.rate
-    else:
-        if any(ax.kind != "power" or ax.expo != 2.0 for ax in axes) or margin >= 1:
-            raise ModelError("a Laplace weight without decay needs Gaussian axes "
-                             "and a margin below 1")
-        lag_time = sum(lags[:, j]**2 / (4.0 * ax.coef) for j, ax in enumerate(axes))
-        T = 100.0 * lag_time
-        cap = math.inf
+    T = (_T_EFOLDS + 2.0 * lap.power) / lap.rate
     # a time scale |h_j|^beta / coef beyond the float range leaves no t rule
-    _refuse(lags, ~((t0 >= _TINY) & (T >= _TINY) & (np.maximum(t0, T) < math.inf)),
+    _refuse(lags, ~((t0 >= _TINY) & (T / t0 < math.inf)),
             "a time scale |h_j|^beta / coef of the lag under- or overflows")
     levels = np.maximum(1, np.ceil(np.log2(T / t0))).astype(int)
     t0 = T * 2.0**-levels
 
+    # the batch shares one t grid: the body nodes, then each distinct t0,
+    # then T; a row reads its own t0 column
     n_rows = len(lags)
-    if lap.rate > 0:
-        # every row has the same T, so the batch shares one t grid: the body
-        # nodes, then each distinct t0, then T; a row reads its own t0 column
-        distinct, lo_col = (np.unique(levels, return_inverse=True) if n_rows > 1
-                            else (levels, np.zeros(1, int)))
-        span, lows = T[:1], T[:1] * 2.0**-distinct
-    else:
-        # T follows each lag's time scale, so each row has its own grid
-        span, lows, lo_col = T, t0, np.zeros(n_rows, int)
-    ends = np.concatenate([lows.reshape(len(span), -1), span[:, None]], axis=1)
+    distinct, lo_col = (np.unique(levels, return_inverse=True) if n_rows > 1
+                        else (levels, np.zeros(1, int)))
+    ends = np.append(T * 2.0**-distinct, T)
 
     def one_pass(t_order, lam_order):
         # the rule on [t0, T] is T times the rule on [2^-levels, 1]
-        t, w, level = _t_rule(int(levels.max()), cap / T[0], t_order)
+        t, w, level = _t_rule(int(levels.max()), 4.0 / lap.rate / T, t_order)
         n_body, lo = len(t), len(t) + lo_col
         body = level <= levels[:, None]
-        w = span[:, None] * w * body
-        t = np.concatenate([span[:, None] * t, ends], axis=1)
+        w = T * w * body
+        t = np.concatenate([T * t, ends])[None]  # one row, shared
         log_t = np.log(t)
         log_f = log_pref + (lap.power - 1.0) * log_t - lap.rate * t
         ratio, carry, ibp, envelope, used = 0.0, 1.0, 0.0, 1.0, None
@@ -499,8 +534,7 @@ def _laplace_increment(lap, lags, axis=0, order=0):
                     used = np.zeros((n_rows, t.shape[1]), bool)
                     used[:, :n_body] = body
                     used[np.arange(n_rows), lo] = used[:, -1] = True
-                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, np.broadcast_to(t, used.shape),
-                                                     used, lam_order, t0, T, moment)
+                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t[0], used, lam_order, t0, T, moment)
             log_f = log_f + log_e
             if order == 0:
                 ibp = ibp + e_r
@@ -518,10 +552,9 @@ def _laplace_increment(lap, lags, axis=0, order=0):
         # sums run in node order, which the zero weights cannot change
         ibp_err = np.cumsum(w * (scale * ibp)[:, :n_body], axis=1)[:, -1] if np.ndim(ibp) else 0
         f_hi = F[:, -1] if order == 0 else (scale * envelope)[:, -1]
-        return (np.cumsum(w * F[:, :n_body], axis=1)[:, -1], ibp_err,
-                F[np.arange(n_rows), lo], f_hi, log_f[:, -1])
+        return np.cumsum(w * F[:, :n_body], axis=1)[:, -1], ibp_err, F[np.arange(n_rows), lo], f_hi
 
-    value, ibp_err, f_lo, f_hi, log_f_hi = one_pass(*_LAPLACE_ORDERS[0])
+    value, ibp_err, f_lo, f_hi = one_pass(*_LAPLACE_ORDERS[0])
     value_lo = one_pass(*_LAPLACE_ORDERS[1 if order == 0 else 2])[0]
     # below t0: the power law, charged with its deviation at t0; for the
     # lagged partials, the bound t0 |F(t0)|
@@ -529,38 +562,10 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     lead = np.exp(log_lead + (lead_power - 1.0) * np.log(t0))
     head = np.divide(lead * t0, lead_power, out=np.zeros_like(t0), where=power_law)
     lower = np.where(power_law, np.abs(f_lo / lead - 1.0) * head, np.abs(f_lo) * t0)
-    err = np.abs(value - value_lo) + ibp_err + lower
-    value += head
-    if lap.rate > 0:
-        # the envelope G decreases in t, and int_T^inf m <= 2 m(T) / rate
-        # because rate T >= 2 (power - 1), so the rest is below 2 G(T) / rate
-        err += 2.0 * f_hi / lap.rate
-    else:
-        # every axis is Gaussian, so m prod E = m(T) prod E(T) (t/T)^q and the
-        # rest is a series in a/t with a = lag_time, integrated term by term:
-        # 1 - e^{-a/t} for the increment, and sum_i c_i t^-i e^{-a/t} for the
-        # partials, c_1 = h / (2 coef) (order 1), or c_1 = 1 / (2 coef) and
-        # c_2 = -h^2 / (4 coef^2) (order 2)
-        q = lap.power - 1.0 - 0.5 * n
-        x = lag_time / T
-        h, coef = lags[:, axis], axes[axis].coef
-        if order == 0:
-            series = [(T, [(-1.0) ** (k + 1) * x**k / (math.factorial(k) * (k - q - 1.0))
-                           for k in range(1, _TAIL_TERMS + 2)])]
-        else:
-            series = [(c_i, [(-x) ** k / (math.factorial(k) * (k + i - 1.0 - q))
-                             for k in range(_TAIL_TERMS + 1)])
-                      for i, c_i in ([(1, h / (2.0 * coef))] if order == 1 else
-                                     [(1, 1.0 / (2.0 * coef)),
-                                      (2, -h**2 / (4.0 * coef**2 * T))])]
-        for weight, terms in series:
-            scale = weight * np.exp(log_f_hi)
-            value += scale * sum(terms[:-1])
-            err += np.abs(scale * terms[-1])
-    # a transform whose squares under- or overflow leaves a NaN or an infinity
-    _refuse(lags, ~(np.isfinite(value) & np.isfinite(err)),
-            "the value or its error estimate is not finite")
-    return value, err
+    # above T: the envelope G decreases in t, and int_T^inf m <= 2 m(T) / rate
+    # because rate T >= 2 (power - 1), so the rest is below 2 G(T) / rate
+    err = np.abs(value - value_lo) + ibp_err + lower + 2.0 * f_hi / lap.rate
+    return value + head, err
 
 
 def _refuse(lags, bad, reason):

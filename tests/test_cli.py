@@ -308,41 +308,59 @@ def test_exit_code_1_for_unknown_suite(capsys):
     assert "unknown verify suite" in capsys.readouterr().err
 
 
+# The CSV keeps 10 significant digits: half a unit in the last of them.
+CSV_ROUNDING = 5e-10
+
+
 def test_exit_code_2_for_quadrature_failure(tmp_path, bm_model, capsys):
-    # near-zero lag with a tight tolerance cannot be certified
+    # near-zero lag with a tight tolerance cannot be certified (err 2.1e-11)
+    model = tmp_path / "matern.json"
+    write_json(model, model_to_dict(canonical_c((2.0,), 1.0)))
     lags_path = tmp_path / "lags.csv"
     write_csv(lags_path, ["h_1"], [[1e-4]])
-    assert main(["variogram", "--model", bm_model, "--lags", str(lags_path),
-                 "--rel-tol", "1e-12", "--out", str(tmp_path / "v.csv")]) == 2
+    out = tmp_path / "v.csv"
+    args = ["--lags", str(lags_path), "--rel-tol", "1e-12", "--out", str(out)]
+    assert main(["variogram", "--model", str(model)] + args) == 2
     assert "error:" in capsys.readouterr().err
+    # Brownian motion's closed form meets that tolerance: v = |h|
+    assert main(["variogram", "--model", bm_model] + args) == 0
+    _, value, err = read_csv(out, min_columns=3)[0]
+    assert abs(value - 1e-4) <= err + CSV_ROUNDING * 1e-4
 
 
 def test_exit_code_2_for_a_lag_out_of_float_range(tmp_path, capsys):
     # the time scale |h|^2 of a 1e-200 lag underflows
-    model = tmp_path / "fbm2.json"
-    write_json(model, model_to_dict(fbm(0.4, 2)))
+    model, fbm_model = tmp_path / "plane.json", tmp_path / "fbm2.json"
+    write_json(model, model_to_dict(canonical_c((1.0, 2.0), 4.0)))
+    write_json(fbm_model, model_to_dict(fbm(0.4, 2)))
     lags_path = tmp_path / "lags.csv"
     write_csv(lags_path, ["h_1", "h_2"], [[0.5, 0.5], [1e-200, 1e-200]])
-    assert main(["variogram", "--model", str(model), "--lags", str(lags_path),
-                 "--out", str(tmp_path / "v.csv")]) == 2
+    out = tmp_path / "v.csv"
+    args = ["--lags", str(lags_path), "--out", str(out)]
+    assert main(["variogram", "--model", str(model)] + args) == 2
     assert "[1e-200, 1e-200]" in capsys.readouterr().err
+    # fbm's closed form has no time scale: |h|^0.8 = 2^0.4 1e-160
+    assert main(["variogram", "--model", str(fbm_model)] + args) == 0
+    _, _, value, err = read_csv(out, min_columns=4)[1]
+    assert abs(value - 2.0**0.4 * 1e-160) <= err + CSV_ROUNDING * 2.0**0.4 * 1e-160
 
 
 @pytest.mark.parametrize("model, lag", [
     (canonical_c((1.5, 0.8), 4.0), [0.6, 1e-60]),
     (canonical_c((0.7, 1.3), 5.0), [1e-30, 0.6]),
 ])
-def test_exit_code_2_for_an_uncertified_beta_below_one_lag(tmp_path, model, lag, capsys):
-    # these lags once came out 0 with a huge err and were written with exit 0
+def test_a_beta_below_one_lag_next_to_a_tiny_component_is_written(tmp_path, model, lag):
+    # these lags once came out 0 with a huge err, and then were refused;
+    # each is certified within its err of the tiny component's 0
     model_path = tmp_path / "model.json"
     write_json(model_path, model_to_dict(model))
     lags_path = tmp_path / "lags.csv"
-    write_csv(lags_path, ["h_1", "h_2"], [[0.5, 0.5], lag])
+    write_csv(lags_path, ["h_1", "h_2"], [lag, [x if x > 0.1 else 0.0 for x in lag]])
     out = tmp_path / "v.csv"
     assert main(["variogram", "--model", str(model_path), "--lags", str(lags_path),
-                 "--out", str(out)]) == 2
-    assert str(lag) in capsys.readouterr().err
-    assert not out.exists()
+                 "--out", str(out)]) == 0
+    (_, _, value, err), (_, _, ref, _) = read_csv(out, min_columns=4)
+    assert abs(value - ref) <= err + CSV_ROUNDING * (value + ref)
 
 
 def test_exit_code_3_for_missing_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ from anisofield.errors import ModelError
 from anisofield.kriging import (Observations, krige, krige_many,
                                 prediction_error_envelope,
                                 scaling_exponent_check)
-from anisofield.models import canonical_c, fbm, smoothness_exponents
+from anisofield.models import canonical_c, fbm, smoothness_exponents, stein
 from anisofield.quadrature import QuadratureSpec
 from anisofield.variogram import covariance_increment, variogram_numeric
 
@@ -300,3 +300,13 @@ def test_scaling_rejects_smooth_axis():
         scaling_exponent_check(model, 0)
     with pytest.raises(ModelError):
         scaling_exponent_check(model, 5)
+
+
+def test_site_rounding_next_to_a_low_growth_numeric_axis_is_predicted():
+    # 0.1 + 0.2 leaves a -5.55e-17 lag component on the alpha = 0.45 axis,
+    # once refused there; the prediction is that of the exact site 0.3
+    model = stein((1.0, 1.0), (1.0, 2.0), (1.4, 0.45), 2.0)
+    predictions = [krige_many(Observations(sites=[[0.5, y], [0.9, 0.3]], values=[1.0, 0.7],
+                                           model=model), [[0.7, 0.3]])[0].prediction
+                   for y in (0.1 + 0.2, 0.3)]
+    assert predictions[0] == pytest.approx(predictions[1], rel=1e-9)

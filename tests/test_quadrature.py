@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import kv
 from tensor_rule import tensor_integral
 
 from anisofield.errors import ModelError, QuadratureError
@@ -73,16 +74,42 @@ def test_spacetime_lags_all_evaluate_and_match_tensor():
     assert compared < len(lags)
 
 
+def _matern(dims, gamma, lag):
+    """Exact v(h) and gradient of canonical_c((2,) * dims, gamma): its
+    covariance is C(r) = (2 pi)^(N/2) 2^(1 - gamma) / Gamma(gamma) r^nu K_nu(r),
+    nu = gamma - N/2, with d/dr (r^nu K_nu) = -r^nu K_(nu - 1)."""
+    nu, r = gamma - 0.5 * dims, np.linalg.norm(lag)
+    const = (2.0 * math.pi) ** (0.5 * dims) * 2.0 ** (1.0 - gamma) / math.gamma(gamma)
+    c0 = const * math.gamma(nu) * 2.0 ** (nu - 1.0)  # r^nu K_nu -> Gamma(nu) 2^(nu-1)
+    value = 2.0 * (c0 - const * r**nu * kv(nu, r))
+    return value, 2.0 * const * r ** (nu - 1.0) * kv(nu - 1.0, r) * np.asarray(lag)
+
+
+@pytest.mark.parametrize("dims, gamma", [(1, 1.0), (2, 2.0), (3, 2.5), (4, 3.5), (6, 4.0)])
+def test_engine_matches_the_matern_closed_form(dims, gamma):
+    # canonical_c with Gaussian axes is the Matern family: the engine's
+    # exact oracle in every dimension, for values and gradients
+    model = canonical_c((2.0,) * dims, gamma)
+    rng = np.random.default_rng(dims)
+    for lag in rng.uniform(-1.0, 1.0, (4, dims)) * np.array([[0.05], [0.5], [1.0], [3.0]]):
+        exact, grad = _matern(dims, gamma, lag)
+        value, err = variogram_numeric(model, lag)
+        assert abs(value - exact) <= err <= 1e-6 * value
+        for axis in range(dims):
+            value, err = _engine(model, lag, (axis, 1))
+            assert abs(2.0 * value - grad[axis]) <= 2.0 * err <= 1e-6 * abs(grad[axis])
+
+
 def test_order_zero_has_no_dimension_limit():
-    model = fbm(0.6, 4)
+    model = canonical_c((2.0,) * 4, 3.5)
     for lag in ((0.3, 0.2, 0.5, 0.1), (1.0, 0.0, 0.0, 0.01)):
         value, err = variogram_numeric(model, np.array(lag))
-        assert value == pytest.approx(np.linalg.norm(lag) ** 1.2, rel=1e-6)
+        assert value == pytest.approx(_matern(4, 3.5, lag)[0], rel=1e-6)
         assert err <= 1e-6 * value
     lag = np.array((0.3, 0.2, 0.5, 0.1))
+    exact = _matern(4, 3.5, lag)[1]
     for axis in range(4):
-        exact = 1.2 * np.linalg.norm(lag) ** -0.8 * lag[axis]
-        assert variogram_gradient(model, axis, lag) == pytest.approx(exact, rel=1e-9)
+        assert variogram_gradient(model, axis, lag) == pytest.approx(exact[axis], rel=1e-9)
 
 
 def test_engine_rejects_a_non_integrable_density():
@@ -203,14 +230,22 @@ def test_tabulated_gauss_rules_equal_leggauss():
 
 def test_lags_out_of_float_range_raise_quadrature_error():
     # time scales |h_j|^beta / coef that under- or overflow: an empty t rule
-    # (fbm, stein) and squares that vanish into 0/0 (canonical_c)
-    for model, lag in ((fbm(0.4, 2), (1e-200, 1e-200)),
-                       (canonical_c((1.0, 2.0), 4.0), (1e-200, 1e-200)),
+    # (stein), a t span T / t0 or a numeric axis's lam_hi beyond the floats
+    # (canonical_c (1.5, 1.5), whose 1e-8 |h|^1.5 nears the smallest float),
+    # a tail whose (0.02 L)^2 overflows (canonical_c (1.5, 0.8)) and squares
+    # that vanish into 0/0 (canonical_c (1, 2))
+    for model, lag in ((canonical_c((1.0, 2.0), 4.0), (1e-200, 1e-200)),
                        (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0), (1e-200, 1e-200)),
-                       (fbm(0.4, 2), (1e160, 1e160)),
+                       (canonical_c((1.5, 1.5), 4.0), (4e-200, 4e-200)),
+                       (canonical_c((1.5, 1.5), 4.0), (9.65e-200, 0.0)),
+                       (canonical_c((1.5, 0.8), 4.0), (1e-190, 1e-190)),
                        (canonical_c((1.0, 2.0), 4.0), (1e300, 1e300))):
         with pytest.raises(QuadratureError, match=re.escape(str(list(lag)))):
             variogram_numeric(model, lag)
+    # fbm's closed form needs no time scale: |(s, s)|^0.8 = 2^0.4 s^0.8 at both ends
+    for s in (1e-200, 1e160):
+        value, err = variogram_numeric(fbm(0.4, 2), (s, s))
+        assert abs(value - 2.0**0.4 * s**0.8) <= err <= 1e-6 * value
     # a partial's t0 follows its largest lagged component, so a tiny one is
     # certified: v'_0 = 0.8 |h|^-1.2 h_0 for fbm(0.4), and the (0, 1) value
     value, err = _engine(fbm(0.4, 2), (1e-150, 1.0), (0, 1))
@@ -296,18 +331,36 @@ def test_tiny_components_are_certified_or_refused(model, order):
                 assert abs(value - ref) <= err <= 0.05 * abs(ref)
 
 
-def test_beta_below_one_numeric_axis_next_to_a_tiny_component_is_refused():
-    # the beta < 1 axis's truncation stops at its cap while its weight has
-    # not vanished, so the integration-by-parts tail blows up; the variogram
-    # came out 0.0 with err 5.8e125, and now no order passes it
+def test_beta_below_one_numeric_axis_next_to_a_tiny_component_is_certified():
+    # the beta < 1 axis's truncation once stopped at a cap of 1e12 while its
+    # weight had not vanished, and the integration-by-parts tail blew up
+    # (the variogram came out 0.0 with err 5.8e125); it now stops where the
+    # weight has vanished, and every order lies within err of h_j = 0
     for model, lag, axis in ((canonical_c((1.5, 0.8), 4.0), [0.6, 1e-60], 0),
                              (canonical_c((0.7, 1.3), 5.0), [1e-30, 0.6], 1)):
-        with pytest.raises(QuadratureError, match=re.escape(str(lag))) as info:
-            variogram_table(model, [[0.5, 0.5], lag])
-        assert not info.value.err <= 0.05 * info.value.value
-        for call in (variogram_gradient, derivative_covariance):
-            with pytest.raises(QuadratureError, match=re.escape(str(lag))):
-                call(model, axis, lag)
+        ref_lag = np.where(np.arange(2) == axis, lag, 0.0)
+        table = variogram_table(model, [lag, ref_lag])
+        assert abs(table.values[0] - table.values[1]) <= table.errs[0]
+        for order in (1, 2):
+            value, err = _public(model, lag, axis, order)
+            assert abs(value - _public(model, ref_lag, axis, order)[0]) <= err
+
+
+@pytest.mark.parametrize("model, axis", [
+    (canonical_c((1.5, 0.8), 4.0), 1),
+    (canonical_c((1.5, 0.6), 4.0), 1),
+    (canonical_c((1.5, 0.95), 4.0), 1),
+    (stein((1.0, 1.0), (1.0, 2.0), (1.4, 0.6), 2.0), 1),      # growth 1.2
+    (stein((1.0, 1.0), (1.0, 2.0), (1.4, 0.45), 2.0), 1),
+    (stein((1.0, 1.0), (1.0, 2.0), (0.6, 1.4), 2.0), 0),
+], ids=["canonical-0.8", "canonical-0.6", "canonical-0.95", "stein-0.6", "stein-0.45",
+        "stein-0.6-axis-0"])
+def test_tiny_component_on_a_low_growth_numeric_axis_is_certified(model, axis):
+    # these were refused from a tiny component of 1e-15 ... 1e-45 down
+    ref_lag = np.where(np.arange(2) == axis, 0.0, 0.6)
+    lags = ref_lag + np.outer(10.0 ** -np.arange(6.0, 301.0, 3.0), np.eye(2)[axis])
+    table = variogram_table(model, np.vstack([ref_lag, lags]))
+    assert np.all(np.abs(table.values[1:] - table.values[0]) <= table.errs[1:])
 
 
 def test_certify_holds_each_err_to_rel_tol_times_its_scale():

@@ -60,10 +60,13 @@ def test_variogram_rejects_bad_input():
 
 
 def test_quadrature_error_when_tolerance_unreachable():
-    bm = fbm(0.5, 1)
+    tight = QuadratureSpec(rel_tol=1e-12)
     with pytest.raises(QuadratureError) as info:
-        variogram_numeric(bm, [1e-4], QuadratureSpec(rel_tol=1e-12))
+        variogram_numeric(canonical_c(beta=(2.0,), gamma=1.0), [1e-4], tight)
     assert info.value.err > 0
+    # Brownian motion's closed form meets it: v = |h|
+    value, err = variogram_numeric(fbm(0.5, 1), [1e-4], tight)
+    assert abs(value - 1e-4) <= err
 
 
 def test_covariance_pinned_conventions():
@@ -176,13 +179,17 @@ def test_variogram_table_refuses_non_finite_row_before_integrating(monkeypatch):
 
 
 def test_variogram_table_names_the_uncertifiable_row():
-    model = fbm(0.35, 2)
+    model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
+    lags = [[0.0, 0.0], [0.5, 0.5], [0.2, 0.9]]
     value, err = variogram_numeric(model, [0.5, 0.5])
     assert 0 < err < 1e-6 * value
     with pytest.raises(QuadratureError) as info:
-        variogram_table(model, [[0.0, 0.0], [0.5, 0.5], [0.2, 0.9]],
-                        QuadratureSpec(rel_tol=1e-12))
+        variogram_table(model, lags, QuadratureSpec(rel_tol=1e-12))
     assert (info.value.value, info.value.err) == (value, err)
+    # fbm's closed form certifies every row at that tolerance: |h|^0.7
+    table = variogram_table(fbm(0.35, 2), lags, QuadratureSpec(rel_tol=1e-12))
+    exact = np.linalg.norm(lags, axis=1) ** 0.7
+    assert np.all(np.abs(table.values - exact) <= table.errs)
 
 
 def test_variogram_table_rejects_misaligned_arrays():
