@@ -223,6 +223,8 @@ def estimate_hurst(fs, axis, max_lag=None):
     """
     from .simulate import empirical_variogram
 
+    if not 0 <= axis < fs.grid.ndim:
+        raise ModelError(f"axis must lie in [0, {fs.grid.ndim})")
     spacing = fs.grid.spacing[axis]
     extent = (fs.grid.shape[axis] - 1) * spacing
     cap = max(1, int(np.floor(extent / 8.0 / spacing)))

@@ -265,6 +265,8 @@ def prediction_error_envelope(exponents, sites, u):
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if sites.size == 0:
         sites = sites.reshape(0, len(h))
+    if sites.shape[1:] != (len(h),):
+        raise ModelError("each site must have one coordinate per exponent")
     all_sites = np.vstack([np.zeros((1, len(h))), sites])
     lower = min(
         sum(abs(u[j] - site[j]) ** (2.0 * h[j]) for j in range(len(h)))

@@ -17,8 +17,8 @@ weight m has no decay (rate 0), has every integral in closed form
 axes, so the N-dimensional integral becomes one integral over t of
 products of 1-D transforms of e^{-t a_j}: in closed form where
 a_j = c lambda or c lambda^2, from the 1-D rule below on any other
-(numeric) axis, for all t nodes at once.  The cost is O(n_t N n_lambda)
-in every dimension N >= 1, with no node cap.
+(numeric) axis, for a block of t nodes at a time.  The cost is
+O(n_t N n_lambda) in every dimension N >= 1, with no node cap.
 
 The engine integrates a batch of lags, a block of rows at a time.  Every
 row has the same upper end T, so the block shares one t grid: the body
@@ -29,13 +29,16 @@ its result does not depend on the batch.
 
 The 1-D rule of a numeric axis splits it at a truncation point L, set by
 the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
-no further out than lam_hi, where the weight has vanished.  Dyadically
-graded Gauss-Legendre panels, no wider than the oscillation wavelength,
-cover [0, L]; (L, inf) is mapped to u in (0, 1] via lambda = L/u, and
-there an oscillatory factor is replaced by its two integration-by-parts
-boundary terms, or, at L = lam_hi, charged its mass.  No setting shapes
-either rule: ``QuadratureSpec`` holds only the tolerance that
-:func:`certify` holds each error estimate to.
+no further out than lam_hi, where the weight has vanished.  Both of its
+rules, like the t rule, are one cached Gauss-Legendre rule on dyadically
+graded panels of [0, 1] (``_t_rule``), so none is built per lag: [0, L]
+takes L times the rule whose panels are no wider than 10/reach (the
+oscillation wavelength 10/|h_j| where L = reach/|h_j|), and (L, inf)
+the image of the rule under lambda = L/u.  There an oscillatory factor
+is replaced by its two integration-by-parts boundary terms, or, at
+L = lam_hi, charged its mass.  No setting shapes either rule:
+``QuadratureSpec`` holds only the tolerance that :func:`certify` holds
+each error estimate to.
 
 Each error estimate combines the difference between two Gauss orders,
 the integration-by-parts terms and the charges at both ends of the t
@@ -122,45 +125,31 @@ def certify(values, errs, scales, quad, lags, what):
                               value=float(values[i]), err=float(errs[i]))
 
 
-def _inner_panels(L, freq, depth):
-    """Midpoints and half-widths of the graded panels on [0, L] for one axis."""
-    # Python float division: a subnormal freq gives inf without an overflow warning
-    cap = math.inf if freq == 0 else 10.0 / abs(float(freq))
-    mids, halves = [], []
-    hi = L
-    for level in range(depth + 1):
-        lo = 0.0 if level == depth else hi * 0.5
-        width = hi - lo
-        nsub = 1 if not math.isfinite(cap) or width <= cap else math.ceil(width / cap)
-        edges = np.linspace(lo, hi, nsub + 1)
-        mids.append(0.5 * (edges[1:] + edges[:-1]))
-        halves.append(0.5 * np.diff(edges))
-        hi = lo
-    return np.concatenate(mids), np.concatenate(halves)
+def _dyadic_panels(levels, cap, bottom=False):
+    """Midpoints, half-widths and levels k of the panels [2^-k, 2^(1-k)] of
+    [2^-levels, 1], from 1 down, then with ``bottom`` [0, 2^-levels] at
+    level levels + 1; each panel wider than ``cap`` is split into equal
+    ones.  The package's one dyadic panel builder."""
+    lo = 2.0 ** -np.arange(1.0, levels + 1.0)
+    span = np.append(lo, [lo[-1]] * bottom)  # the bottom panel is as wide as the last
+    count = np.maximum(1, np.ceil(span / cap)).astype(int)
+    width = np.repeat(span / count, count)
+    start = np.repeat(np.append(lo, [0.0] * bottom), count) + width * (
+        np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
+    return start + 0.5 * width, 0.5 * width, np.repeat(np.arange(1, levels + 1 + bottom), count)
 
 
 def _inner_axis(panels, rule):
     """Nodes and weights of the rule (x, w) on [-1, 1] mapped to the panels
-    of _inner_panels."""
-    mid, half = panels
+    (midpoints, half-widths, ...) of _dyadic_panels."""
+    mid, half = panels[:2]
     x, w = rule
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def _outer_axis(L, depth, rule):
-    """Nodes and weights of the rule (x, w) on (L, inf) via the map lambda = L/u."""
-    x, w = rule
-    u_nodes, u_weights = [], []
-    hi = 1.0
-    for _ in range(depth):
-        lo = hi * 0.5
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u_nodes.append(mid + half * x)
-        u_weights.append(half * w)
-        hi = lo
-    u = np.concatenate(u_nodes)
-    wu = np.concatenate(u_weights)
-    return L / u, wu * L / u**2
+def _outer_axis(L, u, w):
+    """The rule (u, w) on (0, 1] mapped to (L, inf) by lambda = L/u."""
+    return L / u, w * L / u**2
 
 
 def _tail_ibp(point_density, L, h, phase):
@@ -268,24 +257,29 @@ _T_EPS = 1e-9
 _T_EFOLDS = 40.0
 # Lags integrated together; bounds the (lags x t nodes) work arrays.
 _BLOCK_ROWS = 128
+# t values per product on a numeric axis; bounds the (t x lambda nodes)
+# work arrays.
+_BLOCK_T = 256
 # The smallest positive normal float; t0 must reach it.
 _TINY = np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=256)
-def _t_rule(levels, cap, order):
-    """GL nodes, weights and levels k on the panels [2^-k, 2^(1-k)] of [2^-levels,
-    1], from 1 down, panels wider than ``cap`` split; read-only, as cached."""
-    lo = 2.0 ** -np.arange(1.0, levels + 1.0)
-    count = np.maximum(1, np.ceil(lo / cap)).astype(int)
-    width = np.repeat(lo / count, count)
-    start = np.repeat(lo, count) + width * (
-        np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
-    nodes, weights = _inner_axis((start + 0.5 * width, 0.5 * width), _gauss(order))
-    rule = nodes, weights, np.repeat(np.arange(1, levels + 1), count * order)
+def _t_rule(levels, cap, order, bottom=False):
+    """GL nodes, weights and levels of the ``order``-point rule on
+    _dyadic_panels(levels, cap, bottom); read-only, as cached."""
+    panels = _dyadic_panels(levels, cap, bottom)
+    rule = *_inner_axis(panels, _gauss(order)), np.repeat(panels[2], order)
     for a in rule:
         a.setflags(write=False)
     return rule
+
+
+def _decay_sums(t, axis, lam, weights):
+    """e^{-t a(lam)} @ weights, formed _BLOCK_T values of t at a time."""
+    a = axis.term(lam)
+    return np.concatenate([np.exp(-t[i:i + _BLOCK_T, None] * a) @ weights
+                           for i in range(0, len(t), _BLOCK_T)])
 
 
 def _closed_axis(axis, h, t, log_t, moment=None):
@@ -328,8 +322,9 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     2 sin^2(h l / 2), l^k cos(h l - k pi/2) (l^2 cos for k = 2) and l^k
     against e^{-t a(l)} over l > 0.  The ratios are C/E and D/E without
     a moment and K_k/E and P_k/E with moment k, as in _closed_axis.  One
-    matrix product covers a row's ``used`` columns of the grid ``t`` (the
-    others keep log E = 0, ratios 1 and 0 and no tail error).  The panels
+    product per rule (_decay_sums) covers a row's ``used`` columns of the
+    grid ``t`` (the others keep log E = 0, ratios 1 and 0 and no tail
+    error).  The panels
     reach from where e^{-t_hi a} is flat to lam_hi, where e^{-t_lo a} has
     vanished; beyond L < lam_hi an oscillatory factor is replaced by its
     integration-by-parts terms, and at L = lam_hi by the outer mass,
@@ -341,7 +336,6 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
     phase = 0.5 * math.pi if k == 1 else 0.0
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
-    rule = _gauss(order)
     lam_lo = 1e-4 * (axis.coef * t_hi) ** -inv
     for i, (h, cols) in enumerate(zip(lags, used)):
         lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
@@ -353,21 +347,22 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
             continue
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
         depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
-        lam_in, w_in = _inner_axis(_inner_panels(L, h, depth_in), rule)
-        lam_out, w_out = _outer_axis(L, depth_out, rule)
+        # L times the unit rule, its panels no wider than 10 L / reach:
+        # 10 / |h|, the wavelength bound, where L = reach / |h|
+        lam_in, w_in = (L * a for a in _t_rule(depth_in, 10.0 / reach, order, True)[:2])
+        lam_out, w_out = _outer_axis(L, *_t_rule(depth_out, math.inf, order)[:2])
         row = t[cols]
-        decay_out = np.exp(-row[:, None] * axis.term(lam_out))
-        outer = decay_out @ w_out
+        outer, outer_k = _decay_sums(row, axis, lam_out,
+                                     np.stack([w_out, w_out * lam_out**k], axis=1)).T
         weights = [w_in] + ([w_in * lam_in**k] if k else [])
         if h != 0 and moment is None:
             x = h * lam_in
             weights += [w_in * np.cos(x), w_in * (2.0 * np.sin(0.5 * x) ** 2)]
         elif h != 0:
             weights.append(w_in * lam_in**k * np.cos(h * lam_in - phase))
-        sums = np.exp(-row[:, None] * axis.term(lam_in)) @ np.stack(weights, axis=1)
+        sums = _decay_sums(row, axis, lam_in, np.stack(weights, axis=1))
         E = sums[:, 0] + outer
         out[0][i, cols] = np.log(E)
-        outer_k = decay_out @ (w_out * lam_out**k) if k else outer
         if k:
             out[2][i, cols] = (sums[:, 1] + outer_k) / E
             if h == 0:  # K_2 = P_2; no first partial has h = 0

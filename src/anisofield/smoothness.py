@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ModelError
 from .models import laplace_form, smoothness_exponents
 from .quadrature import certify, spectral_integral
-from .variogram import variogram_table
+from .variogram import _point_pair, variogram_table
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def ms_derivative_report(model, quad=None, variances=True):
 def cross_covariance(model, axis, s, t, quad=None):
     """Cov(X(s), X'_axis(t)) = (v'_axis(t) + v'_axis(s - t)) / 2."""
     _require_axis_derivative(model, axis)
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    s, t = _point_pair(model, s, t)
     lags = np.array([t, s - t])
     gt, gd = _gradients(model, axis, lags, variogram_table(model, lags, quad).values, quad)
     return 0.5 * (gt + gd)
@@ -134,7 +134,7 @@ def cross_cov_matrix(model, axis, s, t, quad=None):
     stationary derivative covariance (1/2) v''_axis(s - t).  The variograms
     of s, t and s - t give C(s, t) and the scales of the gradients there.
     """
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    s, t = _point_pair(model, s, t)
     lags = np.array([s, t, s - t])
     second = derivative_covariance(model, axis, lags[2], quad)
     v = variogram_table(model, lags, quad).values

@@ -32,9 +32,17 @@ def variogram_numeric(model, h, quad=None):
     return float(table.values[0]), float(table.errs[0])
 
 
+def _point_pair(model, s, t):
+    """s and t as float arrays; ModelError unless each has shape (dims,)."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if s.shape != (model.dims,) or t.shape != (model.dims,):
+        raise ModelError(f"points s and t must each have shape ({model.dims},)")
+    return s, t
+
+
 def covariance_increment(model, s, t, quad=None):
     """Covariance C(s, t) = (v(s) + v(t) - v(s - t)) / 2 of the pinned field."""
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    s, t = _point_pair(model, s, t)
     vs, vt, vst = variogram_table(model, [s, t, s - t], quad).values.tolist()
     return 0.5 * (vs + vt - vst)
 

@@ -18,7 +18,7 @@ from .fractal import (EMPTY, UNDETERMINED, dimension_report,
                       gneiting_dimensions)
 from .kriging import Observations, krige, scaling_exponent_check
 from .models import canonical_c, fbm, smoothness_exponents, stein
-from .quadrature import QuadratureSpec, _gauss
+from .quadrature import QuadratureSpec, _t_rule
 from .simulate import FieldSample, Grid, empirical_variogram, sample_field
 from .smoothness import (cross_cov_matrix, derivative_covariance,
                          ms_derivative_report)
@@ -65,19 +65,11 @@ def suite_fbm():
 
 
 def _partial_density_integral(beta, gamma, radius):
-    # positive-quadrant tensor rule on dyadically graded panels, folded x4
-    per_axis = []
-    for _ in beta:
-        edges = np.concatenate([[0.0], np.geomspace(radius * 2.0**-40, radius, 41)])
-        x, w = _gauss(8)
-        lo, hi = edges[:-1], edges[1:]
-        half = 0.5 * (hi - lo)
-        nodes = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
-        weights = half[:, None] * w[None, :]
-        per_axis.append((nodes.ravel(), weights.ravel()))
-    (x0, w0), (x1, w1) = per_axis
-    dens = (1.0 + x0[:, None] ** beta[0] + x1[None, :] ** beta[1]) ** (-gamma)
-    return 4.0 * float((w0[:, None] * w1[None, :] * dens).sum())
+    # positive-quadrant tensor rule on [0, radius]^2, graded 40 octaves
+    # down so the near-origin mass is resolved, folded x4
+    x, w = (radius * a for a in _t_rule(40, math.inf, 8, True)[:2])
+    dens = (1.0 + x[:, None] ** beta[0] + x[None, :] ** beta[1]) ** (-gamma)
+    return 4.0 * float(w @ dens @ w)
 
 
 def suite_exponents():

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from anisofield.errors import QuadratureError
-from anisofield.quadrature import _inner_axis, _outer_axis, _tail_ibp
+from anisofield.quadrature import _dyadic_panels, _inner_axis, _outer_axis, _tail_ibp
 
 # Dyadic grading depth (octaves below the truncation point / below u = 1)
 # and Gauss-Legendre orders per dimension count.  The low order feeds the
@@ -104,7 +104,7 @@ def tensor_integral(form, freqs, axis=0, order=0, truncation=None, panels=256):
     def one_pass(gauss_order):
         rule = np.polynomial.legendre.leggauss(gauss_order)
         axes_in = [_inner_axis(p, rule) for p in grids]
-        axis_out = _outer_axis(L, depth, rule)
+        axis_out = _outer_axis(L, *_inner_axis(_dyadic_panels(depth, math.inf), rule))
         n_nodes = math.prod(a[0].size for a in axes_in)
         if n_nodes > _MAX_TENSOR_NODES:
             raise QuadratureError(

@@ -172,3 +172,10 @@ def test_hurst_estimate_rejects_degenerate_field():
     fs = FieldSample(grid=grid, values=np.zeros((65, 1)), seed=0)
     with pytest.raises(ModelError, match="degenerate"):
         estimate_hurst(fs, 0)
+
+
+def test_hurst_estimate_rejects_an_axis_outside_the_grid():
+    grid = Grid(origin=(0.0,), spacing=(1.0 / 64,), shape=(65,))
+    fs = FieldSample(grid=grid, values=np.zeros((65, 1)), seed=0)
+    with pytest.raises(ModelError, match="axis"):
+        estimate_hurst(fs, 5)

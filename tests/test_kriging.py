@@ -244,6 +244,12 @@ def test_envelope_vanishes_at_observation_sites():
     assert prediction_error_envelope(exps, sites, [0.0, 0.0]) == (0.0, 0.0)
 
 
+def test_envelope_rejects_sites_of_the_wrong_dimension():
+    exps = smoothness_exponents(canonical_c(beta=(2.0, 2.0), gamma=1.5))
+    with pytest.raises(ModelError, match="coordinate per exponent"):
+        prediction_error_envelope(exps, [[1.0]], [0.1, 0.2])
+
+
 def test_envelope_origin_only_values():
     rough = smoothness_exponents(canonical_c(beta=(2.0, 2.0), gamma=1.5))
     lower, upper = prediction_error_envelope(rough, np.zeros((0, 2)),

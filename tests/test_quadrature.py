@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,11 +13,12 @@ from tensor_rule import tensor_integral
 from anisofield.errors import ModelError, QuadratureError
 from anisofield.models import (canonical_c, fbm, laplace_form,
                                smoothness_exponents, stein)
-from anisofield.quadrature import (_GAUSS_LEGENDRE, QuadratureSpec, _gauss, certify,
-                                   spectral_integral)
+from anisofield.quadrature import (_GAUSS_LEGENDRE, QuadratureSpec, _dyadic_panels, _gauss,
+                                   _outer_axis, _t_rule, certify, spectral_integral)
 from anisofield.smoothness import (derivative_covariance, derivative_variance,
                                    variogram_gradient)
 from anisofield.variogram import variogram_numeric, variogram_table
+from anisofield.verify import run_suites
 
 # the tensor rule with a tight truncation and panel budget
 TIGHT = {"truncation": 4096.0, "panels": 4096}
@@ -217,6 +219,49 @@ def test_shared_t_grid_rows_equal_one_row_calls(model):
             assert (value, err) == spectral_integral(form, lag, partial=partial)
         one = spectral_integral(form, lags[:1], partial=partial)
         assert (one[0][0], one[1][0]) == (values[0], errs[0])
+
+
+@pytest.mark.parametrize("levels, cap", [(1, math.inf), (7, 10.0 / 64.0), (40, math.inf),
+                                         (300, 10.0 / 256.0), (3, 1e-3)])
+def test_unit_rule_with_bottom_panel_tiles_zero_to_one(levels, cap):
+    mid, half, level = _dyadic_panels(levels, cap, True)
+    assert np.all(2.0 * half <= cap)
+    # levels run from 1 down to the bottom panel [0, 2^-levels], and the
+    # panels cover [0, 1] end to end
+    assert level[-1] == levels + 1 and np.all(np.diff(level) >= 0)
+    lo, hi = np.sort(mid - half), np.sort(mid + half)
+    assert lo[0] == 0.0 and hi[-1] == pytest.approx(1.0, rel=4e-16, abs=0.0)
+    assert np.allclose(lo[1:], hi[:-1], rtol=4e-16, atol=0.0)
+    for order in _GAUSS_LEGENDRE:
+        x, w, _ = _t_rule(levels, cap, order, True)
+        assert abs(w.sum() - 1.0) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("depth", [1, 5, 60])
+def test_outer_axis_integrates_inverse_square_over_its_span(depth):
+    for L in (0.3, 64.0, 1e100):
+        for order in _GAUSS_LEGENDRE:
+            lam, w = _outer_axis(L, *_t_rule(depth, math.inf, order)[:2])
+            assert L < lam.min() and lam.max() < 2.0**depth * L
+            assert np.sum(w / lam**2) == pytest.approx((1.0 - 2.0**-depth) / L, rel=1e-14)
+
+
+def test_numeric_axis_work_arrays_stay_bounded():
+    # a lag this small spans hundreds of dyadic levels in t and in lambda;
+    # the t nodes go through e^{-t a(lambda)} a block at a time
+    tracemalloc.start()
+    try:
+        variogram_numeric(stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0), [1e-100, 1e-100])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_exponents_suite_passes():
+    # its divergence check integrates on the shared unit rule
+    (result,) = run_suites(["exponents"])
+    assert result.passed, result.details
 
 
 def test_tabulated_gauss_rules_equal_leggauss():

@@ -254,6 +254,18 @@ def test_cross_covariance_identities():
         assert total == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda s, t: cross_covariance(SMOOTH, 1, s, t),
+    lambda s, t: cross_cov_matrix(SMOOTH, 1, s, t),
+    lambda s, t: covariance_increment(SMOOTH, s, t),
+], ids=["cross_covariance", "cross_cov_matrix", "covariance_increment"])
+def test_points_of_the_wrong_length_raise_model_error(call):
+    # s - t would broadcast a length-1 point against a 2-D one
+    for s, t in (([0.1], [0.2, 0.3]), ([0.2, 0.3], [0.1]), ([0.1, 0.2, 0.3], [0.2, 0.3])):
+        with pytest.raises(ModelError, match=r"shape \(2,\)"):
+            call(s, t)
+
+
 def test_cross_cov_matrix_at_origin():
     matrix = cross_cov_matrix(SMOOTH, 1, np.zeros(2), np.zeros(2))
     assert matrix[0, 0] == 0.0
