@@ -28,8 +28,6 @@ import functools
 import sys
 import types
 
-import numpy as np
-
 from . import __version__
 from .errors import (AnisoFieldError, FileFormatError, ModelError)
 from .fileio import (read_csv, read_json, write_field_afld, write_field_csv,
@@ -342,18 +340,9 @@ def _cmd_dims(args):
         model = _load_model(args)
         report = dimension_report(model, p)
         model_doc = model_to_dict(model)
-    doc = {
-        "provenance": _provenance(model_doc),
-        "p": report.p,
-        "h_bar_sorted": list(report.h_bar_sorted),
-        "range_dim": report.range_dim,
-        "graph_dim": report.graph_dim,
-        "graph_argmin": report.graph_argmin,
-        "level_dim": _marker_text(report.level_dim),
-        "level_argmin": report.level_argmin,
-        "level_qualifier": "holds with positive probability, not almost surely",
-        "method": report.method,
-    }
+    doc = {**dataclasses.asdict(report), "provenance": _provenance(model_doc),
+           "level_dim": _marker_text(report.level_dim),
+           "level_qualifier": "holds with positive probability, not almost surely"}
     out = _resolve(args, "out", required=True)
     write_json(out, doc)
     print(f"wrote {out}")
@@ -382,7 +371,9 @@ _COMMANDS = {
         _CONFIG, _MODEL,
         _option("--grid", "SPEC", "per-axis start:stop:count, comma separated; "
                 "count points from start with spacing (stop-start)/count"),
-        _option("--lattice", "N", "frequency cells per axis (default 4096)", int),
+        _option("--lattice", "N", "frequency cells per axis (default 4096, for "
+                "one-axis models only: with two or more axes it exceeds the node cap)",
+                int),
         _option("--seed", "S", "base seed (default 0)", int),
         _option("--realizations", "R", "independent copies (default 1)", int),
         _option("--format", None, "output format (default: afld when --out "

@@ -15,13 +15,14 @@ forms in (d, alpha, gamma, p); gneiting_dimensions evaluates both the
 piecewise tables and the generic minimization and insists they agree.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, ModelError
-from .models import SmoothnessExponents, smoothness_exponents
+from .models import SmoothnessExponents, check_integer, smoothness_exponents
 
 
 class _Marker:
@@ -66,34 +67,30 @@ def clamp_exponents(exponents):
 
 
 def _check_inputs(h_bar, p):
-    h = clamp_exponents(h_bar)
-    p = int(p)
-    if p < 1:
-        raise ModelError("channel count p must be a positive integer")
-    return h, p
+    return clamp_exponents(h_bar), check_integer(p, "channel count p", 1)
+
+
+def _dimensions(h, p):
+    """(range, (graph, branch), (level or marker, branch)) of the sorted H-bar
+    vector ``h``, in one pass over the branches; ties go to the smallest k.
+
+    Branch k >= 1 indexes the sorted exponents.  The graph's branch k=0 is
+    the sum-of-reciprocals candidate; a level marker has branch None.
+    """
+    n, total = len(h), sum(1.0 / v for v in h)
+    graph, level = (total, 0), (math.inf, None)
+    for k, hk in enumerate(h, 1):
+        base = sum(hk / v for v in h[:k]) + n - k
+        graph = min(graph, (base + (1.0 - hk) * p, k))
+        level = min(level, (base - hk * p, k))
+    if total <= p:
+        level = (EMPTY if total < p else UNDETERMINED, None)
+    return min(float(p), total), graph, level
 
 
 def range_dimension(h_bar, p):
     """Hausdorff dimension of the range, min(p, sum 1/Hbar_j)."""
-    h, p = _check_inputs(h_bar, p)
-    return min(float(p), sum(1.0 / v for v in h))
-
-
-def _graph_candidates(h, p):
-    n = len(h)
-    out = [(0, sum(1.0 / v for v in h))]
-    for k in range(1, n + 1):
-        hk = h[k - 1]
-        out.append((k, sum(hk / h[j] for j in range(k)) + n - k + (1.0 - hk) * p))
-    return out
-
-def _level_candidates(h, p):
-    n = len(h)
-    out = []
-    for k in range(1, n + 1):
-        hk = h[k - 1]
-        out.append((k, sum(hk / h[j] for j in range(k)) + n - k - hk * p))
-    return out
+    return _dimensions(*_check_inputs(h_bar, p))[0]
 
 
 def graph_dimension(h_bar, p):
@@ -102,11 +99,7 @@ def graph_dimension(h_bar, p):
     Branch k=0 is the sum-of-reciprocals candidate; k >= 1 indexes the
     sorted exponents.  Ties go to the smallest k.
     """
-    h, p = _check_inputs(h_bar, p)
-    cands = _graph_candidates(h, p)
-    value = min(v for _, v in cands)
-    argmin = min(k for k, v in cands if v == value)
-    return value, argmin
+    return _dimensions(*_check_inputs(h_bar, p))[1]
 
 
 def level_set_dimension(h_bar, p):
@@ -115,13 +108,7 @@ def level_set_dimension(h_bar, p):
     Level sets are almost surely empty when sum 1/Hbar_j < p; the
     equality case is not settled either way, hence its own marker.
     """
-    h, p = _check_inputs(h_bar, p)
-    total = sum(1.0 / v for v in h)
-    if total < p:
-        return EMPTY
-    if total == p:
-        return UNDETERMINED
-    return min(v for _, v in _level_candidates(h, p))
+    return _dimensions(*_check_inputs(h_bar, p))[2][0]
 
 
 def dimension_report(model_or_exponents, p=1):
@@ -130,14 +117,7 @@ def dimension_report(model_or_exponents, p=1):
     if hasattr(src, "kind"):
         src = smoothness_exponents(src)
     h, p = _check_inputs(src, p)
-    rng = range_dimension(h, p)
-    graph, graph_k = graph_dimension(h, p)
-    level = level_set_dimension(h, p)
-    if isinstance(level, _Marker):
-        level_k = None
-    else:
-        cands = _level_candidates(h, p)
-        level_k = min(k for k, v in cands if v == level)
+    rng, (graph, graph_k), (level, level_k) = _dimensions(h, p)
     return DimensionReport(h_bar_sorted=h, p=p, range_dim=rng,
                            graph_dim=graph, graph_argmin=graph_k,
                            level_dim=level, level_argmin=level_k)
@@ -189,7 +169,7 @@ def gneiting_dimensions(gm, p=1):
     if gm.alpha >= 1.0 or gm.gamma >= 1.0:
         return report
     total = sum(1.0 / v for v in report.h_bar_sorted)
-    rng, graph, level = _gneiting_piecewise(gm.d, gm.alpha, gm.gamma, int(p), total)
+    rng, graph, level = _gneiting_piecewise(gm.d, gm.alpha, gm.gamma, report.p, total)
     checks = [("range", rng, report.range_dim), ("graph", graph, report.graph_dim)]
     if isinstance(level, _Marker) or isinstance(report.level_dim, _Marker):
         if level is not report.level_dim:
@@ -223,13 +203,12 @@ def estimate_hurst(fs, axis, max_lag=None):
     """
     from .simulate import empirical_variogram
 
-    if not 0 <= axis < fs.grid.ndim:
-        raise ModelError(f"axis must lie in [0, {fs.grid.ndim})")
+    axis = check_integer(axis, "axis", 0, fs.grid.ndim)
     spacing = fs.grid.spacing[axis]
     extent = (fs.grid.shape[axis] - 1) * spacing
     cap = max(1, int(np.floor(extent / 8.0 / spacing)))
     if max_lag is not None:
-        cap = min(cap, int(max_lag))
+        cap = min(cap, check_integer(max_lag, "max_lag", 1))
     table = empirical_variogram(fs, axis, cap)
     lags = np.asarray(table.lags)[:, axis]
     vals = np.asarray(table.values)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactorizationError, ModelError, ConsistencyError
-from .models import smoothness_exponents
-from .variogram import sigma_scale, variogram_table
+from .models import check_integer, smoothness_exponents
+from .variogram import _envelope_shape, variogram_table
 
 _DEDUP_TOL = 1e-12
 _VARIANCE_FLOOR = -1e-10
@@ -260,8 +260,8 @@ def prediction_error_envelope(exponents, sites, u):
     """
     u = np.asarray(u, dtype=float)
     h = exponents.h
-    if u.shape != (len(h),):
-        raise ModelError("target length must match the exponent vector")
+    # the origin's upper term, which also checks u's length
+    upper = _envelope_shape(exponents, u, "target")
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if sites.size == 0:
         sites = sites.reshape(0, len(h))
@@ -271,9 +271,8 @@ def prediction_error_envelope(exponents, sites, u):
     lower = min(
         sum(abs(u[j] - site[j]) ** (2.0 * h[j]) for j in range(len(h)))
         for site in all_sites)
-    upper = min(
-        sum(sigma_scale(h[j], abs(u[j] - site[j])) for j in range(len(h)))
-        for site in all_sites)
+    upper = min([upper] + [_envelope_shape(exponents, u - site, "target")
+                           for site in sites])
     return lower, upper
 
 
@@ -286,8 +285,7 @@ def scaling_exponent_check(model, axis, radii=None, quad=None):
     saturate).
     """
     exps = smoothness_exponents(model)
-    if not 0 <= axis < model.dims:
-        raise ModelError(f"axis must lie in [0, {model.dims})")
+    axis = check_integer(axis, "axis", 0, model.dims)
     if exps.h[axis] >= 1:
         raise ModelError(
             f"H_{axis} = {exps.h[axis]:g} >= 1: the r^(2H) regime is not "

@@ -254,11 +254,19 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_integer(value, name, low, high=None):
+    """``value`` as an int; ModelError unless :func:`is_integer` holds and
+    low <= value, and value < high when ``high`` is given."""
+    if not (is_integer(value) and low <= value and (high is None or value < high)):
+        bounds = f"in [{low}, {high})" if high is not None else f">= {low}"
+        raise ModelError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
 def _check_fbm(hurst, dims):
     if not 0 < hurst < 1:
         raise ModelError("fbm requires hurst in (0, 1)")
-    if not (is_integer(dims) and dims >= 1):
-        raise ModelError("dims must be a positive integer")
+    check_integer(dims, "dims", 1)
 
 
 def normalize_fbm_constant(hurst, dims):

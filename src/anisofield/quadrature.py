@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, QuadratureError
-from .models import normalize_fbm_constant
+from .models import check_integer, normalize_fbm_constant
 
 # The Gauss-Legendre rules of the orders in use, exactly as numpy's leggauss
 # gives them: the nodes >= 0 in increasing order and their weights.  Each
@@ -216,8 +216,7 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     freqs = np.asarray(freqs, dtype=float)
     n_dims = len(form.axes)
     axis, order = partial
-    if not (isinstance(axis, (int, np.integer)) and 0 <= axis < n_dims):
-        raise ModelError(f"axis must be an integer in [0, {n_dims})")
+    axis = check_integer(axis, "axis", 0, n_dims)
     if order not in (0, 1, 2):
         raise ModelError("partial order must be 0, 1 or 2")
     batch = freqs.ndim == 2

@@ -67,7 +67,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ModelError
 from .kriging import _factor_with_jitter
-from .models import laplace_form, model_to_dict, smoothness_exponents
+from .models import check_integer, laplace_form, model_to_dict, smoothness_exponents
 from .quadrature import _gauss
 from .variogram import VariogramTable, gneiting_covariance, gneiting_to_dict
 
@@ -103,7 +103,7 @@ class Grid:
     def __post_init__(self):
         origin = tuple(float(v) for v in self.origin)
         spacing = tuple(float(v) for v in self.spacing)
-        shape = tuple(int(v) for v in self.shape)
+        shape = tuple(check_integer(v, "grid shape entry", 1) for v in self.shape)
         if not len(origin) == len(spacing) == len(shape):
             raise ModelError("origin, spacing, and shape must have equal length")
         if not origin:
@@ -112,8 +112,6 @@ class Grid:
             raise ModelError("grid origin must be finite")
         if any(v <= 0 or not np.isfinite(v) for v in spacing):
             raise ModelError("grid spacing must be positive and finite")
-        if any(v < 1 for v in shape):
-            raise ModelError("grid shape entries must be at least 1")
         n = math.prod(shape)
         if n > _MAX_GRID_POINTS:
             raise ModelError(f"grid has {n} points, above the {_MAX_GRID_POINTS} cap")
@@ -160,13 +158,6 @@ class FieldSample:
     @property
     def nchannels(self):
         return self.values.shape[-1]
-
-
-def _check_seed(seed):
-    seed = int(seed)
-    if not 0 <= seed < 2**63:
-        raise ModelError("seed must be a nonnegative 63-bit integer")
-    return seed
 
 
 def _axis_partition(cutoff, cells, octaves):
@@ -455,15 +446,11 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
         Values of shape grid.shape + (channels,), exactly zero wherever
         the grid point is the origin.
     """
-    seed = _check_seed(seed)
+    seed = check_integer(seed, "seed", 0, 2**63)
     if model.dims != grid.ndim:
         raise ModelError(f"model has {model.dims} axes, grid has {grid.ndim}")
-    lattice = int(lattice)
-    if lattice < 16:
-        raise ModelError("lattice size must be at least 16")
-    channels = int(channels)
-    if channels < 1:
-        raise ModelError("channel count must be at least 1")
+    lattice = check_integer(lattice, "lattice size", 16)
+    channels = check_integer(channels, "channel count", 1)
     values = grid.npoints * channels
     if values > _MAX_FIELD_VALUES:
         raise ModelError(
@@ -519,7 +506,7 @@ def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):
     field with X(0) = 0.  The covariance is factored as kriging factors
     it, unjittered first; the jitter applied is in the metadata.
     """
-    seed = _check_seed(seed)
+    seed = check_integer(seed, "seed", 0, 2**63)
     if grid.ndim != gm.d + 1:
         raise ModelError(f"grid must have {gm.d + 1} axes (space then time)")
     if grid.npoints > _DENSE_LIMIT:
@@ -555,12 +542,8 @@ def empirical_variogram(fs, axis, max_lag):
     table flags lags built from fewer than 30 pairs when the sample has
     a single channel, since those averages are noisy.
     """
-    if not 0 <= axis < fs.grid.ndim:
-        raise ModelError(f"axis must lie in [0, {fs.grid.ndim})")
-    max_lag = int(max_lag)
-    n = fs.grid.shape[axis]
-    if not 1 <= max_lag < n:
-        raise ModelError("max_lag must satisfy 1 <= max_lag < shape[axis]")
+    axis = check_integer(axis, "axis", 0, fs.grid.ndim)
+    max_lag = check_integer(max_lag, "max_lag", 1, fs.grid.shape[axis])
     vals = np.moveaxis(fs.values, axis, 0)
     lags = np.zeros((max_lag, fs.grid.ndim))
     means = []

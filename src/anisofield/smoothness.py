@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .models import laplace_form, smoothness_exponents
+from .models import check_integer, laplace_form, smoothness_exponents
 from .quadrature import certify, spectral_integral
 from .variogram import _point_pair, variogram_table
 
@@ -74,8 +74,7 @@ def variogram_gradient(model, axis, t, quad=None):
 
 def _require_axis_derivative(model, axis):
     exps = smoothness_exponents(model)
-    if not 0 <= axis < model.dims:
-        raise ModelError(f"axis must lie in [0, {model.dims})")
+    axis = check_integer(axis, "axis", 0, model.dims)
     if not exps.h[axis] > 1:
         raise ModelError(
             f"H_{axis} = {exps.h[axis]:g} <= 1: the mean-square partial "

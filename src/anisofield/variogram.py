@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from .models import check_fields, is_integer, laplace_form, legitimacy_check
+from .models import check_fields, check_integer, laplace_form, legitimacy_check
 from .quadrature import certify, spectral_integral
 
 
@@ -66,16 +66,21 @@ def sigma_scale(h_exponent, r):
     return r**2
 
 
+def _envelope_shape(exponents, x, name):
+    """sum_j sigma_j(|x_j|); ModelError unless x has one entry per exponent."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (len(exponents.h),):
+        raise ModelError(f"{name} length must match the exponent vector")
+    return sum(sigma_scale(hj, abs(v)) for hj, v in zip(exponents.h, x))
+
+
 def variogram_envelope(exponents, h):
     """Two-sided envelope shape sum_j sigma_j(|h_j|) for v near 0.
 
     Both bounds share the same shape (they differ only by constants), so
     the pair (shape, shape) is returned.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (len(exponents.h),):
-        raise ModelError("lag length must match the exponent vector")
-    shape = sum(sigma_scale(hj, abs(x)) for hj, x in zip(exponents.h, h))
+    shape = _envelope_shape(exponents, h, "lag")
     return shape, shape
 
 
@@ -84,10 +89,7 @@ def modulus_envelope(exponents, eps):
 
     Here phi(eps) = sum_j sigma_j(|eps_j|); the envelope vanishes at 0.
     """
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (len(exponents.h),):
-        raise ModelError("eps length must match the exponent vector")
-    phi = sum(sigma_scale(hj, abs(x)) for hj, x in zip(exponents.h, eps))
+    phi = _envelope_shape(exponents, eps, "eps")
     if phi == 0:
         return 0.0
     return math.sqrt(phi * math.log1p(1.0 / phi))
@@ -169,8 +171,7 @@ class GneitingModel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (is_integer(self.d) and self.d >= 1):
-            raise ModelError("spatial dimension d must be a positive integer")
+        check_integer(self.d, "spatial dimension d", 1)
         for name in ("sigma2", "a", "c"):
             if not getattr(self, name) > 0:
                 raise ModelError(f"{name} must be positive")
@@ -181,10 +182,13 @@ class GneitingModel:
 
 
 def gneiting_covariance(gm, x, t):
-    """Covariance C(x, t) at spatial lag x and time lag t."""
+    """Covariance C(x, t) at spatial lag x and time lag t; x may stack lags
+    along leading axes, which t broadcasts against."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != gm.d:
         raise ModelError(f"spatial lag must have {gm.d} coordinates")
+    if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        raise ModelError("space and time lags must be finite")
     psi = 1.0 + gm.a * np.abs(t) ** (2.0 * gm.alpha)
     r2g = np.sum(np.abs(x) ** 2, axis=-1) ** gm.gamma
     value = gm.sigma2 * psi ** (-0.5 * gm.beta * gm.d) * np.exp(
@@ -194,8 +198,9 @@ def gneiting_covariance(gm, x, t):
 
 def gneiting_increment_variance(gm, x, t, y, s):
     """E[(Y(x, t) - Y(y, s))^2] = 2 C(0, 0) - 2 C(x - y, t - s)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != (gm.d,) or y.shape != (gm.d,):
+        raise ModelError(f"points x and y must each have shape ({gm.d},)")
     return 2.0 * gm.sigma2 - 2.0 * gneiting_covariance(gm, x - y, t - s)
 
 
