@@ -55,28 +55,30 @@ class Observations:
             raise ModelError("one value per site is required")
         if not (np.all(np.isfinite(sites)) and np.all(np.isfinite(values))):
             raise ModelError("sites and values must be finite")
-        keep_sites, keep_values = [], []
-        for site, value in zip(sites, values):
-            if np.all(np.abs(site) <= _DEDUP_TOL):
+        # close[i, k]: sites i and k agree within the tolerance in every
+        # coordinate; a site is a duplicate of the first kept site close to it
+        origin = np.all(np.abs(sites) <= _DEDUP_TOL, axis=1)
+        close = np.ones((len(sites), len(sites)), bool)
+        for coord in sites.T:
+            close &= np.abs(coord[:, None] - coord) <= _DEDUP_TOL
+        kept = []
+        for i, (at_origin, near) in enumerate(zip(origin.tolist(), close.tolist())):
+            value = values[i]
+            if at_origin:
                 if abs(value) > 1e-9:
                     raise ModelError(
                         "the field is pinned to zero at the origin; an origin "
                         f"observation with value {value:g} is inconsistent")
                 continue
-            dup = False
-            for prev_site, prev_value in zip(keep_sites, keep_values):
-                if np.all(np.abs(site - prev_site) <= _DEDUP_TOL):
-                    if abs(value - prev_value) > 1e-9:
-                        raise ModelError(
-                            f"duplicate site {site.tolist()} with conflicting "
-                            f"values {prev_value:g} and {value:g}")
-                    dup = True
-                    break
-            if not dup:
-                keep_sites.append(site)
-                keep_values.append(value)
-        object.__setattr__(self, "sites", np.array(keep_sites).reshape(-1, self.model.dims))
-        object.__setattr__(self, "values", np.array(keep_values))
+            prev = next((k for k in kept if near[k]), None)
+            if prev is None:
+                kept.append(i)
+            elif abs(value - values[prev]) > 1e-9:
+                raise ModelError(
+                    f"duplicate site {sites[i].tolist()} with conflicting "
+                    f"values {values[prev]:g} and {value:g}")
+        object.__setattr__(self, "sites", sites[kept])
+        object.__setattr__(self, "values", values[kept])
 
     def __len__(self):
         return self.sites.shape[0]
@@ -95,16 +97,19 @@ class KrigingResult:
 
 
 def _distinct_lags(lags):
-    """The distinct nonzero rows of ``lags`` up to sign (v is even), and each
-    row's index among them (-1 for a zero row)."""
+    """The distinct nonzero rows of ``lags`` up to sign (v is even), in
+    lexicographic order, and each row's index among them (-1 for a zero row)."""
     nonzero = lags != 0
     live = nonzero.any(axis=1)
     first = lags[np.arange(len(lags)), nonzero.argmax(axis=1)]
-    canonical = np.where(first[:, None] < 0, -lags, lags) + 0.0  # no -0.0
-    distinct, inverse = np.unique(canonical[live], axis=0, return_inverse=True)
+    canonical = (np.where(first[:, None] < 0, -lags, lags) + 0.0)[live]  # no -0.0
+    order = np.lexsort(canonical.T[::-1])  # the first coordinate sorts first
+    ranked = canonical[order]
+    new = np.ones(len(ranked), bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     index = np.full(len(lags), -1)
-    index[live] = inverse.reshape(-1)
-    return distinct, index
+    index[np.flatnonzero(live)[order]] = np.cumsum(new) - 1
+    return ranked[new], index
 
 
 def _factor_with_jitter(matrix):

@@ -20,12 +20,14 @@ a_j = c lambda or c lambda^2, from the 1-D rule below on any other
 (numeric) axis, for a block of t nodes at a time.  The cost is
 O(n_t N n_lambda) in every dimension N >= 1, with no node cap.
 
-The engine integrates a batch of lags, a block of rows at a time.  Every
-row has the same upper end T, so the block shares one t grid: the body
-nodes scaled by T, then one end column per distinct lower end t0, then
-T.  The t-only factors are computed once on that grid.  Each row reads
-its own t0 column and gives the body nodes below its t0 zero weight, so
-its result does not depend on the batch.
+The engine integrates a batch of lags in blocks of rows that share one
+lower end t0 of the t integral.  Every row has the same upper end T and
+t0 is a dyadic fraction of T, so a block shares one t grid: the body
+nodes scaled by T, then t0, then T.  The t-only factors are computed
+once on that grid, and a block holds as many rows as keep each (rows x
+t nodes) work array within _BLOCK_BYTES, so the arrays are recycled from
+the heap rather than page-faulted in afresh.  The grid is the one a row
+would have alone, so its result does not depend on the batch.
 
 The 1-D rule of a numeric axis splits it at a truncation point L, set by
 the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
@@ -234,12 +236,11 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     # a lag whose time scales or transforms leave the float range is
     # refused by name (_refuse), so its overflows and 0/0 warn nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, live.size, _BLOCK_ROWS):
-            idx = live[start:start + _BLOCK_ROWS]
-            values[idx], errs[idx] = engine(form, rows[idx], axis, order)
-            # a transform whose squares under- or overflow leaves a NaN or an inf
-            _refuse(rows[idx], ~(np.isfinite(values[idx]) & np.isfinite(errs[idx])),
-                    "the value or its error estimate is not finite")
+        if live.size:
+            values[live], errs[live] = engine(form, rows[live], axis, order)
+        # a transform whose squares under- or overflow leaves a NaN or an inf
+        _refuse(rows[live], ~(np.isfinite(values[live]) & np.isfinite(errs[live])),
+                "the value or its error estimate is not finite")
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
 
@@ -254,8 +255,10 @@ _LAPLACE_ORDERS = ((8, 12), (5, 7), (6, 7))
 _T_EPS = 1e-9
 # e-folds of the weight's e^{-rate t} covered by the t rule.
 _T_EFOLDS = 40.0
-# Lags integrated together; bounds the (lags x t nodes) work arrays.
-_BLOCK_ROWS = 128
+# Bytes of one work array per block of rows (of the engine's lags x t
+# nodes, and of simulate's lattice mass nodes): half of glibc's 128 KB
+# mmap threshold.
+_BLOCK_BYTES = 65536
 # t values per product on a numeric axis; bounds the (t x lambda nodes)
 # work arrays.
 _BLOCK_T = 256
@@ -314,35 +317,34 @@ def _closed_axis(axis, h, t, log_t, moment=None):
     return log_e, k_r, p_r
 
 
-def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
+def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
     """log E, two ratios and the tail error over E of one axis, by the 1-D rule.
 
     E, C, D, K_k and P_k are the integrals of 1, cos(h l),
     2 sin^2(h l / 2), l^k cos(h l - k pi/2) (l^2 cos for k = 2) and l^k
     against e^{-t a(l)} over l > 0.  The ratios are C/E and D/E without
     a moment and K_k/E and P_k/E with moment k, as in _closed_axis.  One
-    product per rule (_decay_sums) covers a row's ``used`` columns of the
-    grid ``t`` (the others keep log E = 0, ratios 1 and 0 and no tail
-    error).  The panels
-    reach from where e^{-t_hi a} is flat to lam_hi, where e^{-t_lo a} has
-    vanished; beyond L < lam_hi an oscillatory factor is replaced by its
-    integration-by-parts terms, and at L = lam_hi by the outer mass,
-    charged to err: nothing divides by h.
+    product per rule (_decay_sums) covers each row's grid ``t``.  The
+    panels reach from where e^{-t_hi a} is flat to lam_hi, where
+    e^{-t_lo a} has vanished; beyond L < lam_hi an oscillatory factor is
+    replaced by its integration-by-parts terms, and at L = lam_hi by the
+    outer mass, charged to err: nothing divides by h.
     """
-    out = [np.zeros(used.shape), np.ones(used.shape), *np.zeros((2, *used.shape))]
+    shape = (len(lags), len(t))
+    out = [np.zeros(shape), np.ones(shape), *np.zeros((2, *shape))]
     inv = 1.0 / axis.growth
     k = moment or 0
     phase = 0.5 * math.pi if k == 1 else 0.0
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
     lam_lo = 1e-4 * (axis.coef * t_hi) ** -inv
-    for i, (h, cols) in enumerate(zip(lags, used)):
-        lam_hi = (60.0 / (axis.coef * t_lo[i]) + axis.shift**axis.expo) ** inv
+    lam_hi = (60.0 / (axis.coef * t_lo) + axis.shift**axis.expo) ** inv
+    for i, h in enumerate(lags):
         L = 64.0 if h == 0 else min(reach / abs(float(h)), lam_hi)
         # a weight that outlasts the floats, or a tail whose (0.02 L)^2
         # overflows, leaves the row out of range: refused (_refuse)
         if lam_hi == math.inf or 1e150 < L < lam_hi:
-            out[0][i, cols] = math.nan
+            out[0][i] = math.nan
             continue
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))
         depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
@@ -350,8 +352,7 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
         # 10 / |h|, the wavelength bound, where L = reach / |h|
         lam_in, w_in = (L * a for a in _t_rule(depth_in, 10.0 / reach, order, True)[:2])
         lam_out, w_out = _outer_axis(L, *_t_rule(depth_out, math.inf, order)[:2])
-        row = t[cols]
-        outer, outer_k = _decay_sums(row, axis, lam_out,
+        outer, outer_k = _decay_sums(t, axis, lam_out,
                                      np.stack([w_out, w_out * lam_out**k], axis=1)).T
         weights = [w_in] + ([w_in * lam_in**k] if k else [])
         if h != 0 and moment is None:
@@ -359,23 +360,23 @@ def _numeric_axis(axis, lags, t, used, order, t_lo, t_hi, moment=None):
             weights += [w_in * np.cos(x), w_in * (2.0 * np.sin(0.5 * x) ** 2)]
         elif h != 0:
             weights.append(w_in * lam_in**k * np.cos(h * lam_in - phase))
-        sums = _decay_sums(row, axis, lam_in, np.stack(weights, axis=1))
+        sums = _decay_sums(t, axis, lam_in, np.stack(weights, axis=1))
         E = sums[:, 0] + outer
-        out[0][i, cols] = np.log(E)
+        out[0][i] = np.log(E)
         if k:
-            out[2][i, cols] = (sums[:, 1] + outer_k) / E
+            out[2][i] = (sums[:, 1] + outer_k) / E
             if h == 0:  # K_2 = P_2; no first partial has h = 0
-                out[1][i, cols] = out[2][i, cols]
+                out[1][i] = out[2][i]
         if h != 0:
             # where the weight has vanished at L, the outer mass bounds the rest
-            corr, err = (_tail_ibp(lambda lam: lam**k * np.exp(-row * axis.term(lam)),
+            corr, err = (_tail_ibp(lambda lam: lam**k * np.exp(-t * axis.term(lam)),
                                    L, h, phase) if L < lam_hi else (0.0, outer_k))
             if moment is None:
-                out[1][i, cols] = (sums[:, 1] + corr) / E
-                out[2][i, cols] = (sums[:, 2] + outer - corr) / E
+                out[1][i] = (sums[:, 1] + corr) / E
+                out[2][i] = (sums[:, 2] + outer - corr) / E
             else:
-                out[1][i, cols] = (sums[:, -1] + corr) / E
-            out[3][i, cols] = err / E
+                out[1][i] = (sums[:, -1] + corr) / E
+            out[3][i] = err / E
     return out
 
 
@@ -500,56 +501,68 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     levels = np.maximum(1, np.ceil(np.log2(T / t0))).astype(int)
     t0 = T * 2.0**-levels
 
-    # the batch shares one t grid: the body nodes, then each distinct t0,
-    # then T; a row reads its own t0 column
-    n_rows = len(lags)
-    distinct, lo_col = (np.unique(levels, return_inverse=True) if n_rows > 1
-                        else (levels, np.zeros(1, int)))
-    ends = np.append(T * 2.0**-distinct, T)
+    cap = 4.0 / lap.rate / T
+    top_level = int(levels.max())
 
-    def one_pass(t_order, lam_order):
-        # the rule on [t0, T] is T times the rule on [2^-levels, 1]
-        t, w, level = _t_rule(int(levels.max()), 4.0 / lap.rate / T, t_order)
-        n_body, lo = len(t), len(t) + lo_col
-        body = level <= levels[:, None]
-        w = T * w * body
-        t = np.concatenate([T * t, ends])[None]  # one row, shared
+    def body(level, t_order):
+        # the rule on [2^-level, 1]: the panels of levels 1 to ``level`` of
+        # the batch's deepest rule, so one rule per order serves the batch
+        t, w, panel_level = _t_rule(top_level, cap, t_order)
+        n_body = np.searchsorted(panel_level, level, side="right")
+        return t[:n_body], w[:n_body]
+
+    def one_pass(h_rows, level, t_order, lam_order):
+        # the rule on [t0, T] is T times the rule on [2^-level, 1]; the
+        # block's grid is its body nodes, then t0, then T
+        t, w = body(level, t_order)
+        n_body, t_lo = len(t), T * 2.0**-level
+        w = T * w
+        t = np.append(T * t, (t_lo, T))[None]  # one row, shared
         log_t = np.log(t)
         log_f = log_pref + (lap.power - 1.0) * log_t - lap.rate * t
-        ratio, carry, ibp, envelope, used = 0.0, 1.0, 0.0, 1.0, None
-        for j, (h, ax) in enumerate(zip(lags.T, axes)):
+        for j, (h, ax) in enumerate(zip(h_rows.T, axes)):
             # a partial's own axis takes its moment, every other axis C (moment 0)
             moment = (order if j == axis else 0) if order else None
             if ax.kind == "power" and ax.expo in (1.0, 2.0):
                 log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment)
                 e_r = 0.0
             else:
-                if used is None:  # a row's body nodes, its own t0 and T
-                    used = np.zeros((n_rows, t.shape[1]), bool)
-                    used[:, :n_body] = body
-                    used[np.arange(n_rows), lo] = used[:, -1] = True
-                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t[0], used, lam_order, t0, T, moment)
+                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t[0], lam_order, t_lo, T, moment)
             log_f = log_f + log_e
-            if order == 0:
+            if j == 0:
+                ratio, carry, ibp = d_r, c_r, e_r
+            elif order == 0:
                 ibp = ibp + e_r
                 ratio = ratio + carry * d_r
+                if j < n - 1:
+                    carry = carry * c_r
             else:
-                if used is not None:
+                if np.ndim(ibp) or np.ndim(e_r):
                     # first-order error of the product prod_j (K/E)_j; it
                     # stays 0 until the first numeric axis
                     ibp = ibp * np.abs(c_r) + np.abs(carry) * e_r
-                if j == axis:
-                    envelope = d_r
-            carry = carry * c_r
+                carry = carry * c_r
+            if order and j == axis:
+                envelope = d_r
         scale = np.exp(log_f)
         F = scale * (carry if order else ratio)
-        # sums run in node order, which the zero weights cannot change
         ibp_err = np.cumsum(w * (scale * ibp)[:, :n_body], axis=1)[:, -1] if np.ndim(ibp) else 0
         f_hi = F[:, -1] if order == 0 else (scale * envelope)[:, -1]
-        return np.cumsum(w * F[:, :n_body], axis=1)[:, -1], ibp_err, F[np.arange(n_rows), lo], f_hi
+        return np.cumsum(w * F[:, :n_body], axis=1)[:, -1], ibp_err, F[:, -2], f_hi
 
-    value, ibp_err, f_lo, f_hi = one_pass(*_LAPLACE_ORDERS[0])
-    value_lo = one_pass(*_LAPLACE_ORDERS[1 if order == 0 else 2])[0]
+    # blocks of rows on one level, each (rows x t nodes) work array of the
+    # first, larger pass within _BLOCK_BYTES
+    value, value_lo, ibp_err, f_lo, f_hi = np.empty((5, len(lags)))
+    for level in sorted(set(levels.tolist())):
+        group = np.flatnonzero(levels == level)
+        n_t = len(body(level, _LAPLACE_ORDERS[0][0])[0]) + 2
+        step = max(1, _BLOCK_BYTES // (8 * n_t))
+        for start in range(0, group.size, step):
+            idx = group[start:start + step]
+            block = lags[idx]
+            value[idx], ibp_err[idx], f_lo[idx], f_hi[idx] = one_pass(
+                block, level, *_LAPLACE_ORDERS[0])
+            value_lo[idx] = one_pass(block, level, *_LAPLACE_ORDERS[1 if order == 0 else 2])[0]
     # below t0: the power law, charged with its deviation at t0; for the
     # lagged partials, the bound t0 |F(t0)|
     power_law = ~np.any(lags != 0, axis=1) | (order == 0)

@@ -68,7 +68,7 @@ from numpy.random import Generator, Philox
 from .errors import ModelError
 from .kriging import _factor_with_jitter
 from .models import check_integer, laplace_form, model_to_dict, smoothness_exponents
-from .quadrature import _gauss
+from .quadrature import _BLOCK_BYTES, _gauss
 from .variogram import VariogramTable, gneiting_covariance, gneiting_to_dict
 
 _MAX_GRID_POINTS = 2**20
@@ -86,8 +86,6 @@ _OVERSAMPLE_ROUGH, _OVERSAMPLE_SMOOTH = 64.0, 8.0
 _OCTAVES = 24
 # Gauss-Legendre order per axis and cell of the lattice masses.
 _MASS_NODES = 3
-# Bytes of one node array per block of the lattice mass quadrature.
-_MASS_BLOCK_BYTES = 65536
 # Rows per block of the angle-addition trig tables of the synthesis.
 _ANGLE_BLOCK = 8
 
@@ -197,7 +195,7 @@ def _cell_masses(form, partitions):
 
     cells = [lo.size for lo, _ in partitions]
     row = _MASS_NODES * math.prod(c * _MASS_NODES for c in cells[1:])
-    step = max(1, _MASS_BLOCK_BYTES // (8 * row))
+    step = max(1, _BLOCK_BYTES // (8 * row))
     # fold the quadrature axis of each (cells, order) block
     block_shape = [-1, _MASS_NODES]
     for c in cells[1:]:
@@ -505,6 +503,13 @@ def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):
     pin_origin the draw is shifted by its value at the origin, giving a
     field with X(0) = 0.  The covariance is factored as kriging factors
     it, unjittered first; the jitter applied is in the metadata.
+
+    On fine grids the covariance is numerically singular, and the
+    trailing columns of its factor are set by rounding: such a draw
+    depends on the last decades of the jitter (1e-10 against 1e-12 of
+    the diagonal moved a ``GneitingModel(d=1)`` draw on a 30x30 grid of
+    step 0.05 by 22 % of its largest magnitude) and on the LAPACK build.
+    Seeded draws repeat on one installation only.
     """
     seed = check_integer(seed, "seed", 0, 2**63)
     if grid.ndim != gm.d + 1:
@@ -520,9 +525,14 @@ def sample_stationary_exact(gm, grid, seed=0, pin_origin=False):
         else:
             points = np.vstack([points, np.zeros(grid.ndim)])
             origin_row = points.shape[0] - 1
-    dx = points[:, None, :gm.d] - points[None, :, :gm.d]
-    dt = points[:, None, gm.d] - points[None, :, gm.d]
-    cov = gneiting_covariance(gm, dx, dt)
+    # a block of rows at a time, so no (n, n, d) lag array is formed
+    n = len(points)
+    cov = np.empty((n, n))
+    step = max(1, _BLOCK_BYTES // (8 * n * gm.d))
+    for start in range(0, n, step):
+        rows = points[start:start + step, None]
+        cov[start:start + step] = gneiting_covariance(
+            gm, rows[..., :gm.d] - points[:, :gm.d], rows[..., gm.d] - points[:, gm.d])
     chol, applied = _factor_with_jitter(cov)
     rng = Generator(Philox(key=(seed, 0)))
     draw = chol @ rng.standard_normal(cov.shape[0])

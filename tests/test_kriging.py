@@ -226,6 +226,55 @@ def test_duplicate_sites(bm):
     assert len(obs) == 1
     with pytest.raises(ModelError):
         Observations(sites=[[1.0], [1.0]], values=[0.5, 0.6], model=bm)
+    # a site is compared only with the sites kept before it: the middle one
+    # of a chain of 0.6e-12 steps is dropped, so the third is kept
+    chain = [[1.0], [1.0 + 0.6e-12], [1.0 + 1.2e-12]]
+    obs = Observations(sites=chain, values=[0.5, 0.5, 0.5], model=bm)
+    assert obs.sites.tolist() == [chain[0], chain[2]]
+    assert obs.values.tolist() == [0.5, 0.5]
+    # the first conflict in site order is reported, with both values
+    with pytest.raises(ModelError) as info:
+        Observations(sites=[[2.0], [1.0], [1.0 + 1e-13], [2.0]],
+                     values=[0.1, 0.5, 0.6, 0.2], model=bm)
+    assert str(info.value) == ("duplicate site [1.0000000000001] with "
+                               "conflicting values 0.5 and 0.6")
+    # an inconsistent origin observation before the conflict is reported first
+    with pytest.raises(ModelError, match="origin observation with value 0.3 "):
+        Observations(sites=[[1.0], [1e-13], [1.0]], values=[0.5, 0.3, 0.6], model=bm)
+
+
+def _distinct_lags_by_unique(lags):
+    """_distinct_lags as np.unique(axis=0) finds it: the reference."""
+    nonzero = lags != 0
+    live = nonzero.any(axis=1)
+    first = lags[np.arange(len(lags)), nonzero.argmax(axis=1)]
+    canonical = np.where(first[:, None] < 0, -lags, lags) + 0.0
+    distinct, inverse = np.unique(canonical[live], axis=0, return_inverse=True)
+    index = np.full(len(lags), -1)
+    index[live] = inverse.reshape(-1)
+    return distinct, index
+
+
+def test_distinct_lags_match_the_unique_rows():
+    rng = np.random.default_rng(19)
+    batches = [np.zeros((0, 2)), np.zeros((4, 3)), -np.zeros((3, 2))]
+    for dims in (1, 2, 3):
+        for n in (1, 2, 7, 60, 300):
+            base = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], (n, dims)) \
+                * rng.choice([1.0, 2.0, 3.0], (n, dims))
+            picks = base[rng.integers(0, n, 2 * n)]  # repeated rows
+            batches.append(picks * rng.choice([-1.0, 1.0], (2 * n, 1)))  # sign flips
+            batches.append(rng.uniform(-1.0, 1.0, (n, dims)))
+    # no live rows: no sites and a target at the origin
+    obs = Observations(sites=np.zeros((0, 2)), values=[], model=fbm(0.4, 2))
+    batches.append(np.zeros((1, 2)))
+    assert len(krige_many(obs, np.zeros((1, 2)))) == 1
+    for lags in batches:
+        distinct, index = kriging._distinct_lags(lags)
+        ref_distinct, ref_index = _distinct_lags_by_unique(lags)
+        assert distinct.tobytes() == ref_distinct.tobytes()
+        assert distinct.shape == ref_distinct.shape
+        assert index.tolist() == ref_index.tolist()
 
 
 def test_observation_validation(bm):

@@ -205,13 +205,15 @@ def test_partial_batch_rows_equal_one_row_calls():
     stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0),           # numeric axes
 ], ids=["canonical-2d", "canonical-3d", "stein-numeric"])
 def test_shared_t_grid_rows_equal_one_row_calls(model):
-    # rows share one t grid with an end column per distinct t0; lags from
-    # 1e-6 to 1 in size put the rows on many t0 levels
+    # rows of one t0 level share a t grid, in blocks of bounded size: lags
+    # from 1e-6 to 10 in size put the rows on 19 to 30 levels, and the
+    # weight's rate puts every lag above about 0.1 on one level of more
+    # rows than a block holds
     form = laplace_form(model)
     rng = np.random.default_rng(12)
-    sizes = np.logspace(-6.0, 0.0, 13)
-    lags = sizes[:, None] * rng.uniform(0.2, 1.0, (13, model.dims)) \
-        * rng.choice([-1.0, 1.0], (13, model.dims))
+    sizes = np.logspace(-6.0, 1.0, 150)
+    lags = sizes[:, None] * rng.uniform(0.2, 1.0, (150, model.dims)) \
+        * rng.choice([-1.0, 1.0], (150, model.dims))
     for partial in [(0, 0)] + [(axis, order) for axis in (0, model.dims - 1)
                                for order in (1, 2)]:
         values, errs = spectral_integral(form, lags, partial=partial)
@@ -332,6 +334,17 @@ def test_lags_out_of_float_range_warn_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         test_lags_out_of_float_range_raise_quadrature_error()
+
+
+def test_batch_refuses_the_out_of_range_lag_not_its_neighbours():
+    # an out-of-range lag's deep t0 level does not reach the grid of the
+    # certifiable lags batched with it, so the refusal names it
+    form = laplace_form(canonical_c((1.0, 2.0), 4.0))
+    good = [0.014835368361121176, 0.029759183626968787]
+    for bad in ([1e-200, 1e-200], [1e-170, 0.0]):
+        with pytest.raises(QuadratureError, match=re.escape(str(bad))):
+            spectral_integral(form, [good, bad], partial=(1, 2))
+    assert spectral_integral(form, [good], partial=(1, 2))[0][0] > 0
 
 
 def _public(model, lag, axis, order):

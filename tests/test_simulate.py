@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
+from numpy.random import Generator, Philox
 
 from anisofield import simulate
 from anisofield.errors import ModelError
+from anisofield.kriging import _factor_with_jitter
 from anisofield.models import canonical_c, fbm, laplace_form, stein
 from anisofield.simulate import (FieldSample, Grid, empirical_variogram,
                                  multi_copy_field, sample_field,
                                  sample_stationary_exact)
-from anisofield.variogram import GneitingModel
+from anisofield.variogram import GneitingModel, gneiting_covariance
 
 BM = fbm(0.5, 1)
 GRID65 = Grid(origin=(0.0,), spacing=(1.0 / 64,), shape=(65,))
@@ -308,6 +312,34 @@ def test_exact_sampler_pinning_and_determinism():
     off = Grid(origin=(1.0, 1.0), spacing=(0.5, 0.5), shape=(2, 2))
     shifted = sample_stationary_exact(gm, off, seed=2, pin_origin=True)
     assert shifted.values.shape == (2, 2, 1)
+
+
+def test_exact_sampler_draws_from_the_dense_covariance():
+    # the covariance, built a block of rows at a time, is the one of all
+    # (n, n) lags at once, so the seeded draw is too
+    gm = GneitingModel(d=2, a=0.7, c=1.3, alpha=0.6, beta=0.5, gamma=0.8)
+    grid = Grid(origin=(-0.3, 0.1, -0.2), spacing=(0.15, 0.1, 0.25), shape=(6, 5, 4))
+    points = grid.points()
+    cov = gneiting_covariance(gm, points[:, None, :2] - points[None, :, :2],
+                              points[:, None, 2] - points[None, :, 2])
+    chol, jitter = _factor_with_jitter(cov)
+    draw = chol @ Generator(Philox(key=(5, 0))).standard_normal(len(points))
+    sample = sample_stationary_exact(gm, grid, seed=5)
+    assert sample.values.tobytes() == draw.reshape(grid.shape + (1,)).tobytes()
+    assert sample.metadata["jitter"] == jitter
+
+
+def test_exact_sampler_memory_stays_near_the_covariance_and_its_factor():
+    # 2048 points: the covariance and its factor take 33.6 MB each; the
+    # (n, n, 2) lags and their squares alone would take 134 MB
+    grid = Grid(origin=(0.0, 0.0, 0.0), spacing=(0.1, 0.1, 0.1), shape=(16, 16, 8))
+    tracemalloc.start()
+    try:
+        sample_stationary_exact(GneitingModel(d=2), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128e6
 
 
 def test_exact_sampler_validation():
