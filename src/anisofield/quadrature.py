@@ -284,7 +284,7 @@ def _decay_sums(t, axis, lam, weights):
                            for i in range(0, len(t), _BLOCK_T)])
 
 
-def _closed_axis(axis, h, t, log_t, moment=None):
+def _closed_axis(axis, h, t, log_t, moment=None, with_c=True):
     """log E and two ratios of a power axis with exponent 1 or 2, in closed form.
 
     With u = coef * t: exponent 1 gives E = 1/u, C = u/(u^2+h^2) and
@@ -293,14 +293,15 @@ def _closed_axis(axis, h, t, log_t, moment=None):
     Without a moment the ratios are C/E and D/E.  With moment k they are
     K_k/E and P_k/E, where K_0 = C, K_1 = -dC/dh and K_2 = -d^2C/dh^2 are
     the transforms of cos(h l), l sin(h l) and l^2 cos(h l), and P_k is
-    that of l^k.  Elementwise in h and t; ``log_t`` is log t.
+    that of l^k.  Elementwise in h and t; ``log_t`` is log t.  Without
+    ``with_c`` a pass that never reads C/E gets None in its place.
     """
     u = axis.coef * t
     if axis.expo == 1.0:
         log_e = -math.log(axis.coef) - log_t
         if moment is None:
             d_r = h**2 / ((axis.coef * t)**2 + h**2)
-            return log_e, 1.0 - d_r, d_r
+            return log_e, 1.0 - d_r if with_c else None, d_r
         q = u**2 + h**2
         k_r = u**2 / q
         if moment:
@@ -309,7 +310,7 @@ def _closed_axis(axis, h, t, log_t, moment=None):
     log_e = 0.5 * (math.log(0.25 * math.pi / axis.coef) - log_t)
     if moment is None:
         d_r = -np.expm1(h**2 / (-4.0 * axis.coef) / t)
-        return log_e, 1.0 - d_r, d_r
+        return log_e, 1.0 - d_r if with_c else None, d_r
     k_r = np.exp(h**2 / (-4.0 * u))
     if moment:
         k_r = (0.5 * h / u if moment == 1 else (2.0 * u - h**2) / (4.0 * u**2)) * k_r
@@ -524,7 +525,9 @@ def _laplace_increment(lap, lags, axis=0, order=0):
             # a partial's own axis takes its moment, every other axis C (moment 0)
             moment = (order if j == axis else 0) if order else None
             if ax.kind == "power" and ax.expo in (1.0, 2.0):
-                log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment)
+                # order 0 reads no carry of its last axis
+                log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment,
+                                               with_c=bool(order) or j < n - 1)
                 e_r = 0.0
             else:
                 log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t[0], lam_order, t_lo, T, moment)

@@ -56,10 +56,20 @@ layout, so the random streams do not depend on the fold.
 Randomness is counter-based: channel c of seed s draws its coefficients
 from an independent stream keyed (s, c), and the jitter stream has its
 own key, so any channel can be regenerated alone.
+
+Since a channel's draws depend on its key alone, one helper thread makes
+them while the caller integrates the lattice masses, builds the trig
+tables and evaluates the channel before (numpy draws without holding
+the GIL).  It fills a ring of two preallocated buffers in channel order
+and refills a buffer once the amplitudes have been applied to its
+draws.  Evaluation stays in channel order on the calling thread, so the
+values do not depend on the helper, the core count or the scheduling.
+The helper is stopped and joined before the call returns or raises.
 """
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,13 +300,17 @@ def _axis_cutoffs(model, base):
     return tuple(cutoffs), tuple(extensions)
 
 
-def _lattice(model, grid, lattice, seed):
+def _lattice_plan(model, grid, lattice):
+    """Cutoffs, extra octaves and cell counts per axis, and the metadata.
+
+    Refuses an oversized lattice before anything is built: each axis has
+    as many cells as _partitions gives it, and every axis but the first
+    is mirrored.
+    """
     rough = min(smoothness_exponents(model).h) < 1.0
     oversample = _OVERSAMPLE_ROUGH if rough else _OVERSAMPLE_SMOOTH
     base = [oversample * np.pi / s for s in grid.spacing]
     cutoffs, extensions = _axis_cutoffs(model, base)
-    # refuse an oversized lattice before building it: each axis has as many
-    # cells as _partitions gives it, and every axis but the first is mirrored
     per = max(1, -(-lattice // _OCTAVES))
     cells = [per * (_OCTAVES + ext) for ext in extensions]
     total = math.prod(c * _MASS_NODES for c in cells)
@@ -309,10 +323,62 @@ def _lattice(model, grid, lattice, seed):
         raise ModelError(
             f"frequency lattice has {n_cells} cells, above the {_MAX_CELLS} "
             "memory cap; lower the lattice size or the dimension")
+    return cutoffs, extensions, cells, {"oversample": oversample, "freq_cutoffs": cutoffs}
+
+
+def _lattice(model, cutoffs, extensions, lattice, seed):
+    """Signed axis representatives and cell masses of a planned lattice."""
     masses = _masses(model, cutoffs, extensions, lattice)
     reps = _representatives(_partitions(cutoffs, extensions, lattice), seed)
-    axes, masses = _signed_axes(reps, masses)
-    return axes, masses, {"oversample": oversample, "freq_cutoffs": cutoffs}
+    return _signed_axes(reps, masses)
+
+
+class _DrawRing:
+    """Each channel's normals, drawn ahead on one helper thread.
+
+    The helper fills a ring of two buffers in channel order, channel c
+    into slot c % 2, and waits for a slot to come back before reusing
+    it.  Leaving the context stops and joins the helper whatever raised;
+    an exception in the helper reaches the caller at scale().
+    """
+
+    def __init__(self, seed, shape, channels):
+        self._slots = np.empty((2,) + shape)
+        self._free, self._ready = threading.Semaphore(2), threading.Semaphore(0)
+        self._stop, self._error = False, None
+        self._thread = threading.Thread(target=self._draw, args=(seed, channels),
+                                        daemon=True)
+
+    def _draw(self, seed, channels):
+        try:
+            for c in range(channels):
+                self._free.acquire()
+                if self._stop:
+                    return
+                Generator(Philox(key=(seed, c))).standard_normal(out=self._slots[c % 2])
+                self._ready.release()
+        except BaseException as exc:  # handed to the caller at scale()
+            self._error = exc
+            self._ready.release()
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+
+    def scale(self, c, amp, re_c, im_c):
+        """amp times channel c's two draws, into re_c and im_c; frees the slot."""
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+        draws = self._slots[c % 2]
+        np.multiply(amp, draws[..., 0], out=re_c)
+        np.multiply(amp, draws[..., 1], out=im_c)
+        self._free.release()
 
 
 def _active_axes(grid):
@@ -454,35 +520,38 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
         raise ModelError(
             f"field has {values} values ({grid.npoints} points x {channels} "
             f"channels), above the {_MAX_FIELD_VALUES} memory cap")
-    axes, masses, info = _lattice(model, grid, lattice, seed)
-    n_cells = int(masses.size)
+    cutoffs, extensions, cells, info = _lattice_plan(model, grid, lattice)
     active = _active_axes(grid)
-    inactive = tuple(j for j in range(len(axes)) if j not in active)
-    if inactive:
-        # axes the grid never leaves contribute a constant (zero) phase, so
-        # their cells fold into one normal draw of the summed mass
-        masses = masses.sum(axis=inactive)
-    amp = 2.0 * masses
-    np.sqrt(amp, out=amp)
-    # every model axis but the first is mirrored: tabulate its positive half
-    tables = []
-    for j in active:
-        lam = axes[j][:axes[j].size // 2] if j else axes[j]
-        tables.append((*_trig_table(grid, j, lam), j > 0))
-    # one channel at a time: BLAS rounding depends on the GEMM shape, so
-    # channels as GEMM columns would let the channel count move the bits
-    out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
-    draws = np.empty(masses.shape + (2,))
-    re_c, im_c = np.empty(masses.shape), np.empty(masses.shape)
-    mirrored = [b for b, j in enumerate(active) if j > 0]
-    scratch = np.empty(masses.size // 2) if mirrored else None
-    for c in range(channels):
-        Generator(Philox(key=(seed, c))).standard_normal(out=draws)
-        np.multiply(amp, draws[..., 0], out=re_c)
-        np.multiply(amp, draws[..., 1], out=im_c)
-        _fold_mirrored(re_c, mirrored, scratch)
-        _fold_mirrored(im_c, mirrored, scratch)
-        out[..., c] = _evaluate(tables, re_c, im_c)
+    # the draws keep the signed layout of the active axes, so the random
+    # streams do not depend on the fold
+    shape = tuple(cells[j] * (2 if j else 1) for j in active) + (2,)
+    with _DrawRing(seed, shape, channels) as ring:
+        axes, masses = _lattice(model, cutoffs, extensions, lattice, seed)
+        n_cells = int(masses.size)
+        inactive = tuple(j for j in range(len(axes)) if j not in active)
+        if inactive:
+            # axes the grid never leaves contribute a constant (zero) phase,
+            # so their cells fold into one normal draw of the summed mass
+            masses = np.asarray(masses.sum(axis=inactive))  # 0-d if every axis is
+        # mirrored or summed masses are a fresh array: form amp in place
+        amp = np.multiply(masses, 2.0, out=masses if masses.flags.writeable else None)
+        np.sqrt(amp, out=amp)
+        # every model axis but the first is mirrored: tabulate its positive half
+        tables = []
+        for j in active:
+            lam = axes[j][:axes[j].size // 2] if j else axes[j]
+            tables.append((*_trig_table(grid, j, lam), j > 0))
+        # one channel at a time: BLAS rounding depends on the GEMM shape, so
+        # channels as GEMM columns would let the channel count move the bits
+        out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
+        re_c, im_c = np.empty(amp.shape), np.empty(amp.shape)
+        mirrored = [b for b, j in enumerate(active) if j > 0]
+        scratch = np.empty(amp.size // 2) if mirrored else None
+        for c in range(channels):
+            ring.scale(c, amp, re_c, im_c)
+            _fold_mirrored(re_c, mirrored, scratch)
+            _fold_mirrored(im_c, mirrored, scratch)
+            out[..., c] = _evaluate(tables, re_c, im_c)
 
     meta = {"method": "spectral-lattice", "lattice": lattice,
             "n_cells": n_cells, "jitter": True,

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -122,7 +125,8 @@ def test_origin_is_pinned_exactly():
 
 def _direct_sum(model, grid, lattice, channels, seed):
     """Reference synthesis: the trig sum over every (point, cell) pair."""
-    axes, masses, _ = simulate._lattice(model, grid, lattice, seed)
+    cutoffs, extensions, _, _ = simulate._lattice_plan(model, grid, lattice)
+    axes, masses = simulate._lattice(model, cutoffs, extensions, lattice, seed)
     active = [j for j in range(grid.ndim)
               if grid.shape[j] > 1 or grid.origin[j] != 0.0]
     masses = masses.sum(axis=tuple(j for j in range(grid.ndim)
@@ -224,6 +228,122 @@ def test_single_copy_matches_multi_copy_prefix():
     assert single.metadata["model"]["kind"] == "fbm"
     assert single.metadata["jitter"] is True
     assert single.metadata["oversample"] == 64.0
+
+
+def _serial_field(model, grid, lattice, channels, seed):
+    """Reference: the channel loop drawing each channel's normals in turn."""
+    cutoffs, extensions, _, _ = simulate._lattice_plan(model, grid, lattice)
+    axes, masses = simulate._lattice(model, cutoffs, extensions, lattice, seed)
+    active = simulate._active_axes(grid)
+    inactive = tuple(j for j in range(grid.ndim) if j not in active)
+    if inactive:
+        masses = masses.sum(axis=inactive)
+    amp = np.sqrt(2.0 * masses)
+    tables = [(*simulate._trig_table(grid, j, axes[j][:axes[j].size // 2] if j
+                                     else axes[j]), j > 0) for j in active]
+    mirrored = [b for b, j in enumerate(active) if j > 0]
+    scratch = np.empty(masses.size // 2)
+    out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
+    for c in range(channels):
+        draws = Generator(Philox(key=(seed, c))).standard_normal(masses.shape + (2,))
+        re_c, im_c = amp * draws[..., 0], amp * draws[..., 1]
+        simulate._fold_mirrored(re_c, mirrored, scratch)
+        simulate._fold_mirrored(im_c, mirrored, scratch)
+        out[..., c] = simulate._evaluate(tables, re_c, im_c)
+    return out.reshape(grid.shape + (channels,))
+
+
+@pytest.mark.parametrize("model, grid, lattice", [
+    (BM, GRID65, 256),
+    # inactive first axis: the draws cover the second axis alone
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(0.0, -0.5), spacing=(0.5, 0.1), shape=(1, 12)), 64),
+    (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
+     Grid(origin=(-0.2, 0.0, -0.5), spacing=(0.1, 0.2, 0.25), shape=(4, 3, 3)), 16),
+    (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0),
+     Grid(origin=(0.0, 0.0), spacing=(0.05, 0.05), shape=(10, 9)), 64)],
+    ids=["1d", "2d-inactive-first", "3d", "stein"])
+@pytest.mark.parametrize("channels", [1, 3, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_drawing_ahead_matches_the_serial_loop(model, grid, lattice, channels, seed):
+    simulate._masses.cache_clear()
+    cold = multi_copy_field(model, grid, lattice, channels, seed).values
+    warm = multi_copy_field(model, grid, lattice, channels, seed).values
+    reference = _serial_field(model, grid, lattice, channels, seed)
+    assert np.array_equal(cold, reference)
+    assert np.array_equal(warm, reference)
+
+
+def test_concurrent_calls_under_fast_switching_match_the_serial_loop():
+    # more callers than cores, each with its own helper, switching threads
+    # every few microseconds: a slot refilled before it was read shows
+    model = canonical_c(beta=(1.0, 2.0), gamma=4.0)
+    grid = Grid(origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(6, 5))
+    results = {}
+
+    def run(seed):
+        results[seed] = multi_copy_field(model, grid, 64, channels=12, seed=seed).values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for seed in range(4):
+        assert np.array_equal(results[seed], _serial_field(model, grid, 64, 12, seed))
+
+
+def test_a_grid_of_the_origin_alone_reads_zero():
+    # every axis inactive: the masses sum to one cell
+    grid = Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), shape=(1, 1))
+    fs = multi_copy_field(canonical_c(beta=(1.0, 2.0), gamma=4.0), grid,
+                          lattice=64, channels=2)
+    assert fs.values.tolist() == [[[0.0, 0.0]]]
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("lattice, target, exc", [
+    (64, None, None),
+    (10**12, None, ModelError),  # refused before any thread starts
+    (64, "_cell_masses", MemoryError),
+    (64, "_cell_masses", KeyboardInterrupt),
+    (64, "Philox", _Boom),  # the helper fails on channel 2
+    (64, "Philox", MemoryError)])
+def test_the_draw_helper_never_outlives_the_call(monkeypatch, lattice, target, exc):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def fail(*args, key=None):
+        # _cell_masses fails at once, Philox on the stream of channel 2
+        if key in (None, (3, 2)):
+            raise exc
+        return Philox(key=key)
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    if target:
+        monkeypatch.setattr(simulate, target, fail)
+    simulate._masses.cache_clear()
+    before = threading.active_count()
+    with pytest.raises(exc) if exc else contextlib.nullcontext():
+        multi_copy_field(canonical_c(beta=(1.0, 2.0), gamma=4.0),
+                         Grid(origin=(0.0, 0.0), spacing=(0.1, 0.1), shape=(6, 5)),
+                         lattice, channels=4, seed=3)
+    assert threading.active_count() == before
+    assert len(started) == (lattice == 64)
+    assert not any(t.is_alive() for t in started)
 
 
 def test_unit_lag_variance(bm_500_seeds):
