@@ -370,7 +370,8 @@ _COMMANDS = {
     "simulate": ("seeded synthesis over a grid", (
         _CONFIG, _MODEL,
         _option("--grid", "SPEC", "per-axis start:stop:count, comma separated; "
-                "count points from start with spacing (stop-start)/count"),
+                "count points from start with spacing (stop-start)/count; "
+                "a negative start needs the = form, as in --grid=-1:1:8"),
         _option("--lattice", "N", "frequency cells per axis (default 4096, for "
                 "one-axis models only: with two or more axes it exceeds the node cap)",
                 int),

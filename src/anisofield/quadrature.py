@@ -338,13 +338,18 @@ def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
     phase = 0.5 * math.pi if k == 1 else 0.0
     # a partial's l^k weight and product of ratios need the longer reach
     reach = 64.0 if moment is None else 256.0
-    lam_lo = 1e-4 * (axis.coef * t_hi) ** -inv
-    lam_hi = (60.0 / (axis.coef * t_lo) + axis.shift**axis.expo) ** inv
+    # numpy powers, so that a bound beyond the floats comes out 0 or inf
+    lam_lo = 1e-4 * np.power(axis.coef * t_hi, -inv)
+    lam_hi = np.power(60.0 / (axis.coef * t_lo) + axis.shift**axis.expo, inv)
+    if not (0.0 < lam_lo and lam_hi < math.inf):
+        # a weight flat below the smallest float or lasting beyond the
+        # largest leaves every row out of range: refused (_refuse)
+        out[0][:] = math.nan
+        return out
     for i, h in enumerate(lags):
         L = 64.0 if h == 0 else min(reach / abs(float(h)), lam_hi)
-        # a weight that outlasts the floats, or a tail whose (0.02 L)^2
-        # overflows, leaves the row out of range: refused (_refuse)
-        if lam_hi == math.inf or 1e150 < L < lam_hi:
+        # a tail whose (0.02 L)^2 overflows leaves the row out of range
+        if 1e150 < L < lam_hi:
             out[0][i] = math.nan
             continue
         depth_in = max(1, math.ceil(math.log2(L / lam_lo)))

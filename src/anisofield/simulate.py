@@ -46,12 +46,7 @@ integrated over blocks of first-axis cells whose work arrays stay on
 the heap, with the same values as one pass over the whole node grid.
 The trig tables come from angle addition: with k = B q + r (B = 8),
 e^{i k s lambda} = e^{i B q s lambda} e^{i r s lambda}, so an axis of n
-points needs cos and sin of about n/B + B rows rather than n.  Every
-axis but the first is mirrored (cells lambda and -lambda share a mass);
-its table covers lambda > 0 only, and since cos is even and sin odd the
-coefficients of each pair enter as their sum and difference, which
-halves the contraction length on that axis.  The draws keep the signed
-layout, so the random streams do not depend on the fold.
+points needs cos and sin of about n/B + B rows rather than n.
 
 Randomness is counter-based: channel c of seed s draws its coefficients
 from an independent stream keyed (s, c), and the jitter stream has its
@@ -387,11 +382,9 @@ def _active_axes(grid):
 
 
 def _contract(table, x, axis):
-    """Apply an (n, K) table along `axis` of x by real GEMMs.
-
-    x may be a half of an array along `axis`: the axes before and after it
-    still merge into one stride each, so BLAS reads x in place.
-    """
+    """Apply an (n, K) table along `axis` of x by real GEMMs; the axes
+    before and after `axis` merge into one stride each, so BLAS reads x in
+    place."""
     lead, rest = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     if rest == 1:
         out = x.reshape(lead, -1) @ table.T
@@ -434,54 +427,33 @@ def _trig_table(grid, axis, lam):
     return table
 
 
-def _fold_mirrored(x, axes, scratch):
-    """Replace the halves lambda, -lambda of x along each axis by their sum
-    and difference, in place; scratch holds half of x."""
-    for b in axes:
-        plus, minus = np.split(x, 2, axis=b)
-        diff = np.subtract(plus, minus, out=scratch.reshape(plus.shape))
-        plus += minus
-        minus[...] = diff
-
-
 def _evaluate(tables, re_c, im_c):
     """Re sum_k (re_c - i im_c)_k (e^{i<t, lambda_k>} - 1) over the grid.
 
-    tables holds one (cos - 1, sin, mirrored) triple per axis, the tables
-    of shape (points, cells); re_c and im_c have one axis per table.
-    Term a of the telescoped sum sums the axes above a, contracts axis a
-    with e^{i theta} - 1 and the axes below it with e^{i theta}, that is
-    with e^{i theta} - 1 plus the sum over the cells, keeping only the
-    real part at the last contraction.  A mirrored axis tabulates only
-    the cells lambda > 0, and re_c and im_c hold the sums then the
-    differences of the coefficients of lambda and -lambda along it (see
-    _fold_mirrored): cos is even and sin odd, so a pair contracts as
-    cos (c+ + c-) on the sums and sin (c+ - c-) on the differences.
+    tables holds one (cos - 1, sin) pair per axis, each of shape
+    (points, cells) over the axis's signed cells; re_c and im_c have one
+    axis per table.  Term a of the telescoped sum sums the axes above a,
+    contracts axis a with e^{i theta} - 1 and the axes below it with
+    e^{i theta}, that is with e^{i theta} - 1 plus the sum over the
+    cells, keeping only the real part at the last contraction.
     """
     ndim = len(tables)
     out = np.zeros(())
     for a in reversed(range(ndim)):
         if a < ndim - 1:
-            if tables[a + 1][2]:  # the sum over a pair is its sum entry
-                re_c = np.split(re_c, 2, axis=a + 1)[0]
-                im_c = np.split(im_c, 2, axis=a + 1)[0]
             re_c = re_c.sum(axis=a + 1)
             im_c = im_c.sum(axis=a + 1)
         re, im = re_c, im_c
         for b in reversed(range(a + 1)):
-            cosm1, sin, mirrored = tables[b]
-            re_s = re_d = re
-            im_s = im_d = im
-            if mirrored:
-                re_s, re_d = np.split(re, 2, axis=b)
-                im_s, im_d = np.split(im, 2, axis=b)
-            re = _contract(cosm1, re_s, b) + _contract(sin, im_d, b)
+            cosm1, sin = tables[b]
+            re_b, im_b = re, im
+            re = _contract(cosm1, re_b, b) + _contract(sin, im_b, b)
             if b < a:
-                re += re_s.sum(axis=b, keepdims=True)
+                re += re_b.sum(axis=b, keepdims=True)
             if b > 0:
-                im = _contract(cosm1, im_s, b) - _contract(sin, re_d, b)
+                im = _contract(cosm1, im_b, b) - _contract(sin, re_b, b)
                 if b < a:
-                    im += im_s.sum(axis=b, keepdims=True)
+                    im += im_b.sum(axis=b, keepdims=True)
         term = re.reshape(re.shape + (1,) * (ndim - 1 - a))
         out = term if a == ndim - 1 else out + term
     return out
@@ -522,8 +494,7 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
             f"channels), above the {_MAX_FIELD_VALUES} memory cap")
     cutoffs, extensions, cells, info = _lattice_plan(model, grid, lattice)
     active = _active_axes(grid)
-    # the draws keep the signed layout of the active axes, so the random
-    # streams do not depend on the fold
+    # one normal pair per signed cell of the active axes
     shape = tuple(cells[j] * (2 if j else 1) for j in active) + (2,)
     with _DrawRing(seed, shape, channels) as ring:
         axes, masses = _lattice(model, cutoffs, extensions, lattice, seed)
@@ -533,24 +504,16 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
             # axes the grid never leaves contribute a constant (zero) phase,
             # so their cells fold into one normal draw of the summed mass
             masses = np.asarray(masses.sum(axis=inactive))  # 0-d if every axis is
-        # mirrored or summed masses are a fresh array: form amp in place
+        # signed or summed masses are a fresh array: form amp in place
         amp = np.multiply(masses, 2.0, out=masses if masses.flags.writeable else None)
         np.sqrt(amp, out=amp)
-        # every model axis but the first is mirrored: tabulate its positive half
-        tables = []
-        for j in active:
-            lam = axes[j][:axes[j].size // 2] if j else axes[j]
-            tables.append((*_trig_table(grid, j, lam), j > 0))
+        tables = [_trig_table(grid, j, axes[j]) for j in active]
         # one channel at a time: BLAS rounding depends on the GEMM shape, so
         # channels as GEMM columns would let the channel count move the bits
         out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
         re_c, im_c = np.empty(amp.shape), np.empty(amp.shape)
-        mirrored = [b for b, j in enumerate(active) if j > 0]
-        scratch = np.empty(amp.size // 2) if mirrored else None
         for c in range(channels):
             ring.scale(c, amp, re_c, im_c)
-            _fold_mirrored(re_c, mirrored, scratch)
-            _fold_mirrored(im_c, mirrored, scratch)
             out[..., c] = _evaluate(tables, re_c, im_c)
 
     meta = {"method": "spectral-lattice", "lattice": lattice,

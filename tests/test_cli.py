@@ -343,6 +343,11 @@ def test_exit_code_2_for_a_lag_out_of_float_range(tmp_path, capsys):
     assert main(["variogram", "--model", str(fbm_model)] + args) == 0
     _, _, value, err = read_csv(out, min_columns=4)[1]
     assert abs(value - 2.0**0.4 * 1e-160) <= err + CSV_ROUNDING * 2.0**0.4 * 1e-160
+    # a beta = 0.05 axis whose numeric lambda bound overflows
+    write_json(model, model_to_dict(canonical_c((0.05, 3.0), 21.3)))
+    write_csv(lags_path, ["h_1", "h_2"], [[0.0, 1e-8]])
+    assert main(["variogram", "--model", str(model)] + args) == 2
+    assert "[0.0, 1e-08]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model, lag", [

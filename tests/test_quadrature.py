@@ -289,6 +289,18 @@ def test_lags_out_of_float_range_raise_quadrature_error():
                        (canonical_c((1.0, 2.0), 4.0), (1e300, 1e300))):
         with pytest.raises(QuadratureError, match=re.escape(str(list(lag)))):
             variogram_numeric(model, lag)
+    # a numeric axis's lam_hi (beta = 0.05) or lam_lo (a 1e40 shift, which
+    # shortens stein's t range) beyond the floats, for the variogram and
+    # its gradient
+    for model, lag in ((canonical_c((0.05, 3.0), 21.3), [0.0, 1e-8]),
+                       (stein((1.0, 1.0), (1e40, 1.0), (1.0, 0.05), 11.0), [0.5, 0.5])):
+        with pytest.raises(QuadratureError, match=re.escape(str(lag))):
+            variogram_table(model, [lag])
+        with pytest.raises(QuadratureError, match=re.escape(str(lag))):
+            variogram_gradient(model, 1, lag)
+    # a beta = 0.1 axis still certifies
+    table = variogram_table(canonical_c((0.1, 3.0), 21.3), [[0.3, 0.5], [0.0, 0.5]])
+    assert np.all(table.errs <= 1e-4 * np.asarray(table.values))
     # fbm's closed form needs no time scale: |(s, s)|^0.8 = 2^0.4 s^0.8 at both ends
     for s in (1e-200, 1e160):
         value, err = variogram_numeric(fbm(0.4, 2), (s, s))

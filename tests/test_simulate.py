@@ -169,17 +169,20 @@ def test_axis_cutoffs_equalize_the_increment_level():
     (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
      Grid(origin=(-0.2, 0.0, -0.5), spacing=(0.1, 0.2, 0.25), shape=(4, 3, 3)),
      3, 1),
-    # 2-D with an inactive first axis: the first active axis is mirrored
+    # 2-D with an inactive first axis
     (canonical_c(beta=(1.0, 2.0), gamma=4.0),
      Grid(origin=(0.0, -0.5), spacing=(0.5, 0.1), shape=(1, 12)), 2, 1),
     # 3-D with an inactive middle axis
     (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
      Grid(origin=(-0.2, 0.0, -0.5), spacing=(0.1, 0.2, 0.25), shape=(4, 1, 5)),
      2, 1),
-    # 3-D whose two active axes are both mirrored
+    # 3-D with an inactive first axis
     (canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0),
      Grid(origin=(0.0, -0.3, -0.5), spacing=(1.0, 0.15, 0.25), shape=(1, 7, 5)),
      2, 1),
+    # 2-D with both axes active, each crossing 0 at the same point
+    (canonical_c(beta=(1.0, 2.0), gamma=4.0),
+     Grid(origin=(-0.5, -0.75), spacing=(0.25, 0.25), shape=(5, 7)), 2, 1),
 ])
 def test_separable_evaluation_matches_direct_sum(model, grid, channels,
                                                  origins):
@@ -239,16 +242,11 @@ def _serial_field(model, grid, lattice, channels, seed):
     if inactive:
         masses = masses.sum(axis=inactive)
     amp = np.sqrt(2.0 * masses)
-    tables = [(*simulate._trig_table(grid, j, axes[j][:axes[j].size // 2] if j
-                                     else axes[j]), j > 0) for j in active]
-    mirrored = [b for b, j in enumerate(active) if j > 0]
-    scratch = np.empty(masses.size // 2)
+    tables = [simulate._trig_table(grid, j, axes[j]) for j in active]
     out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
     for c in range(channels):
         draws = Generator(Philox(key=(seed, c))).standard_normal(masses.shape + (2,))
         re_c, im_c = amp * draws[..., 0], amp * draws[..., 1]
-        simulate._fold_mirrored(re_c, mirrored, scratch)
-        simulate._fold_mirrored(im_c, mirrored, scratch)
         out[..., c] = simulate._evaluate(tables, re_c, im_c)
     return out.reshape(grid.shape + (channels,))
 
