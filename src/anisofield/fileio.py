@@ -12,16 +12,32 @@ sorted keys, so reruns with the same inputs are byte-identical.  Large fields us
 ``AFLD1``, a little-endian uint32 header length, a UTF-8 JSON header
 carrying the grid and provenance, then the sample values as
 little-endian float64 in row-major order with the channel axis fastest.
+
+A CSV is read as UTF-8 bytes, a leading byte-order mark dropped, in one
+of two routes chosen from the text alone.  Text with no quote character
+and no NUL is split into lines at ``\n``, ``\r\n`` or a lone ``\r``;
+comment and empty lines are dropped, the first remaining line is the
+header if it is not numeric, and every other field is converted in one
+pass.  Any other text, and any text whose fields do not all convert or
+whose lines differ in width, goes through a ``csv.reader`` loop over the
+same text, the only code that words a parse error.  Both routes give the
+same array, or the same error, for every file.
+
 Every writer goes through a temporary file and ``os.replace``, so a
-reader never sees partial output.
+reader never sees partial output.  The temporary file sits next to the
+target as ``.aniso-<pid>-<n>.tmp``, ``n`` counting up within the
+process; it is opened with ``O_EXCL``, so a file or symlink already at
+that name is neither overwritten nor followed (the next ``n`` is taken),
+and with mode 0600, which the output keeps.  It is unlinked if the write
+fails.
 """
 
 import csv
+import io
 import itertools
 import json
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -33,6 +49,9 @@ _FLOAT = "%.10g"
 # Rows per bulk format: bounds the transient tuple of Python floats and the
 # texts of the one chunk being written.
 _CHUNK_ROWS = 16384
+# Numbers the temporary files of this process; next() on it is atomic, so
+# threads writing at once take distinct names.
+_TEMP_NUMBERS = itertools.count()
 
 
 def format_float(x):
@@ -44,7 +63,13 @@ def _atomic_write_bytes(path, chunks):
     """Write an iterable of bytes-like chunks to ``path`` through a temporary file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".aniso-", suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f".aniso-{os.getpid()}-{next(_TEMP_NUMBERS)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
@@ -129,13 +154,46 @@ def _write_table(path, header, provenance, body):
 def read_csv(path, min_columns=1):
     """Read a numeric CSV as a 2-D array.
 
-    Comment lines starting with ``#`` are skipped, as is one optional
-    non-numeric header row.  All remaining rows must be finite numbers
-    and of equal width.
+    The file is UTF-8, with or without a byte-order mark.  Comment lines
+    starting with ``#`` (after any leading spaces) and empty lines are
+    skipped, as is one optional non-numeric header row before the data.
+    All remaining rows must be finite numbers and of equal width.
+    Quoted fields are accepted.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        # not the "utf-8-sig" codec, whose module a cold process would import
+        text = raw.removeprefix(b"\xef\xbb\xbf").decode()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid UTF-8 ({exc})") from None
+    if '"' in text or "\0" in text:
+        return _read_records(path, text, min_columns)
+    lines = list(filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    if lines:
+        try:
+            list(map(float, lines[0].split(",")))
+        except ValueError:
+            del lines[0]  # the header
+    commas = list(map(str.count, lines, itertools.repeat(",")))
+    if not lines or commas.count(commas[0]) != len(lines):
+        return _read_records(path, text, min_columns)
+    try:
+        values = list(map(float, ",".join(lines).split(",")))
+    except ValueError:
+        return _read_records(path, text, min_columns)
+    return _checked(path, np.array(values).reshape(len(lines), commas[0] + 1),
+                    min_columns)
+
+
+def _read_records(path, text, min_columns):
+    """read_csv through ``csv.reader``: every parse error is worded here."""
     rows = []
-    with open(path, newline="") as fh:
-        for record in csv.reader(fh):
+    header = False
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
             if not record or record[0].lstrip().startswith("#"):
                 continue
             try:
@@ -144,16 +202,25 @@ def read_csv(path, min_columns=1):
                 if rows:
                     raise FileFormatError(
                         f"{path}: non-numeric row after data began") from None
-                continue
+                if header:
+                    raise FileFormatError(
+                        f"{path}: non-numeric row after the header") from None
+                header = True
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}: not a valid CSV ({exc})") from None
     if not rows:
         raise FileFormatError(f"{path}: no numeric rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise FileFormatError(f"{path}: rows have unequal width")
-    if width < min_columns:
+    return _checked(path, np.asarray(rows), min_columns)
+
+
+def _checked(path, rows, min_columns):
+    """rows, or FileFormatError if too narrow or not all finite."""
+    if rows.shape[1] < min_columns:
         raise FileFormatError(
-            f"{path}: expected at least {min_columns} columns, found {width}")
-    rows = np.asarray(rows)
+            f"{path}: expected at least {min_columns} columns, found {rows.shape[1]}")
     if not np.all(np.isfinite(rows)):
         raise FileFormatError(f"{path}: non-finite value in numeric rows")
     return rows

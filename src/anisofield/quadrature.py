@@ -264,6 +264,10 @@ _BLOCK_BYTES = 65536
 _BLOCK_T = 256
 # The smallest positive normal float; t0 must reach it.
 _TINY = np.finfo(float).tiny
+# The most nodes one lag's t rule may hold.  The rule's panel cap shrinks
+# as 4 / (_T_EFOLDS + 2 power), so its node count grows linearly in the
+# Laplace power; this allows powers up to about 6e4.
+_MAX_T_NODES = 2**18
 
 
 @functools.lru_cache(maxsize=256)
@@ -509,6 +513,13 @@ def _laplace_increment(lap, lags, axis=0, order=0):
 
     cap = 4.0 / lap.rate / T
     top_level = int(levels.max())
+    # count each row's t nodes before any rule is built
+    span = 2.0 ** -np.arange(1.0, top_level + 1.0)
+    n_nodes = _LAPLACE_ORDERS[0][0] * np.cumsum(np.maximum(1.0, np.ceil(span / cap)))[levels - 1]
+    if np.any(n_nodes > _MAX_T_NODES):
+        i = int(np.argmax(n_nodes > _MAX_T_NODES))
+        raise QuadratureError(f"spectral integral at lag {lags[i].tolist()}: its t rule "
+                              f"would hold {n_nodes[i]:.3g} nodes, more than {_MAX_T_NODES}")
 
     def body(level, t_order):
         # the rule on [2^-level, 1]: the panels of levels 1 to ``level`` of

@@ -392,6 +392,18 @@ def test_exit_code_3_for_non_finite_rows(tmp_path, capsys, cell):
     assert not vario.exists() and not pred.exists()
 
 
+@pytest.mark.parametrize("raw", [b"h_\xe9\n0.5\n", b"h_1\n0.5x\n1\n"],
+                         ids=["not-utf8", "second-header"])
+def test_exit_code_3_for_a_malformed_lags_file(tmp_path, bm_model, capsys, raw):
+    lags = tmp_path / "lags.csv"
+    lags.write_bytes(raw)
+    out = tmp_path / "v.csv"
+    assert main(["variogram", "--model", bm_model, "--lags", str(lags),
+                 "--out", str(out)]) == 3
+    assert "lags.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_3_for_junk_observations(tmp_path, bm_model, capsys):
     obs_path = tmp_path / "obs.csv"
     obs_path.write_text("t_1,value\nfoo,bar\n")

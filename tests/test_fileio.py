@@ -1,4 +1,8 @@
+import itertools
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -189,6 +193,88 @@ def test_read_csv_skips_header_and_comments(tmp_path):
     assert back.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_read_csv_keeps_the_first_row_after_a_byte_order_mark(tmp_path):
+    # the mark once stuck to the first cell, which was then skipped as a header
+    path = tmp_path / "lags.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.5\r\n1\r\n")
+    assert read_csv(path).tolist() == [[0.5], [1.0]]
+
+
+def test_read_csv_allows_one_header_row(tmp_path):
+    # a malformed first data row was once skipped as a second header
+    path = tmp_path / "lags.csv"
+    path.write_text("h_1,h_2\n0.5,0.5x\n1,2\n")
+    with pytest.raises(FileFormatError, match="lags.csv"):
+        read_csv(path)
+
+
+def test_read_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "lags.csv"
+    path.write_bytes(b"h_\xe9\n0.5\n")
+    with pytest.raises(FileFormatError, match="lags.csv"):
+        read_csv(path)
+
+
+_CORPUS = {
+    "crlf": b"h_1,h_2\r\n0.5,1\r\n2,3\r\n",
+    "lone-cr": b"h_1,h_2\r0.5,1\r2,3\r",
+    "mixed-endings": b"0.5,1\r\n2,3\n4,5\r\r6,7",
+    "comment-between-rows": b"x,y\n1,2\n# note\n3,4\n",
+    "indented-comments": b"  # lead, with a comma\nx,y\n1,2\n\t # tab\n3,4\n",
+    "blank-lines": b"\nx,y\n\n1,2\n\n\n3,4\n\n",
+    "whitespace-line-first": b"   \n1,2\n",
+    "whitespace-line-between-rows": b"x,y\n1,2\n  \n3,4\n",
+    "quoted-numbers": b'x,y\n"1","2.5"\n3,"-0"\n',
+    "quoted-header": b'"x","y"\n1,2\n',
+    "quoted-comma": b'x\n"1,2"\n',
+    "trailing-comma": b"x,y\n1,2,\n3,4,\n",
+    "nul": b"x,y\n1,2\x00\n",
+    "ragged": b"x,y\n1,2\n3\n",
+    "text-after-data": b"x\n1\noops\n",
+    "two-headers": b"x\ny\n1\n",
+    "header-only": b"x,y\n",
+    "comment-only": b"# nothing here\n",
+    "empty": b"",
+    "no-final-newline": b"1,2\n3,4",
+    "spaces-around-cells": b"x, y\n 1 , 2\t\n",
+    "underscore": b"x\n1_0\n",
+    "plus": b"x\n+2\n",
+    "tiny": b"x\n1e-300\n-0\n",
+    "nan": b"x\nnan\n",
+    "inf": b"x,y\n1,inf\n",
+    "bom-header": b"\xef\xbb\xbfx\n1\n",
+}
+
+
+@pytest.mark.parametrize("raw", _CORPUS.values(), ids=_CORPUS.keys())
+def test_read_csv_routes_agree(tmp_path, raw):
+    # read_csv must give what the csv.reader route gives: the same array, or
+    # a FileFormatError with the same message
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+
+    def outcome(read):
+        try:
+            rows = read()
+        except FileFormatError as exc:
+            return str(exc)
+        return rows.dtype, rows.shape, rows.tobytes()
+
+    text = raw.removeprefix(b"\xef\xbb\xbf").decode()
+    direct = outcome(lambda: fileio._read_records(path, text, 1))
+    assert outcome(lambda: read_csv(path)) == direct
+
+
+def test_read_csv_splits_plain_text_without_csv_reader(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader was called")
+
+    path = tmp_path / "lags.csv"
+    path.write_text("# comment\nh_1,h_2\n0.5,1\n2,3\n")
+    monkeypatch.setattr(fileio.csv, "reader", refuse)
+    assert read_csv(path).tolist() == [[0.5, 1.0], [2.0, 3.0]]
+
+
 def test_variogram_csv_layout(tmp_path):
     model = fbm(0.5, 1)
     table = variogram_table(model, [[0.5], [1.0]])
@@ -276,3 +362,84 @@ def test_writes_are_atomic_overwrites(tmp_path):
     assert read_json(path) == {"v": 2}
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".aniso-")]
     assert leftovers == []
+
+
+def _leftovers(directory):
+    return [p.name for p in directory.iterdir() if p.name.startswith(".aniso-")]
+
+
+def test_a_failed_write_keeps_the_old_target(tmp_path):
+    path = tmp_path / "data.csv"
+    write_csv(path, ["x"], [[1.0], [2.0]])
+    old = path.read_bytes()
+
+    def body():
+        yield "3\n"
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        fileio._write_table(path, ["x"], None, body())
+    assert path.read_bytes() == old
+    assert _leftovers(tmp_path) == []
+
+
+def test_an_occupied_temporary_name_is_neither_overwritten_nor_followed(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_TEMP_NUMBERS", itertools.count())
+    pid = os.getpid()
+    squatter = tmp_path / f".aniso-{pid}-0.tmp"
+    squatter.write_text("keep")
+    victim = tmp_path / "victim.txt"
+    victim.write_text("untouched")
+    link = tmp_path / f".aniso-{pid}-1.tmp"
+    link.symlink_to(victim)
+    path = tmp_path / "doc.json"
+    write_json(path, {"v": 1})
+    assert read_json(path) == {"v": 1}
+    assert squatter.read_text() == "keep"
+    assert link.is_symlink() and victim.read_text() == "untouched"
+    assert sorted(_leftovers(tmp_path)) == [squatter.name, link.name]
+
+
+def test_outputs_have_mode_0600(tmp_path):
+    grid = Grid(origin=(0.0,), spacing=(0.5,), shape=(3,))
+    fs = sample_field(fbm(0.5, 1), grid, lattice=64, seed=1)
+    paths = [tmp_path / name for name in ("doc.json", "data.csv", "f.csv", "f.afld")]
+    write_json(paths[0], {"v": 1})
+    write_csv(paths[1], ["x"], [[1.0]])
+    write_field_csv(paths[2], fs)
+    write_field_afld(paths[3], fs)
+    for path in paths:
+        assert path.stat().st_mode & 0o777 == 0o600, path.name
+
+
+def test_threads_writing_at_once_all_land_intact(tmp_path):
+    n_threads, rounds = 8, 20
+    tables = [np.arange(50.0).reshape(-1, 1) + k for k in range(n_threads)]
+    paths = [tmp_path / f"t{k}.csv" for k in range(n_threads)]
+    start = threading.Barrier(n_threads)
+    failures = []
+
+    def write(k):
+        try:
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                write_csv(paths[k], ["x"], tables[k])
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    for path, table in zip(paths, tables):
+        assert np.array_equal(read_csv(path), table)
+    assert _leftovers(tmp_path) == []

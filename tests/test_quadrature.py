@@ -317,6 +317,16 @@ def test_lags_out_of_float_range_raise_quadrature_error():
     assert np.isfinite(value) and 0 < err < 1e-6 * value
 
 
+def test_a_laplace_power_too_large_for_the_t_rule_is_refused():
+    # the t rule's panel cap is 4 / (40 + 2 power): a power of 1e17 once
+    # asked numpy for 355 PiB of panels; the node count is now checked first
+    model = canonical_c((0.05, 3.0), 1e17)
+    with pytest.raises(QuadratureError, match=re.escape("[0.3, 0.5]: its t rule")):
+        variogram_table(model, [[0.3, 0.5]])
+    with pytest.raises(QuadratureError, match=re.escape("[0.3, 0.5]: its t rule")):
+        variogram_gradient(model, 1, [0.3, 0.5])
+
+
 def test_tiny_numeric_axis_component_is_certified():
     # h^3 and h^2 of the integration-by-parts tail underflow below about
     # 1e-108 and 1e-162, where the density at the truncation has vanished
