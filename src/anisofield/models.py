@@ -26,6 +26,7 @@ Each density is written once, as the :class:`LaplaceForm` that
 lattice and every spectral integral read it.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -181,8 +182,9 @@ class LaplaceForm:
         return self.prefactor * (self.rate + total) ** -self.power
 
 
+@functools.lru_cache(maxsize=64)
 def laplace_form(model):
-    """The Laplace form of ``model``'s density."""
+    """The Laplace form of ``model``'s density; cached, as both are frozen."""
     if model.kind == KIND_CANONICAL:
         return LaplaceForm(model.scale, model.gamma, 1.0,
                            tuple(LaplaceAxis("power", 1.0, b) for b in model.beta))
@@ -209,8 +211,10 @@ def evaluate_density(model, freq):
     return float(value) if np.ndim(value) == 0 else value
 
 
+@functools.lru_cache(maxsize=64)
 def legitimacy_check(model):
-    """Check the integrability condition gamma > sum_j 1/beta_j."""
+    """Check the integrability condition gamma > sum_j 1/beta_j; cached, as
+    both the model and the verdict are frozen."""
     if model.kind == KIND_CANONICAL:
         s = sum(1.0 / b for b in model.beta)
         if model.gamma > s:

@@ -22,12 +22,20 @@ O(n_t N n_lambda) in every dimension N >= 1, with no node cap.
 
 The engine integrates a batch of lags in blocks of rows that share one
 lower end t0 of the t integral.  Every row has the same upper end T and
-t0 is a dyadic fraction of T, so a block shares one t grid: the body
-nodes scaled by T, then t0, then T.  The t-only factors are computed
-once on that grid, and a block holds as many rows as keep each (rows x
-t nodes) work array within _BLOCK_BYTES, so the arrays are recycled from
+t0 is a dyadic fraction of T, so a block shares one fused t grid: for
+each of the two Gauss orders behind the error estimate, the body nodes
+scaled by T, then t0, then T, one order after the other.  A block takes
+one pass over it: a closed-form axis evaluates the whole grid in one
+call per ufunc, a numeric axis calls its 1-D rule once per order, on
+that order's part, and the two values are sums over their own parts.
+The t-only work (the grid, its weights, log t, the weight m(t) and the
+log E of the leading closed-form axes) is cached per (form, level) in
+the process, read-only (``_t_grid``), as is the small-t power law per
+(form, axis, order).  A block holds as many rows as keep each (rows x t
+nodes) work array within _BLOCK_BYTES, so the arrays are recycled from
 the heap rather than page-faulted in afresh.  The grid is the one a row
-would have alone, so its result does not depend on the batch.
+would have alone, so its result does not depend on the batch, nor on
+what the caches hold.
 
 The 1-D rule of a numeric axis splits it at a truncation point L, set by
 the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
@@ -48,6 +56,7 @@ integral.  All node orderings are fixed, so results are bit-stable for
 fixed inputs.
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -113,15 +122,18 @@ class QuadratureSpec:
             raise ModelError("rel_tol must lie in (0, 0.1)")
 
 
+_DEFAULT_SPEC = QuadratureSpec()
+
+
 def certify(values, errs, scales, quad, lags, what):
     """The package's one tolerance check, run on every public spectral result:
     row i passes when errs[i] <= quad.rel_tol * scales[i] (a NaN fails; an
     infinite scale marks an exact row).  The first failing row raises
     QuadratureError naming ``what`` and its lag, with its value and err."""
-    rel_tol = (quad or QuadratureSpec()).rel_tol
-    bad = ~(errs <= rel_tol * scales)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    rel_tol = (quad or _DEFAULT_SPEC).rel_tol
+    ok = errs <= rel_tol * scales
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise QuadratureError(f"{what} at lag {lags[i].tolist()}: error estimate {errs[i]:g} "
                               f"exceeds rel_tol * scale = {rel_tol * scales[i]:g}",
                               value=float(values[i]), err=float(errs[i]))
@@ -224,13 +236,13 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     batch = freqs.ndim == 2
     if freqs.shape[batch:] != (n_dims,):
         raise ModelError(f"lag must have shape ({n_dims},)")
-    if not np.all(np.isfinite(freqs)):
+    if not np.isfinite(freqs).all():
         raise ModelError("lag must be finite")
-    rows = np.atleast_2d(freqs)
-    values, errs = np.zeros(len(rows)), np.zeros(len(rows))
+    rows = freqs.reshape(-1, n_dims)
+    values, errs = np.zeros((2, len(rows)))
     # the increment vanishes at h = 0 and the first partial at h_axis = 0
     live = np.flatnonzero(rows[:, axis] != 0 if order == 1
-                          else np.any(rows != 0, axis=1) | (order == 2))
+                          else rows.any(axis=1) | (order == 2))
     # only fbm's weight has no decay (rate 0), and it has closed forms
     engine = _fbm_increment if form.rate == 0 else _laplace_increment
     # a lag whose time scales or transforms leave the float range is
@@ -239,7 +251,8 @@ def spectral_integral(form, freqs, partial=(0, 0)):
         if live.size:
             values[live], errs[live] = engine(form, rows[live], axis, order)
         # a transform whose squares under- or overflow leaves a NaN or an inf
-        _refuse(rows[live], ~(np.isfinite(values[live]) & np.isfinite(errs[live])),
+        # (the rows left out are 0)
+        _refuse(rows, np.isfinite(values) & np.isfinite(errs),
                 "the value or its error estimate is not finite")
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
 
@@ -268,6 +281,9 @@ _TINY = np.finfo(float).tiny
 # as 4 / (_T_EFOLDS + 2 power), so its node count grows linearly in the
 # Laplace power; this allows powers up to about 6e4.
 _MAX_T_NODES = 2**18
+# The most nodes of a t rule whose fused grid is cached (_t_grid): about
+# 0.5 MB of arrays, reached near power 2e3.
+_CACHED_T_NODES = 2**13
 
 
 @functools.lru_cache(maxsize=256)
@@ -288,8 +304,21 @@ def _decay_sums(t, axis, lam, weights):
                            for i in range(0, len(t), _BLOCK_T)])
 
 
+def _is_closed(axis):
+    """True for a power axis with exponent 1 or 2, whose transforms are closed forms."""
+    return axis.kind == "power" and axis.expo in (1.0, 2.0)
+
+
+def _closed_log_e(axis, log_t):
+    """log E of a closed axis (_is_closed): with u = coef * t, E = 1/u for
+    exponent 1 and sqrt(pi/u)/2 for exponent 2; ``log_t`` is log t."""
+    if axis.expo == 1.0:
+        return -math.log(axis.coef) - log_t
+    return 0.5 * (math.log(0.25 * math.pi / axis.coef) - log_t)
+
+
 def _closed_axis(axis, h, t, log_t, moment=None, with_c=True):
-    """log E and two ratios of a power axis with exponent 1 or 2, in closed form.
+    """Two ratios of a closed axis (_is_closed), in closed form.
 
     With u = coef * t: exponent 1 gives E = 1/u, C = u/(u^2+h^2) and
     D = h^2/(u(u^2+h^2)); exponent 2 gives E = sqrt(pi/u)/2,
@@ -300,26 +329,27 @@ def _closed_axis(axis, h, t, log_t, moment=None, with_c=True):
     that of l^k.  Elementwise in h and t; ``log_t`` is log t.  Without
     ``with_c`` a pass that never reads C/E gets None in its place.
     """
-    u = axis.coef * t
     if axis.expo == 1.0:
-        log_e = -math.log(axis.coef) - log_t
         if moment is None:
-            d_r = h**2 / ((axis.coef * t)**2 + h**2)
-            return log_e, 1.0 - d_r if with_c else None, d_r
+            h2 = h**2
+            d_r = h2 / ((axis.coef * t)**2 + h2)
+            return 1.0 - d_r if with_c else None, d_r
+        u = axis.coef * t
         q = u**2 + h**2
         k_r = u**2 / q
         if moment:
             k_r = (2.0 * h / q if moment == 1 else 2.0 * (u**2 - 3.0 * h**2) / q**2) * k_r
-        return log_e, k_r, math.factorial(moment) / u**moment
-    log_e = 0.5 * (math.log(0.25 * math.pi / axis.coef) - log_t)
+        return k_r, math.factorial(moment) / u**moment
     if moment is None:
         d_r = -np.expm1(h**2 / (-4.0 * axis.coef) / t)
-        return log_e, 1.0 - d_r if with_c else None, d_r
+        return 1.0 - d_r if with_c else None, d_r
+    u = axis.coef * t
     k_r = np.exp(h**2 / (-4.0 * u))
     if moment:
         k_r = (0.5 * h / u if moment == 1 else (2.0 * u - h**2) / (4.0 * u**2)) * k_r
-    p_r = (1.0, 0.5 / u * np.exp(-log_e), 0.5 / u)[moment]
-    return log_e, k_r, p_r
+    if moment == 1:
+        return k_r, 0.5 / u * np.exp(-_closed_log_e(axis, log_t))
+    return k_r, 0.5 / u if moment else 1.0
 
 
 def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
@@ -390,21 +420,41 @@ def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
     return out
 
 
-def _check_moments(lap, lags, axis, order):
-    """ModelError unless the density, and for order 2 with some h_axis = 0 its
-    second moment, is integrable; returns the power p of the small-t law
-    A t^(p - 1) of the kernel (of the second partial at h_axis = 0)."""
+@functools.lru_cache(maxsize=64)
+def _small_t_law(lap, axis, order):
+    """(p, log A) of the small-t power law A t^(p - 1) of the kernel (of the
+    second partial at h_axis = 0); ModelError unless the density is
+    integrable.  Cached per (form, axis, order)."""
     inv = [1.0 / ax.growth for ax in lap.axes]
     margin = lap.power - sum(inv)
     if not margin > 0:
         raise ModelError("density is not integrable: its Laplace weight power "
                          f"{lap.power:g} must exceed sum(1/beta) = {sum(inv):g}")
-    # at h_axis = 0, l_axis^2 lowers the power by 2/beta_axis
-    lead_power = margin - 2.0 * inv[axis] if order == 2 else margin
-    if not lead_power > 0 and np.any(lags[:, axis] == 0):
+    log_lead = _log_pref(lap) + sum(math.lgamma(1.0 + i) - i * math.log(ax.coef)
+                                    for i, ax in zip(inv, lap.axes))
+    if order != 2:
+        return margin, log_lead
+    # at h_axis = 0, l_axis^2 lowers the power by 2/beta_axis, and
+    # P_2/E -> Gamma(3/beta)/Gamma(1/beta) (coef t)^(-2/beta) as t -> 0
+    i, ax = inv[axis], lap.axes[axis]
+    log_lead += math.lgamma(3.0 * i) - math.lgamma(i) - 2.0 * i * math.log(ax.coef)
+    return margin - 2.0 * i, log_lead
+
+
+def _log_pref(lap):
+    """log(2^N prefactor / Gamma(power)), the t-independent factor of the weight."""
+    return math.log(lap.prefactor) + len(lap.axes) * math.log(2.0) - math.lgamma(lap.power)
+
+
+def _check_moments(lap, lags, axis, order):
+    """ModelError unless the density, and for order 2 with some h_axis = 0 its
+    second moment, is integrable; returns _small_t_law(lap, axis, order)."""
+    law = _small_t_law(lap, axis, order)
+    if not law[0] > 0 and (lags[:, axis] == 0).any():
+        margin = lap.power - sum(1.0 / ax.growth for ax in lap.axes)
         raise ModelError(f"the second spectral moment along axis {axis} diverges: "
-                         f"{margin:g} must exceed 2/beta = {2.0 * inv[axis]:g}")
-    return lead_power
+                         f"{margin:g} must exceed 2/beta = {2.0 / lap.axes[axis].growth:g}")
+    return law
 
 
 def _fbm_increment(lap, lags, axis=0, order=0):
@@ -482,121 +532,180 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     decreasing envelope of the integrand (E_b, and P_k for the partial's
     own axis).  The error estimate adds the difference of two Gauss
     orders, the axes' integration-by-parts error and both end charges.
+    Where the power law itself underflows to 0 at t0 (a large power), the
+    part below t0 is charged t0 |F(t0)| / p instead.
     """
     axes = lap.axes
-    n = len(axes)
-    inv = [1.0 / ax.growth for ax in axes]
-    # the small-t power law of the increment, and of the second partial at
-    # h_axis = 0
-    lead_power = _check_moments(lap, lags, axis, order)
-    log_pref = math.log(lap.prefactor) + n * math.log(2.0) - math.lgamma(lap.power)
-    log_lead = log_pref + sum(math.lgamma(1.0 + i) - i * math.log(ax.coef)
-                              for i, ax in zip(inv, axes))
-    if order == 2:
-        # P_2/E -> Gamma(3/beta)/Gamma(1/beta) (coef t)^(-2/beta) as t -> 0
-        i, ax = inv[axis], axes[axis]
-        log_lead += math.lgamma(3.0 * i) - math.lgamma(i) - 2.0 * i * math.log(ax.coef)
+    lead_power, log_lead = _check_moments(lap, lags, axis, order)
     # Lower end: every neglected relative term (rate t, C/E on the
     # longest-lag axis, the shift of a shifted axis) is below _T_EPS.
-    top = np.max([np.abs(h) ** ax.growth / ax.coef for h, ax in zip(lags.T, axes)], axis=0)
-    t0 = np.minimum(np.where(np.any(lags != 0, axis=1), 1e-8 * top, math.inf),
-                    _T_EPS / lap.rate)
+    top = functools.reduce(np.maximum, [h ** ax.growth / ax.coef
+                                        for h, ax in zip(np.abs(lags).T, axes)])
+    t0 = np.minimum(1e-8 * top, _T_EPS / lap.rate)
+    if order == 2:
+        # only the second partial takes h = 0, whose time scale is infinite
+        t0[~lags.any(axis=1)] = _T_EPS / lap.rate
     for ax in axes:
         if ax.kind == "shifted":
             t0 = np.minimum(t0, (_T_EPS / (ax.expo * ax.shift)) ** ax.expo / ax.coef)
-    T = (_T_EFOLDS + 2.0 * lap.power) / lap.rate
+    T, cap = _t_span(lap)
     # a time scale |h_j|^beta / coef beyond the float range leaves no t rule
-    _refuse(lags, ~((t0 >= _TINY) & (T / t0 < math.inf)),
+    span = T / t0
+    _refuse(lags, (t0 >= _TINY) & (span < math.inf),
             "a time scale |h_j|^beta / coef of the lag under- or overflows")
-    levels = np.maximum(1, np.ceil(np.log2(T / t0))).astype(int)
-    t0 = T * 2.0**-levels
-
-    cap = 4.0 / lap.rate / T
-    top_level = int(levels.max())
-    # count each row's t nodes before any rule is built
-    span = 2.0 ** -np.arange(1.0, top_level + 1.0)
-    n_nodes = _LAPLACE_ORDERS[0][0] * np.cumsum(np.maximum(1.0, np.ceil(span / cap)))[levels - 1]
-    if np.any(n_nodes > _MAX_T_NODES):
+    levels = np.maximum(1, np.ceil(np.log2(span))).astype(int)
+    t0 = np.ldexp(T, -levels)
+    # count the t nodes of the deepest row, and so of every row, before
+    # any rule is built
+    counts = _t_node_counts(int(levels.max()), cap)
+    if counts[-1] > _MAX_T_NODES:
+        n_nodes = counts[levels - 1]
         i = int(np.argmax(n_nodes > _MAX_T_NODES))
         raise QuadratureError(f"spectral integral at lag {lags[i].tolist()}: its t rule "
                               f"would hold {n_nodes[i]:.3g} nodes, more than {_MAX_T_NODES}")
 
-    def body(level, t_order):
-        # the rule on [2^-level, 1]: the panels of levels 1 to ``level`` of
-        # the batch's deepest rule, so one rule per order serves the batch
-        t, w, panel_level = _t_rule(top_level, cap, t_order)
-        n_body = np.searchsorted(panel_level, level, side="right")
-        return t[:n_body], w[:n_body]
-
-    def one_pass(h_rows, level, t_order, lam_order):
-        # the rule on [t0, T] is T times the rule on [2^-level, 1]; the
-        # block's grid is its body nodes, then t0, then T
-        t, w = body(level, t_order)
-        n_body, t_lo = len(t), T * 2.0**-level
-        w = T * w
-        t = np.append(T * t, (t_lo, T))[None]  # one row, shared
-        log_t = np.log(t)
-        log_f = log_pref + (lap.power - 1.0) * log_t - lap.rate * t
-        for j, (h, ax) in enumerate(zip(h_rows.T, axes)):
-            # a partial's own axis takes its moment, every other axis C (moment 0)
-            moment = (order if j == axis else 0) if order else None
-            if ax.kind == "power" and ax.expo in (1.0, 2.0):
-                # order 0 reads no carry of its last axis
-                log_e, c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment,
-                                               with_c=bool(order) or j < n - 1)
-                e_r = 0.0
-            else:
-                log_e, c_r, d_r, e_r = _numeric_axis(ax, h, t[0], lam_order, t_lo, T, moment)
-            log_f = log_f + log_e
-            if j == 0:
-                ratio, carry, ibp = d_r, c_r, e_r
-            elif order == 0:
-                ibp = ibp + e_r
-                ratio = ratio + carry * d_r
-                if j < n - 1:
-                    carry = carry * c_r
-            else:
-                if np.ndim(ibp) or np.ndim(e_r):
-                    # first-order error of the product prod_j (K/E)_j; it
-                    # stays 0 until the first numeric axis
-                    ibp = ibp * np.abs(c_r) + np.abs(carry) * e_r
-                carry = carry * c_r
-            if order and j == axis:
-                envelope = d_r
-        scale = np.exp(log_f)
-        F = scale * (carry if order else ratio)
-        ibp_err = np.cumsum(w * (scale * ibp)[:, :n_body], axis=1)[:, -1] if np.ndim(ibp) else 0
-        f_hi = F[:, -1] if order == 0 else (scale * envelope)[:, -1]
-        return np.cumsum(w * F[:, :n_body], axis=1)[:, -1], ibp_err, F[:, -2], f_hi
-
     # blocks of rows on one level, each (rows x t nodes) work array of the
-    # first, larger pass within _BLOCK_BYTES
+    # fused grid within _BLOCK_BYTES
+    lo_orders = _LAPLACE_ORDERS[1 if order == 0 else 2]
     value, value_lo, ibp_err, f_lo, f_hi = np.empty((5, len(lags)))
     for level in sorted(set(levels.tolist())):
+        # a larger grid is built for this call alone
+        build = _t_grid if counts[level - 1] <= _CACHED_T_NODES else _t_grid.__wrapped__
+        grid = build(lap, level, lo_orders)
         group = np.flatnonzero(levels == level)
-        n_t = len(body(level, _LAPLACE_ORDERS[0][0])[0]) + 2
-        step = max(1, _BLOCK_BYTES // (8 * n_t))
+        step = max(1, _BLOCK_BYTES // (8 * grid.t.size))
         for start in range(0, group.size, step):
             idx = group[start:start + step]
-            block = lags[idx]
-            value[idx], ibp_err[idx], f_lo[idx], f_hi[idx] = one_pass(
-                block, level, *_LAPLACE_ORDERS[0])
-            value_lo[idx] = one_pass(block, level, *_LAPLACE_ORDERS[1 if order == 0 else 2])[0]
-    # below t0: the power law, charged with its deviation at t0; for the
-    # lagged partials, the bound t0 |F(t0)|
-    power_law = ~np.any(lags != 0, axis=1) | (order == 0)
+            value[idx], value_lo[idx], ibp_err[idx], f_lo[idx], f_hi[idx] = _block_pass(
+                lap, grid, lags[idx], axis, order)
+    # below t0: the power law, charged with its deviation at t0, or where it
+    # underflows with t0 |F(t0)| / p; a lagged partial, with t0 |F(t0)|
     lead = np.exp(log_lead + (lead_power - 1.0) * np.log(t0))
-    head = np.divide(lead * t0, lead_power, out=np.zeros_like(t0), where=power_law)
-    lower = np.where(power_law, np.abs(f_lo / lead - 1.0) * head, np.abs(f_lo) * t0)
+    head = lead * t0 / lead_power
+    bound = np.abs(f_lo) * t0
+    lower = np.where(lead > 0, np.abs(f_lo / lead - 1.0) * head, bound / lead_power)
+    if order:
+        power_law = ~lags.any(axis=1)
+        head = np.where(power_law, head, 0.0)
+        lower = np.where(power_law, lower, bound)
     # above T: the envelope G decreases in t, and int_T^inf m <= 2 m(T) / rate
     # because rate T >= 2 (power - 1), so the rest is below 2 G(T) / rate
     err = np.abs(value - value_lo) + ibp_err + lower + 2.0 * f_hi / lap.rate
     return value + head, err
 
 
-def _refuse(lags, bad, reason):
-    """QuadratureError naming the first row of ``lags`` flagged in ``bad``."""
-    if np.any(bad):
-        lag = lags[int(np.argmax(bad))].tolist()
+def _t_span(lap):
+    """The upper end T of the t rule, (_T_EFOLDS + 2 power) / rate, and the
+    cap on its panel widths, as a fraction of T."""
+    T = (_T_EFOLDS + 2.0 * lap.power) / lap.rate
+    return T, 4.0 / lap.rate / T
+
+
+@functools.lru_cache(maxsize=64)
+def _t_node_counts(top_level, cap):
+    """Nodes of the order-8 t rule on [2^-level, 1], for level = 1 to
+    ``top_level``, counted without building it; read-only, as cached."""
+    span = 2.0 ** -np.arange(1.0, top_level + 1.0)
+    counts = _LAPLACE_ORDERS[0][0] * np.cumsum(np.maximum(1.0, np.ceil(span / cap)))
+    counts.setflags(write=False)
+    return counts
+
+
+# One level's fused t grid; ``ends`` is (t0, T), and ``segments`` holds,
+# per Gauss order (the high one first), the slice of ``t`` it spans, its
+# number of body nodes, their weights and the lambda order of a numeric
+# axis.
+_TGrid = collections.namedtuple("_TGrid", "t log_t log_f scale folded ends segments")
+
+
+@functools.lru_cache(maxsize=32)
+def _t_grid(lap, level, lo_orders):
+    """The fused t grid of one level, shared by every block of rows on it.
+
+    For each of the two Gauss orders (_LAPLACE_ORDERS[0], then
+    ``lo_orders``) the rule on [t0, T] is T times the rule on
+    [2^-level, 1]: its body nodes, then t0 = T 2^-level, then T; ``t``
+    is the two, one after the other, as one row.  ``log_f`` is the
+    weight's log m(t) + log(2^N prefactor), plus, in axis order, log E
+    of each closed axis (_is_closed) up to the first numeric one
+    (``folded`` axes); ``scale`` is exp(log_f) when every axis is closed,
+    else None.  Read-only, as cached per (form, level, orders); its
+    rules are built for it alone, so that they are held only once.
+    """
+    T, cap = _t_span(lap)
+    t_lo = T * 2.0**-level
+    nodes, segments, start = [], [], 0
+    for t_order, lam_order in (_LAPLACE_ORDERS[0], lo_orders):
+        x, w, _ = _t_rule.__wrapped__(level, cap, t_order)
+        nodes += [T * x, (t_lo, T)]
+        segments.append((slice(start, start + x.size + 2), x.size, T * w, lam_order))
+        start += x.size + 2
+    t = np.concatenate(nodes)[None]
+    log_t = np.log(t)
+    log_f = _log_pref(lap) + (lap.power - 1.0) * log_t - lap.rate * t
+    folded = 0
+    for ax in lap.axes:
+        if not _is_closed(ax):
+            break
+        log_f = log_f + _closed_log_e(ax, log_t)
+        folded += 1
+    scale = np.exp(log_f) if folded == len(lap.axes) else None
+    for a in (t, log_t, log_f, scale, *(seg[2] for seg in segments)):
+        if a is not None:
+            a.setflags(write=False)
+    return _TGrid(t, log_t, log_f, scale, folded, (t_lo, T), tuple(segments))
+
+
+def _block_pass(lap, grid, h_rows, axis, order):
+    """Value, lower-order value, integration-by-parts error, F(t0) and the
+    envelope at T of each row of ``h_rows``, all on one fused t grid."""
+    axes = lap.axes
+    n = len(axes)
+    t, log_t, log_f = grid.t, grid.log_t, grid.log_f
+    for j, (h, ax) in enumerate(zip(h_rows.T, axes)):
+        # a partial's own axis takes its moment, every other axis C (moment 0)
+        moment = (order if j == axis else 0) if order else None
+        if _is_closed(ax):
+            # order 0 reads no carry of its last axis
+            c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment,
+                                    with_c=bool(order) or j < n - 1)
+            e_r = 0.0
+            if j >= grid.folded:
+                log_f = log_f + _closed_log_e(ax, log_t)
+        else:
+            # one call per Gauss order, on that order's own grid
+            log_e, c_r, d_r, e_r = (np.concatenate(parts, axis=1) for parts in zip(*(
+                _numeric_axis(ax, h, t[0, seg], lam_order, *grid.ends, moment)
+                for seg, _, _, lam_order in grid.segments)))
+            log_f = log_f + log_e
+        if j == 0:
+            ratio, carry, ibp = d_r, c_r, e_r
+        elif order == 0:
+            ibp = ibp + e_r
+            ratio = ratio + carry * d_r
+            if j < n - 1:
+                carry = carry * c_r
+        else:
+            if np.ndim(ibp) or np.ndim(e_r):
+                # first-order error of the product prod_j (K/E)_j; it
+                # stays 0 until the first numeric axis
+                ibp = ibp * np.abs(c_r) + np.abs(carry) * e_r
+            carry = carry * c_r
+        if order and j == axis:
+            envelope = d_r
+    scale = np.exp(log_f) if grid.scale is None else grid.scale
+    F = scale * (carry if order else ratio)
+    (_, n_hi, w_hi, _), (lo, n_lo, w_lo, _) = grid.segments
+    value = (w_hi * F[:, :n_hi]).cumsum(axis=1)[:, -1]
+    value_lo = (w_lo * F[:, lo.start:lo.start + n_lo]).cumsum(axis=1)[:, -1]
+    ibp_err = (w_hi * (scale * ibp)[:, :n_hi]).cumsum(axis=1)[:, -1] if np.ndim(ibp) else 0
+    f_hi = F[:, n_hi + 1] if order == 0 else (scale * envelope)[:, n_hi + 1]
+    return value, value_lo, ibp_err, F[:, n_hi], f_hi
+
+
+def _refuse(lags, ok, reason):
+    """QuadratureError naming the first row of ``lags`` not flagged in ``ok``."""
+    if not ok.all():
+        lag = lags[int(np.argmin(ok))].tolist()
         raise QuadratureError(f"spectral integral at lag {lag} is out of "
                               f"floating-point range: {reason}")

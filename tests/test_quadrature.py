@@ -10,8 +10,9 @@ import pytest
 from scipy.special import kv
 from tensor_rule import tensor_integral
 
+from anisofield import quadrature
 from anisofield.errors import ModelError, QuadratureError
-from anisofield.models import (canonical_c, fbm, laplace_form,
+from anisofield.models import (canonical_c, fbm, laplace_form, legitimacy_check,
                                smoothness_exponents, stein)
 from anisofield.quadrature import (_GAUSS_LEGENDRE, QuadratureSpec, _dyadic_panels, _gauss,
                                    _outer_axis, _t_rule, certify, spectral_integral)
@@ -456,3 +457,88 @@ def test_certify_holds_each_err_to_rel_tol_times_its_scale():
             certify(values, np.array(errs), np.array(scales), QuadratureSpec(0.01), lags, "x")
         assert info.value.value == 0.0
         assert info.value.err == errs[1] or math.isnan(errs[1])
+
+
+@pytest.mark.parametrize("power", [39.0, 40.0, 60.0])
+def test_a_large_laplace_power_is_certified(power):
+    # from about power 39 the small-t power law underflows to 0 at t0, and
+    # its deviation there once came out 0/0; the part below t0 is now
+    # charged t0 |F(t0)| / p, and nothing warns on the way
+    model = canonical_c((1.0, 2.0), power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = variogram_table(model, [[0.3, 0.5], [1e-3, 2e-3]])
+        gradient = variogram_gradient(model, 1, [0.3, 0.5])
+    assert np.all(np.isfinite(table.errs)) and np.all(table.errs <= 1e-6 * table.values)
+    assert gradient > 0
+    if power == 40.0:
+        ref, ref_err = _tensor(model, (0.3, 0.5), TIGHT)
+        assert abs(0.5 * table.values[0] - ref) <= 0.5 * table.errs[0] + ref_err
+
+
+@pytest.mark.parametrize("order", [5, 6, 8])
+def test_a_t_rule_is_the_prefix_of_every_deeper_one(order):
+    # each level's t grid is built from its own _t_rule: bit for bit the
+    # body [2^-level, 1] of the rule of any deeper level
+    levels = (1, 2, 3, 7, 36, 37, 200, 1074, 1099, 1100)
+    for cap in (4.0 / 42.0, 4.0 / 48.0, 4.0 / 240.0, 1e-3, 0.5):
+        rules = {level: _t_rule(level, cap, order) for level in levels}
+        for i, level in enumerate(levels):
+            n = rules[level][0].size
+            for deeper in levels[i + 1:]:
+                assert np.all(rules[deeper][2][n:] > level)
+                for a, b in zip(rules[level], rules[deeper]):
+                    assert a.tobytes() == b[:n].tobytes()
+
+
+def _clear_engine_caches():
+    for cached in (quadrature._t_rule, quadrature._t_node_counts, quadrature._t_grid,
+                   quadrature._small_t_law, laplace_form, legitimacy_check):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("model", [
+    canonical_c((1.0, 2.0, 2.0), 4.0),                        # closed-form axes
+    canonical_c((1.5, 0.8), 4.0),                             # numeric axes
+    stein((1.0, 2.0), (1.0, 2.0), (0.8, 1.0), 2.0),           # numeric, then closed
+], ids=["canonical-closed", "canonical-numeric", "stein-mixed"])
+def test_results_do_not_depend_on_cache_state_or_call_order(model):
+    # two lags on different t levels, cold (every engine cache cleared) and
+    # warm, one level first and then the other first, alone and batched
+    lags = np.array([[0.5] * model.dims, [2e-3] * model.dims])
+    partials = [(0, 0), (0, 1), (model.dims - 1, 2)]
+
+    def run(rows):
+        form = laplace_form(model)
+        return {(i, p): spectral_integral(form, lags[i], partial=p)
+                for i in rows for p in partials}
+
+    _clear_engine_caches()
+    cold = run([0, 1])
+    assert run([0, 1]) == cold
+    _clear_engine_caches()
+    assert run([1, 0]) == cold
+    form = laplace_form(model)
+    for p in partials:
+        values, errs = spectral_integral(form, lags, partial=p)
+        assert [(values[i], errs[i]) for i in (0, 1)] == [cold[0, p], cold[1, p]]
+    # every cached array is read-only
+    for lo_orders in quadrature._LAPLACE_ORDERS[1:]:
+        grid = quadrature._t_grid(form, 36, lo_orders)
+        arrays = [grid.t, grid.log_t, grid.log_f, grid.scale] + [s[2] for s in grid.segments]
+        assert all(not a.flags.writeable for a in arrays if a is not None)
+    assert not quadrature._t_node_counts(36, 0.1).flags.writeable
+    assert all(not a.flags.writeable for a in _t_rule(36, 0.1, 8))
+
+
+def test_a_t_grid_beyond_the_cache_bound_is_built_per_call():
+    # a large power's t rule (here about 12k nodes of order 8) gives a grid
+    # that is built for its call alone, so the cache holds only small ones
+    quadrature._t_grid.cache_clear()
+    model = canonical_c((1.0, 2.0), 3000.0)
+    first = variogram_table(model, [[0.3, 0.5]])
+    assert quadrature._t_grid.cache_info().currsize == 0
+    second = variogram_table(model, [[0.3, 0.5]])
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.errs.tobytes() == second.errs.tobytes()
+    assert 0 < first.errs[0] <= 1e-6 * first.values[0]
