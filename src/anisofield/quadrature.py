@@ -241,8 +241,8 @@ def spectral_integral(form, freqs, partial=(0, 0)):
     rows = freqs.reshape(-1, n_dims)
     values, errs = np.zeros((2, len(rows)))
     # the increment vanishes at h = 0 and the first partial at h_axis = 0
-    live = np.flatnonzero(rows[:, axis] != 0 if order == 1
-                          else rows.any(axis=1) | (order == 2))
+    live = (rows[:, axis] != 0 if order == 1
+            else rows.any(axis=1) | (order == 2)).nonzero()[0]
     # only fbm's weight has no decay (rate 0), and it has closed forms
     engine = _fbm_increment if form.rate == 0 else _laplace_increment
     # a lag whose time scales or transforms leave the float range is
@@ -572,7 +572,7 @@ def _laplace_increment(lap, lags, axis=0, order=0):
         # a larger grid is built for this call alone
         build = _t_grid if counts[level - 1] <= _CACHED_T_NODES else _t_grid.__wrapped__
         grid = build(lap, level, lo_orders)
-        group = np.flatnonzero(levels == level)
+        group = (levels == level).nonzero()[0]
         step = max(1, _BLOCK_BYTES // (8 * grid.t.size))
         for start in range(0, group.size, step):
             idx = group[start:start + step]
