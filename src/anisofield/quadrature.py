@@ -251,7 +251,7 @@ def spectral_integral(form, freqs, partial=(0, 0)):
         if live.size:
             values[live], errs[live] = engine(form, rows[live], axis, order)
         # a transform whose squares under- or overflow leaves a NaN or an inf
-        # (the rows left out are 0)
+        # (a row left out above holds 0)
         _refuse(rows, np.isfinite(values) & np.isfinite(errs),
                 "the value or its error estimate is not finite")
     return (values, errs) if batch else (float(values[0]), float(errs[0]))
