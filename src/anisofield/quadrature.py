@@ -20,29 +20,32 @@ a_j = c lambda or c lambda^2, from the 1-D rule below on any other
 (numeric) axis, for a block of t nodes at a time.  The cost is
 O(n_t N n_lambda) in every dimension N >= 1, with no node cap.
 
-The engine integrates a batch of lags in blocks of rows that share one
-lower end t0 of the t integral.  Every row has the same upper end T and
-t0 is a dyadic fraction of T, so a block shares one fused t grid: for
-each of the two Gauss orders behind the error estimate, the body nodes
-scaled by T, then t0, then T, one order after the other.  A block takes
-one pass over it: a closed-form axis evaluates the whole grid in one
-call per ufunc, a numeric axis calls its 1-D rule once per order, on
-that order's part, and the two values are sums over their own parts.
-The t-only work (the grid, its weights, log t, the weight m(t) and the
-log E of the leading closed-form axes) is cached per (form, level) in
-the process, read-only (``_t_grid``), as is the small-t power law per
-(form, axis, order).  A block holds as many rows as keep each (rows x t
-nodes) work array within _BLOCK_BYTES, so the arrays are recycled from
-the heap rather than page-faulted in afresh.  The grid is the one a row
-would have alone, so its result does not depend on the batch, nor on
-what the caches hold.
+The t integral is the trapezoid rule in s = log t, on the nodes
+t_k = T e^{-k h}, k = 0 ... K, from the upper end T that the weight's
+decay fixes down to t0.  In s the integrand is analytic in a strip and
+decays at both ends, so the rule converges geometrically as h shrinks
+(Trefethen and Weideman 2014, "The exponentially convergent trapezoidal
+rule").  Below t0 the integrand is its small-t power law, whose
+trapezoid sum the rule adds in closed form; that cancels its O(h^2)
+error at t0.  The rows of a batch share a grid per K, and the engine
+integrates them in blocks of rows on one grid, in one pass: a closed
+axis evaluates the whole grid in one call per ufunc, a numeric axis
+calls its 1-D rule on the nodes and again on every other node for the
+error estimate.  The t-only work (the grid, its weights, log t, the
+weight m(t) and the log E of the leading closed axes) is cached per
+(form, K, h), read-only (``_t_grid``), as are the small-t power law,
+the step h and its trapezoid factors per (form, axis, order).  A block
+holds as many rows as keep each (rows x t nodes) work array within
+_BLOCK_BYTES, so the arrays are recycled from the heap rather than
+page-faulted in afresh.  The grid is the one a row would have alone, so
+its result does not depend on the batch, nor on what the caches hold.
 
 The 1-D rule of a numeric axis splits it at a truncation point L, set by
 the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
 no further out than lam_hi, where the weight has vanished.  Both of its
-rules, like the t rule, are one cached Gauss-Legendre rule on dyadically
-graded panels of [0, 1] (``_t_rule``), so none is built per lag: [0, L]
-takes L times the rule whose panels are no wider than 10/reach (the
+rules are one cached Gauss-Legendre rule on dyadically graded panels of
+[0, 1] (``_t_rule``), so none is built per lag: [0, L] takes L times
+the rule whose panels are no wider than 10/reach (the
 oscillation wavelength 10/|h_j| where L = reach/|h_j|), and (L, inf)
 the image of the rule under lambda = L/u.  There an oscillatory factor
 is replaced by its two integration-by-parts boundary terms, or, at
@@ -50,9 +53,10 @@ L = lam_hi, charged its mass.  No setting shapes either rule:
 ``QuadratureSpec`` holds only the tolerance that :func:`certify` holds
 each error estimate to.
 
-Each error estimate combines the difference between two Gauss orders,
-the integration-by-parts terms and the charges at both ends of the t
-integral.  All node orderings are fixed, so results are bit-stable for
+Each error estimate combines the difference to the trapezoid rule of
+step 2h (with a numeric axis's 1-D rule at a lower Gauss order), the
+integration-by-parts terms, the charges at both ends of the t integral
+and a rounding charge.  All node orderings are fixed, so results are bit-stable for
 fixed inputs.
 """
 
@@ -260,30 +264,35 @@ def spectral_integral(form, freqs, partial=(0, 0)):
 # ---------------------------------------------------------------------------
 # The Laplace-domain engine.
 
-# Gauss orders (t rule, numeric-axis lambda rule); the second pair feeds
-# the discretization error estimate, the third in its place for the
-# partials, whose integrands change sign in t.
-_LAPLACE_ORDERS = ((8, 12), (5, 7), (6, 7))
+# Gauss orders of a numeric axis's lambda rule: the value's, and the
+# error estimate's, at every other node of the t rule.
+_LAMBDA_ORDERS = (12, 7)
+# Steps in s = log t of the t rule, for order 0 and for the partials,
+# whose integrands change sign in t; at most _T_WIDTH / sqrt(power),
+# since the integrand's bump in s narrows like 1 / sqrt(power).
+_T_STEPS = (0.25, 0.15)
+_T_WIDTH = 0.5
 # Relative size of what the small-t power law leaves out at the lower end.
 _T_EPS = 1e-9
 # e-folds of the weight's e^{-rate t} covered by the t rule.
 _T_EFOLDS = 40.0
 # Bytes of one work array per block of rows (of the engine's lags x t
 # nodes, and of simulate's lattice mass nodes): half of glibc's 128 KB
-# mmap threshold.
+# mmap threshold.  A t grid longer than one such row is built per call,
+# not cached.
 _BLOCK_BYTES = 65536
 # t values per product on a numeric axis; bounds the (t x lambda nodes)
 # work arrays.
 _BLOCK_T = 256
 # The smallest positive normal float; t0 must reach it.
 _TINY = np.finfo(float).tiny
-# The most nodes one lag's t rule may hold.  The rule's panel cap shrinks
-# as 4 / (_T_EFOLDS + 2 power), so its node count grows linearly in the
-# Laplace power; this allows powers up to about 6e4.
+# The most nodes one lag's t rule may hold.  Its step shrinks as
+# _T_WIDTH / sqrt(power), so its node count grows like sqrt(power); this
+# allows powers up to about 1e7.
 _MAX_T_NODES = 2**18
-# The most nodes of a t rule whose fused grid is cached (_t_grid): about
-# 0.5 MB of arrays, reached near power 2e3.
-_CACHED_T_NODES = 2**13
+# Rounding charged to the error estimate, per unit of the integrand's
+# absolute integral.
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=256)
@@ -422,9 +431,12 @@ def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
 
 @functools.lru_cache(maxsize=64)
 def _small_t_law(lap, axis, order):
-    """(p, log A) of the small-t power law A t^(p - 1) of the kernel (of the
-    second partial at h_axis = 0); ModelError unless the density is
-    integrable.  Cached per (form, axis, order)."""
+    """(p, log A, h, heads): the small-t power law A t^(p - 1) of the
+    kernel (of the second partial at h_axis = 0), the step h of its t rule
+    in s = log t, and heads = (H(h), H(2h), 1 / p).  H(s) =
+    s (1 / (1 - e^{-p s}) - 1/2) makes g0 H(s) the power law's trapezoid
+    sum of step s below t0, where g0 = A t0^p.  ModelError unless the
+    density is integrable.  Cached per (form, axis, order)."""
     inv = [1.0 / ax.growth for ax in lap.axes]
     margin = lap.power - sum(inv)
     if not margin > 0:
@@ -432,13 +444,17 @@ def _small_t_law(lap, axis, order):
                          f"{lap.power:g} must exceed sum(1/beta) = {sum(inv):g}")
     log_lead = _log_pref(lap) + sum(math.lgamma(1.0 + i) - i * math.log(ax.coef)
                                     for i, ax in zip(inv, lap.axes))
-    if order != 2:
-        return margin, log_lead
-    # at h_axis = 0, l_axis^2 lowers the power by 2/beta_axis, and
-    # P_2/E -> Gamma(3/beta)/Gamma(1/beta) (coef t)^(-2/beta) as t -> 0
-    i, ax = inv[axis], lap.axes[axis]
-    log_lead += math.lgamma(3.0 * i) - math.lgamma(i) - 2.0 * i * math.log(ax.coef)
-    return margin - 2.0 * i, log_lead
+    if order == 2:
+        # at h_axis = 0, l_axis^2 lowers the power by 2/beta_axis, and
+        # P_2/E -> Gamma(3/beta)/Gamma(1/beta) (coef t)^(-2/beta) as t -> 0
+        i, ax = inv[axis], lap.axes[axis]
+        log_lead += math.lgamma(3.0 * i) - math.lgamma(i) - 2.0 * i * math.log(ax.coef)
+        margin -= 2.0 * i
+    step = min(_T_STEPS[order > 0], _T_WIDTH / math.sqrt(lap.power))
+    # where the power law is not integrable, no row takes it (_check_moments)
+    heads = ((*(-s / math.expm1(-margin * s) - 0.5 * s for s in (step, 2.0 * step)),
+              1.0 / margin) if margin > 0 else (0.0, 0.0, 0.0))
+    return margin, log_lead, step, heads
 
 
 def _log_pref(lap):
@@ -510,33 +526,38 @@ def _laplace_increment(lap, lags, axis=0, order=0):
 
     where E_j, C_j, D_j and K_k,j are the per-axis transforms of 1,
     cos(h_j l), 2 sin^2(h_j l / 2) and l^k sin(h_j l) (k = 1) or
-    l^2 cos(h_j l) (k = 2) against e^{-t a_j(l)}.  The t integral runs
-    on dyadic panels over [t0, T], T = (_T_EFOLDS + 2 power) / rate.
-    One rule sets t0 for every order: 1e-8 times the largest lagged time
-    scale max_j |h_j|^beta_j / coef_j (infinite at h = 0), lowered so
-    that rate t0 and each axis shift stay below _T_EPS.
+    l^2 cos(h_j l) (k = 2) against e^{-t a_j(l)}.
+
+    The t integral is the trapezoid rule in s = log t of the module
+    docstring: nodes t_k = T e^{-k h}, k = 0 ... K, weights h t_k halved
+    at both ends, T = (_T_EFOLDS + 2 power) / rate, h from _small_t_law.
+    One rule sets t0 = T e^{-K h} for every order: K is the least even
+    count that takes it to the dyadic fraction of T below 1e-8 times the
+    largest lagged time scale max_j |h_j|^beta_j / coef_j (infinite at
+    h = 0), lowered so that rate t0 and each axis shift stay below _T_EPS.
 
     Below t0 the increment kernel, and the second partial at h = 0, are
-    their small-t power law A t^(p - 1), integrated exactly; the
-    deviation at t0 bounds the error there.  The other partials are
-    charged t0 |F(t0)| below t0, which bounds that part because F falls
-    off like a positive power of t there: t0 is eight decades below the
-    largest lagged time scale, where that axis's ratio (C/E, or K_k/E
-    on the partial's own axis) decays like t^(1 + 1/beta) or faster
-    (exponentially on a Gaussian axis), every other lagged C/E stays
-    within [-1, 1], and the decay outweighs the growth
-    t^(margin - 1 - k/beta_axis) of the rest (margin > k/beta_axis
-    suffices).
+    their small-t power law A t^(p - 1), whose trapezoid sum below t0 the
+    rule adds: g0 h (1 / (1 - e^{-p h}) - 1/2) with g0 = A t0^p.  The
+    deviation |t0 F(t0) - g0| / p bounds the error there (t0 |F(t0)| / p
+    where the power law underflows to 0 at t0).  The other partials are charged t0 |F(t0)| below
+    t0, which bounds that part because F falls off like a positive power
+    of t there: t0 is eight decades below the largest lagged time scale,
+    where that axis's ratio (C/E, or K_k/E on the partial's own axis)
+    decays like t^(1 + 1/beta) or faster (exponentially on a Gaussian
+    axis), every other lagged C/E stays within [-1, 1], and the decay
+    outweighs the growth t^(margin - 1 - k/beta_axis) of the rest
+    (margin > k/beta_axis suffices).
 
     Above T the weight's e^{-rate t} bounds the rest against the
     decreasing envelope of the integrand (E_b, and P_k for the partial's
-    own axis).  The error estimate adds the difference of two Gauss
-    orders, the axes' integration-by-parts error and both end charges.
-    Where the power law itself underflows to 0 at t0 (a large power), the
-    part below t0 is charged t0 |F(t0)| / p instead.
+    own axis).  The error estimate adds the difference to the same rule
+    at step 2h on every other node (where a numeric axis takes its lower
+    lambda order), the axes' integration-by-parts error, both end charges
+    and _ROUNDING times the step-2h sum of |F|.
     """
     axes = lap.axes
-    lead_power, log_lead = _check_moments(lap, lags, axis, order)
+    law = _check_moments(lap, lags, axis, order)
     # Lower end: every neglected relative term (rate t, C/E on the
     # longest-lag axis, the shift of a shifted axis) is below _T_EPS.
     top = functools.reduce(np.maximum, [h ** ax.growth / ax.coef
@@ -548,100 +569,62 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     for ax in axes:
         if ax.kind == "shifted":
             t0 = np.minimum(t0, (_T_EPS / (ax.expo * ax.shift)) ** ax.expo / ax.coef)
-    T, cap = _t_span(lap)
     # a time scale |h_j|^beta / coef beyond the float range leaves no t rule
-    span = T / t0
+    span = _t_top(lap) / t0
     _refuse(lags, (t0 >= _TINY) & (span < math.inf),
             "a time scale |h_j|^beta / coef of the lag under- or overflows")
-    levels = np.maximum(1, np.ceil(np.log2(span))).astype(int)
-    t0 = np.ldexp(T, -levels)
-    # count the t nodes of the deepest row, and so of every row, before
-    # any rule is built
-    counts = _t_node_counts(int(levels.max()), cap)
-    if counts[-1] > _MAX_T_NODES:
-        n_nodes = counts[levels - 1]
-        i = int(np.argmax(n_nodes > _MAX_T_NODES))
+    # K from t0's dyadic level below T (span > 2^35, as rate t0 <= _T_EPS):
+    # even, so that the rule at step 2h ends on t0 too, and counted for
+    # every row before any rule is built
+    nodes = 2.0 * np.ceil(np.ceil(np.log2(span)) * (0.5 * math.log(2.0) / law[2]))
+    if not nodes.max() < _MAX_T_NODES:
+        i = int(np.argmax(nodes >= _MAX_T_NODES))
         raise QuadratureError(f"spectral integral at lag {lags[i].tolist()}: its t rule "
-                              f"would hold {n_nodes[i]:.3g} nodes, more than {_MAX_T_NODES}")
+                              f"would hold {nodes[i] + 1.0:.3g} nodes, more than {_MAX_T_NODES}")
 
-    # blocks of rows on one level, each (rows x t nodes) work array of the
-    # fused grid within _BLOCK_BYTES
-    lo_orders = _LAPLACE_ORDERS[1 if order == 0 else 2]
-    value, value_lo, ibp_err, f_lo, f_hi = np.empty((5, len(lags)))
-    for level in sorted(set(levels.tolist())):
-        # a larger grid is built for this call alone
-        build = _t_grid if counts[level - 1] <= _CACHED_T_NODES else _t_grid.__wrapped__
-        grid = build(lap, level, lo_orders)
-        group = (levels == level).nonzero()[0]
+    # blocks of rows on one grid, each (rows x t nodes) work array within
+    # _BLOCK_BYTES
+    value, err = np.empty((2, len(lags)))
+    for count in map(int, sorted(set(nodes.tolist()))):
+        # a grid longer than a block's row is built for this call alone
+        grid = (_t_grid if count < _BLOCK_BYTES // 8 else _t_grid.__wrapped__)(
+            lap, count, law[2])
+        group = (nodes == count).nonzero()[0]
         step = max(1, _BLOCK_BYTES // (8 * grid.t.size))
         for start in range(0, group.size, step):
             idx = group[start:start + step]
-            value[idx], value_lo[idx], ibp_err[idx], f_lo[idx], f_hi[idx] = _block_pass(
-                lap, grid, lags[idx], axis, order)
-    # below t0: the power law, charged with its deviation at t0, or where it
-    # underflows with t0 |F(t0)| / p; a lagged partial, with t0 |F(t0)|
-    lead = np.exp(log_lead + (lead_power - 1.0) * np.log(t0))
-    head = lead * t0 / lead_power
-    bound = np.abs(f_lo) * t0
-    lower = np.where(lead > 0, np.abs(f_lo / lead - 1.0) * head, bound / lead_power)
-    if order:
-        power_law = ~lags.any(axis=1)
-        head = np.where(power_law, head, 0.0)
-        lower = np.where(power_law, lower, bound)
-    # above T: the envelope G decreases in t, and int_T^inf m <= 2 m(T) / rate
-    # because rate T >= 2 (power - 1), so the rest is below 2 G(T) / rate
-    err = np.abs(value - value_lo) + ibp_err + lower + 2.0 * f_hi / lap.rate
-    return value + head, err
+            value[idx], err[idx] = _block_pass(lap, grid, lags[idx], axis, order, law)
+    return value, err
 
 
-def _t_span(lap):
-    """The upper end T of the t rule, (_T_EFOLDS + 2 power) / rate, and the
-    cap on its panel widths, as a fraction of T."""
-    T = (_T_EFOLDS + 2.0 * lap.power) / lap.rate
-    return T, 4.0 / lap.rate / T
+def _t_top(lap):
+    """The upper end T of the t rule, (_T_EFOLDS + 2 power) / rate."""
+    return (_T_EFOLDS + 2.0 * lap.power) / lap.rate
 
 
-@functools.lru_cache(maxsize=64)
-def _t_node_counts(top_level, cap):
-    """Nodes of the order-8 t rule on [2^-level, 1], for level = 1 to
-    ``top_level``, counted without building it; read-only, as cached."""
-    span = 2.0 ** -np.arange(1.0, top_level + 1.0)
-    counts = _LAPLACE_ORDERS[0][0] * np.cumsum(np.maximum(1.0, np.ceil(span / cap)))
-    counts.setflags(write=False)
-    return counts
-
-
-# One level's fused t grid; ``ends`` is (t0, T), and ``segments`` holds,
-# per Gauss order (the high one first), the slice of ``t`` it spans, its
-# number of body nodes, their weights and the lambda order of a numeric
-# axis.
-_TGrid = collections.namedtuple("_TGrid", "t log_t log_f scale folded ends segments")
+# One t grid.  ``t`` is the rule's nodes T e^{-k h}, k = 0 ... K, then,
+# where a numeric axis evaluates them again, every other one; ``lo`` is
+# the slice of ``t`` that the rule at step 2h reads, ``w`` and ``w_lo``
+# are the weights of the two rules, and ``ends`` is (t0, T).
+_TGrid = collections.namedtuple("_TGrid", "t log_t log_f scale folded ends lo w w_lo")
 
 
 @functools.lru_cache(maxsize=32)
-def _t_grid(lap, level, lo_orders):
-    """The fused t grid of one level, shared by every block of rows on it.
+def _t_grid(lap, count, step):
+    """The t grid of ``count`` steps of ``step`` in log t down from T, shared
+    by every block of rows on it.
 
-    For each of the two Gauss orders (_LAPLACE_ORDERS[0], then
-    ``lo_orders``) the rule on [t0, T] is T times the rule on
-    [2^-level, 1]: its body nodes, then t0 = T 2^-level, then T; ``t``
-    is the two, one after the other, as one row.  ``log_f`` is the
-    weight's log m(t) + log(2^N prefactor), plus, in axis order, log E
-    of each closed axis (_is_closed) up to the first numeric one
-    (``folded`` axes); ``scale`` is exp(log_f) when every axis is closed,
-    else None.  Read-only, as cached per (form, level, orders); its
-    rules are built for it alone, so that they are held only once.
+    ``log_f`` is the weight's log m(t) + log(2^N prefactor), plus, in axis
+    order, log E of each closed axis (_is_closed) up to the first numeric
+    one (``folded`` axes); ``scale`` is exp(log_f) when every axis is
+    closed, else None.  Read-only, as cached per (form, K, h).
     """
-    T, cap = _t_span(lap)
-    t_lo = T * 2.0**-level
-    nodes, segments, start = [], [], 0
-    for t_order, lam_order in (_LAPLACE_ORDERS[0], lo_orders):
-        x, w, _ = _t_rule.__wrapped__(level, cap, t_order)
-        nodes += [T * x, (t_lo, T)]
-        segments.append((slice(start, start + x.size + 2), x.size, T * w, lam_order))
-        start += x.size + 2
-    t = np.concatenate(nodes)[None]
-    log_t = np.log(t)
+    n = count + 1
+    log_t = math.log(_t_top(lap)) - step * np.arange(float(n))
+    closed = all(_is_closed(ax) for ax in lap.axes)
+    lo = slice(0, n, 2) if closed else slice(n, n + count // 2 + 1)
+    log_t = (log_t if closed else np.concatenate([log_t, log_t[::2]]))[None]
+    t = np.exp(log_t)
     log_f = _log_pref(lap) + (lap.power - 1.0) * log_t - lap.rate * t
     folded = 0
     for ax in lap.axes:
@@ -649,19 +632,23 @@ def _t_grid(lap, level, lo_orders):
             break
         log_f = log_f + _closed_log_e(ax, log_t)
         folded += 1
-    scale = np.exp(log_f) if folded == len(lap.axes) else None
-    for a in (t, log_t, log_f, scale, *(seg[2] for seg in segments)):
+    scale = np.exp(log_f) if closed else None
+    w, w_lo = step * t[0, :n], 2.0 * step * t[0, lo]
+    for a in (w, w_lo):
+        a[[0, -1]] *= 0.5
+    for a in (t, log_t, log_f, scale, w, w_lo):
         if a is not None:
             a.setflags(write=False)
-    return _TGrid(t, log_t, log_f, scale, folded, (t_lo, T), tuple(segments))
+    return _TGrid(t, log_t, log_f, scale, folded, (t[0, count], t[0, 0]), lo, w, w_lo)
 
 
-def _block_pass(lap, grid, h_rows, axis, order):
-    """Value, lower-order value, integration-by-parts error, F(t0) and the
-    envelope at T of each row of ``h_rows``, all on one fused t grid."""
+def _block_pass(lap, grid, h_rows, axis, order, law):
+    """Value and error estimate of each row of ``h_rows`` on one t grid, with
+    ``law`` the _small_t_law (_laplace_increment)."""
     axes = lap.axes
     n = len(axes)
     t, log_t, log_f = grid.t, grid.log_t, grid.log_f
+    n_t = grid.w.size
     for j, (h, ax) in enumerate(zip(h_rows.T, axes)):
         # a partial's own axis takes its moment, every other axis C (moment 0)
         moment = (order if j == axis else 0) if order else None
@@ -673,10 +660,11 @@ def _block_pass(lap, grid, h_rows, axis, order):
             if j >= grid.folded:
                 log_f = log_f + _closed_log_e(ax, log_t)
         else:
-            # one call per Gauss order, on that order's own grid
+            # the rule's nodes at the value's lambda order, then those of
+            # the rule at step 2h at the estimate's
             log_e, c_r, d_r, e_r = (np.concatenate(parts, axis=1) for parts in zip(*(
                 _numeric_axis(ax, h, t[0, seg], lam_order, *grid.ends, moment)
-                for seg, _, _, lam_order in grid.segments)))
+                for seg, lam_order in zip((slice(0, n_t), grid.lo), _LAMBDA_ORDERS))))
             log_f = log_f + log_e
         if j == 0:
             ratio, carry, ibp = d_r, c_r, e_r
@@ -695,12 +683,25 @@ def _block_pass(lap, grid, h_rows, axis, order):
             envelope = d_r
     scale = np.exp(log_f) if grid.scale is None else grid.scale
     F = scale * (carry if order else ratio)
-    (_, n_hi, w_hi, _), (lo, n_lo, w_lo, _) = grid.segments
-    value = (w_hi * F[:, :n_hi]).cumsum(axis=1)[:, -1]
-    value_lo = (w_lo * F[:, lo.start:lo.start + n_lo]).cumsum(axis=1)[:, -1]
-    ibp_err = (w_hi * (scale * ibp)[:, :n_hi]).cumsum(axis=1)[:, -1] if np.ndim(ibp) else 0
-    f_hi = F[:, n_hi + 1] if order == 0 else (scale * envelope)[:, n_hi + 1]
-    return value, value_lo, ibp_err, F[:, n_hi], f_hi
+    terms, terms_lo = grid.w * F[:, :n_t], grid.w_lo * F[:, grid.lo]
+    value, value_lo = terms.cumsum(axis=1)[:, -1], terms_lo.cumsum(axis=1)[:, -1]
+    mass = np.abs(terms_lo).cumsum(axis=1)[:, -1]
+    ibp_err = (grid.w * (scale * ibp)[:, :n_t]).cumsum(axis=1)[:, -1] if np.ndim(ibp) else 0.0
+    f_hi = F[:, 0] if order == 0 else scale[:, 0] * envelope[:, 0]
+    # below t0: the power law's trapezoid sums at both steps, charged with
+    # its deviation at t0; a lagged partial takes none, charged t0 |F(t0)|
+    lead_power, log_lead, _, (head, head_lo, inv_p) = law
+    t0 = grid.ends[0]
+    g0 = np.exp(log_lead + lead_power * log_t[0, n_t - 1])
+    if order:
+        power_law = ~h_rows.any(axis=1)
+        g0, inv_p = np.where(power_law, g0, 0.0), np.where(power_law, inv_p, 1.0)
+    value = value + g0 * head
+    # above T: the envelope G decreases in t, and int_T^inf m <= 2 m(T) / rate
+    # because rate T >= 2 (power - 1), so the rest is below 2 G(T) / rate
+    err = (np.abs(value - value_lo - g0 * head_lo) + ibp_err
+           + np.abs(F[:, n_t - 1] * t0 - g0) * inv_p + (2.0 / lap.rate) * f_hi + _ROUNDING * mass)
+    return value, err
 
 
 def _refuse(lags, ok, reason):

@@ -106,9 +106,13 @@ class VariogramTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "lags", np.atleast_2d(np.asarray(self.lags, float)))
-        object.__setattr__(self, "values", np.asarray(self.values, float))
-        object.__setattr__(self, "errs", np.asarray(self.errs, float))
+        lags, values, errs = self.lags, self.values, self.errs
+        # variogram_table's own float arrays are kept as they are
+        if not (type(lags) is type(values) is type(errs) is np.ndarray and lags.ndim == 2
+                and lags.dtype == values.dtype == errs.dtype == float):
+            object.__setattr__(self, "lags", np.atleast_2d(np.asarray(lags, float)))
+            object.__setattr__(self, "values", np.asarray(values, float))
+            object.__setattr__(self, "errs", np.asarray(errs, float))
         n = self.lags.shape[0]
         if self.values.shape != (n,) or self.errs.shape != (n,):
             raise ModelError("table lags, values and errs must align")

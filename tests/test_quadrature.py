@@ -492,8 +492,8 @@ def test_a_t_rule_is_the_prefix_of_every_deeper_one(order):
 
 
 def _clear_engine_caches():
-    for cached in (quadrature._t_rule, quadrature._t_node_counts, quadrature._t_grid,
-                   quadrature._small_t_law, laplace_form, legitimacy_check):
+    for cached in (quadrature._t_rule, quadrature._t_grid, quadrature._small_t_law,
+                   laplace_form, legitimacy_check):
         cached.cache_clear()
 
 
@@ -503,8 +503,8 @@ def _clear_engine_caches():
     stein((1.0, 2.0), (1.0, 2.0), (0.8, 1.0), 2.0),           # numeric, then closed
 ], ids=["canonical-closed", "canonical-numeric", "stein-mixed"])
 def test_results_do_not_depend_on_cache_state_or_call_order(model):
-    # two lags on different t levels, cold (every engine cache cleared) and
-    # warm, one level first and then the other first, alone and batched
+    # two lags on different t grids, cold (every engine cache cleared) and
+    # warm, one grid first and then the other first, alone and batched
     lags = np.array([[0.5] * model.dims, [2e-3] * model.dims])
     partials = [(0, 0), (0, 1), (model.dims - 1, 2)]
 
@@ -515,6 +515,8 @@ def test_results_do_not_depend_on_cache_state_or_call_order(model):
 
     _clear_engine_caches()
     cold = run([0, 1])
+    # each lag has a grid of its own at each of the two steps in log t
+    assert quadrature._t_grid.cache_info().currsize == 4
     assert run([0, 1]) == cold
     _clear_engine_caches()
     assert run([1, 0]) == cold
@@ -523,22 +525,50 @@ def test_results_do_not_depend_on_cache_state_or_call_order(model):
         values, errs = spectral_integral(form, lags, partial=p)
         assert [(values[i], errs[i]) for i in (0, 1)] == [cold[0, p], cold[1, p]]
     # every cached array is read-only
-    for lo_orders in quadrature._LAPLACE_ORDERS[1:]:
-        grid = quadrature._t_grid(form, 36, lo_orders)
-        arrays = [grid.t, grid.log_t, grid.log_f, grid.scale] + [s[2] for s in grid.segments]
+    for order in (0, 1):
+        grid = quadrature._t_grid(form, 100, quadrature._small_t_law(form, 0, order)[2])
+        arrays = [grid.t, grid.log_t, grid.log_f, grid.scale, grid.w, grid.w_lo]
         assert all(not a.flags.writeable for a in arrays if a is not None)
-    assert not quadrature._t_node_counts(36, 0.1).flags.writeable
     assert all(not a.flags.writeable for a in _t_rule(36, 0.1, 8))
 
 
 def test_a_t_grid_beyond_the_cache_bound_is_built_per_call():
-    # a large power's t rule (here about 12k nodes of order 8) gives a grid
-    # that is built for its call alone, so the cache holds only small ones
+    # a large power's t rule (here about 1e4 nodes, more than a block's
+    # work array holds in one row) gives a grid that is built for its call
+    # alone, so the cache holds only small ones
     quadrature._t_grid.cache_clear()
-    model = canonical_c((1.0, 2.0), 3000.0)
+    model = canonical_c((1.0, 2.0), 3e4)
     first = variogram_table(model, [[0.3, 0.5]])
     assert quadrature._t_grid.cache_info().currsize == 0
     second = variogram_table(model, [[0.3, 0.5]])
     assert first.values.tobytes() == second.values.tobytes()
     assert first.errs.tobytes() == second.errs.tobytes()
     assert 0 < first.errs[0] <= 1e-6 * first.values[0]
+    assert max(_t_node_counts(model, [[0.3, 0.5]])) > quadrature._BLOCK_BYTES // 8
+
+
+def _t_node_counts(model, lags, partial=(0, 0)):
+    """The t nodes of each block of rows that the engine integrates."""
+    counts = []
+    block_pass = quadrature._block_pass
+
+    def spy(lap, grid, *args):
+        counts.append(grid.w.size)
+        return block_pass(lap, grid, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_block_pass", spy)
+        spectral_integral(laplace_form(model), np.asarray(lags, float), partial=partial)
+    return counts
+
+
+def test_t_rule_node_counts():
+    # about a fifth of the 576-654 nodes of the Gauss grid it replaced, on
+    # the kriging benchmark's lag box [0.05, 1]^2
+    lags = np.random.default_rng(5).uniform(0.05, 1.0, (200, 2))
+    assert max(_t_node_counts(canonical_c((1.0, 2.0), 4.0), lags)) <= 140
+    # the step shrinks as 1 / sqrt(power), and so the count grows like
+    # sqrt(power) (and the log of the t span), not like the power
+    counts = [_t_node_counts(canonical_c((1.0, 2.0), power), [[0.3, 0.5]])[0]
+              for power in (40.0, 400.0, 4000.0)]
+    assert all(1.0 < b / a < 10.0 ** 0.6 for a, b in zip(counts, counts[1:])), counts
