@@ -56,8 +56,8 @@ each error estimate to.
 Each error estimate combines the difference to the trapezoid rule of
 step 2h (with a numeric axis's 1-D rule at a lower Gauss order), the
 integration-by-parts terms, the charges at both ends of the t integral
-and a rounding charge.  All node orderings are fixed, so results are bit-stable for
-fixed inputs.
+and a rounding charge.  All node orderings are fixed, so results are
+bit-stable for fixed inputs.
 """
 
 import collections
@@ -540,14 +540,15 @@ def _laplace_increment(lap, lags, axis=0, order=0):
     their small-t power law A t^(p - 1), whose trapezoid sum below t0 the
     rule adds: g0 h (1 / (1 - e^{-p h}) - 1/2) with g0 = A t0^p.  The
     deviation |t0 F(t0) - g0| / p bounds the error there (t0 |F(t0)| / p
-    where the power law underflows to 0 at t0).  The other partials are charged t0 |F(t0)| below
-    t0, which bounds that part because F falls off like a positive power
-    of t there: t0 is eight decades below the largest lagged time scale,
-    where that axis's ratio (C/E, or K_k/E on the partial's own axis)
-    decays like t^(1 + 1/beta) or faster (exponentially on a Gaussian
-    axis), every other lagged C/E stays within [-1, 1], and the decay
-    outweighs the growth t^(margin - 1 - k/beta_axis) of the rest
-    (margin > k/beta_axis suffices).
+    where the power law underflows to 0 at t0).  The other partials are
+    charged t0 |F(t0)| below t0, which bounds that part because F falls
+    off like a positive power of t there: t0 is eight decades below the
+    largest lagged time scale, where that axis's ratio (C/E, or K_k/E
+    on the partial's own axis) decays like t^(1 + 1/beta) or faster
+    (exponentially on a Gaussian axis), every other lagged C/E stays
+    within [-1, 1], and the decay outweighs the growth
+    t^(margin - 1 - k/beta_axis) of the rest (margin > k/beta_axis
+    suffices).
 
     Above T the weight's e^{-rate t} bounds the rest against the
     decreasing envelope of the integrand (E_b, and P_k for the partial's

@@ -43,7 +43,8 @@ def _lag(rng, dims):
 
 
 def _calls(model, lag, axis):
-    """(name, thunk, check) of each public function at ``lag``."""
+    """(name, call) of each public function at ``lag``; a call returns
+    whether its result is finite and, for a variogram, within rel_tol."""
     def table():
         t = variogram_table(model, [lag])
         return np.isfinite(t.errs[0]) and t.errs[0] <= REL_TOL * t.values[0]
