@@ -547,8 +547,9 @@ def test_a_t_grid_beyond_the_cache_bound_is_built_per_call():
     assert max(_t_node_counts(model, [[0.3, 0.5]])) > quadrature._BLOCK_BYTES // 8
 
 
-def _t_node_counts(model, lags, partial=(0, 0)):
-    """The t nodes of each block of rows that the engine integrates."""
+def _t_node_counts(model, lags):
+    """The t nodes of each block of rows that the engine integrates for
+    the variogram of ``model`` at ``lags``."""
     counts = []
     block_pass = quadrature._block_pass
 
@@ -558,13 +559,12 @@ def _t_node_counts(model, lags, partial=(0, 0)):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadrature, "_block_pass", spy)
-        spectral_integral(laplace_form(model), np.asarray(lags, float), partial=partial)
+        spectral_integral(laplace_form(model), np.asarray(lags, float))
     return counts
 
 
 def test_t_rule_node_counts():
-    # about a fifth of the 576-654 nodes of the Gauss grid it replaced, on
-    # the kriging benchmark's lag box [0.05, 1]^2
+    # every lag of the kriging benchmark's box [0.05, 1]^2 on its model
     lags = np.random.default_rng(5).uniform(0.05, 1.0, (200, 2))
     assert max(_t_node_counts(canonical_c((1.0, 2.0), 4.0), lags)) <= 140
     # the step shrinks as 1 / sqrt(power), and so the count grows like
