@@ -18,12 +18,15 @@ Three families are provided:
   c(H, N) = 2^{2H} H Gamma(H + N/2) / (2 pi^{N/2} Gamma(1 - H)), so the
   variogram is |h|^{2H}: fractional Brownian motion with index H.
 * ``stein``: f(lambda) = (sum_j c_j (a_j + lambda_j^2)^{alpha_j})^{-nu},
-  a space-time family with envelope exponents beta_j = alpha_j and
-  gamma = 2 nu, hence H_j = alpha_j (nu - sum_l 1/(2 alpha_l)).
+  a space-time family with envelope exponents beta_j = 2 alpha_j and
+  gamma = nu, hence H_j = alpha_j (nu - sum_l 1/(2 alpha_l)).
 
 Each density is written once, as the :class:`LaplaceForm` that
 :func:`laplace_form` builds; :func:`evaluate_density`, the synthesis
-lattice and every spectral integral read it.
+lattice and every spectral integral read it.  So do the legitimacy
+verdict and the exponents H_j, through its envelope exponents and
+margin, and the lattice cutoffs, solved by :meth:`LaplaceAxis.inverse`
+in closed form.
 """
 
 import functools
@@ -155,6 +158,15 @@ class LaplaceAxis:
         rise = np.expm1(self.expo * np.log1p(lam**2 / self.shift))
         return self.coef * self.shift**self.expo * rise
 
+    def inverse(self, level):
+        """The lambda >= 0 whose term is ``level`` >= 0, in closed form; inf
+        where it lies beyond the floats (numpy warns of the overflow)."""
+        level = np.asarray(level, dtype=float)
+        if self.kind == "power":
+            return (level / self.coef) ** (1.0 / self.expo)
+        rise = np.log1p(level / (self.coef * self.shift**self.expo)) / self.expo
+        return np.sqrt(self.shift * np.expm1(rise))
+
 
 @dataclass(frozen=True)
 class LaplaceForm:
@@ -163,10 +175,14 @@ class LaplaceForm:
     The weight is m(t) = t^(power - 1) e^(-rate t) / Gamma(power), so the
     density is prefactor * (rate + sum_j a_j(|lambda_j|))^(-power), with
     each axis term a_j taken from ``axes`` (vanishing at lambda_j = 0).
+    Its envelope exponents are gamma = power and beta_j = axes[j].growth;
+    ``margin`` is gamma - sum_j 1/beta_j, set by the family so that fbm's
+    is exactly its index H.
     """
 
     prefactor: float
     power: float
+    margin: float
     rate: float
     axes: tuple
 
@@ -186,16 +202,18 @@ class LaplaceForm:
 def laplace_form(model):
     """The Laplace form of ``model``'s density; cached, as both are frozen."""
     if model.kind == KIND_CANONICAL:
-        return LaplaceForm(model.scale, model.gamma, 1.0,
+        return LaplaceForm(model.scale, model.gamma,
+                           model.gamma - sum(1.0 / b for b in model.beta), 1.0,
                            tuple(LaplaceAxis("power", 1.0, b) for b in model.beta))
     if model.kind == KIND_FBM:
         return LaplaceForm(model.fbm_const, (2.0 * model.hurst + model.dims) / 2.0,
-                           0.0, (LaplaceAxis("power", 1.0, 2.0),) * model.dims)
+                           model.hurst, 0.0, (LaplaceAxis("power", 1.0, 2.0),) * model.dims)
     if model.kind == KIND_STEIN:
         c, a, alpha = model.stein_c, model.stein_a, model.stein_alpha
         # the terms at lambda = 0 form the rate; alpha = 1 then leaves c lambda^2
         rate = sum(ci * ai**al for ci, ai, al in zip(c, a, alpha))
-        return LaplaceForm(1.0, model.nu, rate, tuple(
+        margin = model.nu - sum(0.5 / al for al in alpha)
+        return LaplaceForm(1.0, model.nu, margin, rate, tuple(
             LaplaceAxis("power", ci, 2.0) if al == 1.0
             else LaplaceAxis("shifted", ci, al, ai)
             for ci, ai, al in zip(c, a, alpha)))
@@ -213,27 +231,19 @@ def evaluate_density(model, freq):
 
 @functools.lru_cache(maxsize=64)
 def legitimacy_check(model):
-    """Check the integrability condition gamma > sum_j 1/beta_j; cached, as
-    both the model and the verdict are frozen."""
-    if model.kind == KIND_CANONICAL:
-        s = sum(1.0 / b for b in model.beta)
-        if model.gamma > s:
-            return Legitimacy(ok=True)
-        return Legitimacy(ok=False, reason=(
-            f"gamma = {model.gamma:g} must exceed sum(1/beta) = {s:g}"))
-    if model.kind == KIND_FBM:
+    """Check the integrability condition gamma > sum_j 1/beta_j on the
+    envelope exponents, that is a positive margin of the Laplace form;
+    cached, as both the model and the verdict are frozen."""
+    form = laplace_form(model)
+    if form.margin > 0:
         return Legitimacy(ok=True)
-    if model.kind == KIND_STEIN:
-        s = sum(1.0 / a for a in model.stein_alpha)
-        if 2.0 * model.nu > s:
-            return Legitimacy(ok=True)
-        return Legitimacy(ok=False, reason=(
-            f"2*nu = {2 * model.nu:g} must exceed sum(1/alpha) = {s:g}"))
-    raise ModelError(f"unknown model kind: {model.kind!r}")
+    return Legitimacy(ok=False, reason=(
+        f"the envelope's gamma = {form.power:g} must exceed "
+        f"sum(1/beta) = {form.power - form.margin:g}"))
 
 
 def smoothness_exponents(model):
-    """Per-axis exponents H_j of the induced field.
+    """Per-axis exponents H_j = (beta_j / 2) * margin of the induced field.
 
     Raises ModelError when the model fails the legitimacy check, since
     the exponents are only defined for integrable densities.
@@ -241,14 +251,8 @@ def smoothness_exponents(model):
     verdict = legitimacy_check(model)
     if not verdict.ok:
         raise ModelError(f"illegitimate model: {verdict.reason}")
-    if model.kind == KIND_CANONICAL:
-        gap = model.gamma - sum(1.0 / b for b in model.beta)
-        h = tuple(0.5 * b * gap for b in model.beta)
-    elif model.kind == KIND_FBM:
-        h = (model.hurst,) * model.dims
-    else:
-        gap = model.nu - sum(0.5 / a for a in model.stein_alpha)
-        h = tuple(a * gap for a in model.stein_alpha)
+    form = laplace_form(model)
+    h = tuple(0.5 * ax.growth * form.margin for ax in form.axes)
     q = sum(1.0 / v for v in h)
     return SmoothnessExponents(h=h, q=q)
 

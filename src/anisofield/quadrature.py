@@ -44,7 +44,7 @@ The 1-D rule of a numeric axis splits it at a truncation point L, set by
 the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
 no further out than lam_hi, where the weight has vanished.  Both of its
 rules are one cached Gauss-Legendre rule on dyadically graded panels of
-[0, 1] (``_t_rule``), so none is built per lag: [0, L] takes L times
+[0, 1] (``_unit_rule``), so none is built per lag: [0, L] takes L times
 the rule whose panels are no wider than 10/reach (the
 oscillation wavelength 10/|h_j| where L = reach/|h_j|), and (L, inf)
 the image of the rule under lambda = L/u.  There an oscillatory factor
@@ -75,10 +75,6 @@ from .models import check_integer, normalize_fbm_constant
 # rule is symmetric about 0.
 _GAUSS_LEGENDRE = {
     3: ((0.0, 0.7745966692414834), (0.8888888888888888, 0.5555555555555557)),
-    5: ((0.0, 0.5384693101056831, 0.906179845938664),
-        (0.5688888888888887, 0.4786286704993663, 0.23692688505618928)),
-    6: ((0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
-        (0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
     7: ((0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
         (0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
          0.12948496616886973)),
@@ -296,9 +292,11 @@ _ROUNDING = 64.0 * np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=256)
-def _t_rule(levels, cap, order, bottom=False):
-    """GL nodes, weights and levels of the ``order``-point rule on
-    _dyadic_panels(levels, cap, bottom); read-only, as cached."""
+def _unit_rule(levels, cap, order, bottom=False):
+    """GL nodes, weights and levels of the ``order``-point rule on the
+    panels of [0, 1] that _dyadic_panels(levels, cap, bottom) gives: the
+    unit rule a numeric axis scales to its lambda span; read-only, as
+    cached."""
     panels = _dyadic_panels(levels, cap, bottom)
     rule = *_inner_axis(panels, _gauss(order)), np.repeat(panels[2], order)
     for a in rule:
@@ -399,8 +397,8 @@ def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
         depth_out = max(1, math.ceil(math.log2(lam_hi / L)))
         # L times the unit rule, its panels no wider than 10 L / reach:
         # 10 / |h|, the wavelength bound, where L = reach / |h|
-        lam_in, w_in = (L * a for a in _t_rule(depth_in, 10.0 / reach, order, True)[:2])
-        lam_out, w_out = _outer_axis(L, *_t_rule(depth_out, math.inf, order)[:2])
+        lam_in, w_in = (L * a for a in _unit_rule(depth_in, 10.0 / reach, order, True)[:2])
+        lam_out, w_out = _outer_axis(L, *_unit_rule(depth_out, math.inf, order)[:2])
         outer, outer_k = _decay_sums(t, axis, lam_out,
                                      np.stack([w_out, w_out * lam_out**k], axis=1)).T
         weights = [w_in] + ([w_in * lam_in**k] if k else [])
@@ -437,11 +435,11 @@ def _small_t_law(lap, axis, order):
     s (1 / (1 - e^{-p s}) - 1/2) makes g0 H(s) the power law's trapezoid
     sum of step s below t0, where g0 = A t0^p.  ModelError unless the
     density is integrable.  Cached per (form, axis, order)."""
-    inv = [1.0 / ax.growth for ax in lap.axes]
-    margin = lap.power - sum(inv)
+    margin = lap.margin
     if not margin > 0:
-        raise ModelError("density is not integrable: its Laplace weight power "
-                         f"{lap.power:g} must exceed sum(1/beta) = {sum(inv):g}")
+        raise ModelError("density is not integrable: its margin gamma - sum(1/beta) "
+                         f"= {margin:g} must be positive")
+    inv = [1.0 / ax.growth for ax in lap.axes]
     log_lead = _log_pref(lap) + sum(math.lgamma(1.0 + i) - i * math.log(ax.coef)
                                     for i, ax in zip(inv, lap.axes))
     if order == 2:
@@ -467,9 +465,8 @@ def _check_moments(lap, lags, axis, order):
     second moment, is integrable; returns _small_t_law(lap, axis, order)."""
     law = _small_t_law(lap, axis, order)
     if not law[0] > 0 and (lags[:, axis] == 0).any():
-        margin = lap.power - sum(1.0 / ax.growth for ax in lap.axes)
         raise ModelError(f"the second spectral moment along axis {axis} diverges: "
-                         f"{margin:g} must exceed 2/beta = {2.0 / lap.axes[axis].growth:g}")
+                         f"{lap.margin:g} must exceed 2/beta = {2.0 / lap.axes[axis].growth:g}")
     return law
 
 

@@ -14,12 +14,12 @@ telescopes to stationary increments with
 a Riemann approximation of the variogram.  The lattice per axis covers
 (0, Lambda] by dyadic octaves each split into equal cells, so cell width
 scales with frequency.  Lambda starts from an oversampled grid Nyquist
-and is then raised per axis until every axis reaches the same level
-a_j(Lambda_j) of its axis term in the density's Laplace form; without
-that, anisotropic models lose the part of the high-frequency marginal
-that spreads along the flatter axes and small-lag increment variance
-comes out biased low.  That
-matters: spectral mass follows a power law, and a cell of width w at
+and is then raised per axis to where every axis reaches the same level
+a_j(Lambda_j) of its axis term in the density's Laplace form, solved in
+closed form by the axis's inverse; without that, anisotropic models lose
+the part of the high-frequency marginal that spreads along the flatter
+axes and small-lag increment variance comes out biased low.  The cell
+width matters: spectral mass follows a power law, and a cell of width w at
 frequency l contributes jitter noise proportional to f(l) * w^2, which
 is constant per cell only when w is proportional to l.  A uniform
 partition would need the finest width everywhere and two orders of
@@ -262,37 +262,22 @@ def _axis_cutoffs(model, base):
     the other axes up to the same level set of the axis-term sum;
     cutting those axes at their own grid Nyquist loses most of that
     marginal and biases small-lag increment variance low.  The level of
-    axis j at a cutoff is its increment a_j of the Laplace form.
-    Returns per-axis cutoffs >= base together with the number of extra
-    dyadic octaves each axis needs so low-frequency coverage stays put.
+    axis j at a cutoff is its increment a_j of the Laplace form, so each
+    axis below the top level s_max is cut where a_j = s_max, solved in
+    closed form (``LaplaceAxis.inverse``) and capped at
+    2^_MAX_EXTENSION_OCTAVES times its base.  Returns per-axis cutoffs
+    >= base together with the number of extra dyadic octaves each axis
+    needs so low-frequency coverage stays put.
     """
     axes = laplace_form(model).axes
-
-    def term(j, x):
-        return float(axes[j].term(x))
-
-    levels = [term(j, b) for j, b in enumerate(base)]
+    levels = [float(ax.term(b)) for ax, b in zip(axes, base)]
     s_max = max(levels)
-    cutoffs, extensions = [], []
-    for j, b in enumerate(base):
-        if levels[j] >= s_max:
-            cutoffs.append(b)
-            extensions.append(0)
-            continue
-        hi, doublings = b, 0
-        while term(j, hi) < s_max and doublings < _MAX_EXTENSION_OCTAVES:
-            hi *= 2.0
-            doublings += 1
-        lo = hi / 2.0
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if term(j, mid) < s_max:
-                lo = mid
-            else:
-                hi = mid
-        cutoffs.append(hi)
-        extensions.append(doublings)
-    return tuple(cutoffs), tuple(extensions)
+    cap = 2.0**_MAX_EXTENSION_OCTAVES
+    # an inverse beyond the floats comes out inf, and the cap takes over
+    with np.errstate(over="ignore", divide="ignore"):
+        cutoffs = tuple(b if level == s_max else min(float(ax.inverse(s_max)), cap * b)
+                        for ax, b, level in zip(axes, base, levels))
+    return cutoffs, tuple(math.ceil(math.log2(c / b)) for c, b in zip(cutoffs, base))
 
 
 def _lattice_plan(model, grid, lattice):

@@ -17,8 +17,8 @@ from .errors import ConsistencyError, ModelError
 from .fractal import (EMPTY, UNDETERMINED, dimension_report,
                       gneiting_dimensions)
 from .kriging import Observations, krige, scaling_exponent_check
-from .models import canonical_c, fbm, smoothness_exponents, stein
-from .quadrature import QuadratureSpec, _t_rule
+from .models import canonical_c, fbm, laplace_form, smoothness_exponents, stein
+from .quadrature import QuadratureSpec, _unit_rule
 from .simulate import FieldSample, Grid, empirical_variogram, sample_field
 from .smoothness import (cross_cov_matrix, derivative_covariance,
                          ms_derivative_report)
@@ -67,8 +67,8 @@ def suite_fbm():
 def _partial_density_integral(beta, gamma, radius):
     # positive-quadrant tensor rule on [0, radius]^2, graded 40 octaves
     # down so the near-origin mass is resolved, folded x4
-    x, w = (radius * a for a in _t_rule(40, math.inf, 8, True)[:2])
-    dens = (1.0 + x[:, None] ** beta[0] + x[None, :] ** beta[1]) ** (-gamma)
+    x, w = (radius * a for a in _unit_rule(40, math.inf, 8, True)[:2])
+    dens = laplace_form(canonical_c(beta, gamma)).density((x[:, None], x[None, :]))
     return 4.0 * float(w @ dens @ w)
 
 

@@ -1,12 +1,16 @@
-"""Every public spectral result is certified or a typed error, on random inputs."""
+"""Every public spectral result is certified or a typed error, on random
+inputs, and certified values agree with closed forms that share no code
+with the engine."""
 
 import math
 import warnings
 
 import numpy as np
+from scipy.special import kv
 
 from anisofield.errors import AnisoFieldError
-from anisofield.models import canonical_c, fbm, stein
+from anisofield.models import canonical_c, fbm, laplace_form, stein
+from anisofield.quadrature import certify, spectral_integral
 from anisofield.smoothness import derivative_covariance, variogram_gradient
 from anisofield.variogram import variogram_table
 
@@ -75,3 +79,71 @@ def test_random_models_and_lags_certify_or_raise_a_typed_error():
                     outcomes["certified"] += 1
     # the generator reaches both outcomes
     assert min(outcomes.values()) > 20, outcomes
+
+
+# Relative error charged to the Matern oracle per unit of its terms:
+# scipy's kv at order -0.796 was 7.5e-14 relative off a 40-digit value.
+ORACLE_REL = 2e-13
+
+
+def _matern_integrals(dims, nu, g):
+    """(order 0, order 1 along axis 0, order 2 at g = 0) of the spectral
+    integrals of (1 + |lambda|^2)^-(nu + N/2) on R^N, and the size of each
+    one's terms: with C(r) = A r^nu K_nu(r), A = pi^(N/2) 2^(1 - nu) /
+    Gamma(gamma), the increment integral is C0 - C(r), its first partial
+    A r^nu K_(nu-1)(r) g_0 / r and the second moment
+    pi^(N/2) Gamma(nu - 1) / (2 Gamma(gamma)) (nu > 1 only)."""
+    gamma = nu + 0.5 * dims
+    amp = math.pi ** (0.5 * dims) * 2.0 ** (1.0 - nu) / math.gamma(gamma)
+    c0 = math.pi ** (0.5 * dims) * math.gamma(nu) / math.gamma(gamma)
+    r = np.linalg.norm(g, axis=1)
+    cov = amp * r**nu * kv(nu, r)
+    first = amp * r**nu * kv(nu - 1.0, r) * g[:, 0] / r
+    second = math.pi ** (0.5 * dims) * math.gamma(nu - 1.0) / (2.0 * math.gamma(gamma)) \
+        if nu > 1.0 else None
+    return (c0 - cov, c0 + cov), (first, np.abs(first)), second
+
+
+def _matern_cases(rng):
+    """(model, nu, scale, stretch) on 1 to 3 axes: canonical_c((2,) * N,
+    nu + N/2), and stein with every alpha = 1, which is the same density
+    after lambda_j -> lambda_j sqrt(c_j / S0), S0 = sum_j c_j a_j.  Its
+    integrals are ``scale`` times the Matern ones at lag g_j = h_j
+    stretch_j, the partials on axis 0 with one more stretch_0 per order."""
+    for dims in (1, 2, 3):
+        for nu in 10.0 ** rng.uniform(-1.3, 1.0, 5):
+            gamma = nu + 0.5 * dims
+            yield canonical_c((2.0,) * dims, gamma), nu, 1.0, np.ones(dims)
+            c, a = (10.0 ** rng.uniform(-1.0, 1.0, dims) for _ in range(2))
+            s0 = float(np.sum(c * a))
+            stretch = np.sqrt(s0 / c)
+            yield (stein(c, a, (1.0,) * dims, gamma), nu,
+                   s0**-gamma * float(np.prod(stretch)), stretch)
+
+
+def test_certified_values_match_the_matern_closed_forms():
+    rng = np.random.default_rng(20261021)
+    checks = 0
+    for model, nu, scale, stretch in _matern_cases(rng):
+        form, dims = laplace_form(model), model.dims
+        lags = 10.0 ** rng.uniform(-3.0, 1.3, (16, dims)) * rng.choice([-1.0, 1.0], (16, dims))
+        (ref0, terms0), (ref1, terms1), second = _matern_integrals(dims, nu, lags * stretch)
+        value0, err0 = spectral_integral(form, lags)
+        value1, err1 = spectral_integral(form, lags, partial=(0, 1))
+        # the public gates: a variogram against itself, a gradient against
+        # v(h) / |h_0|
+        certify(value0, err0, value0, None, lags, "variogram")
+        certify(value1, err1, value0 / np.abs(lags[:, 0]), None, lags, "gradient")
+        rows = [(value0, err0, scale * ref0, scale * terms0),
+                (value1, err1, scale * stretch[0] * ref1, scale * stretch[0] * terms1)]
+        if second is not None:
+            origin = np.zeros((1, dims))
+            value2, err2 = spectral_integral(form, origin, partial=(0, 2))
+            certify(value2, err2, value2, None, origin, "derivative variance")
+            ref2 = scale * stretch[0] ** 2 * second
+            rows.append((value2, err2, ref2, abs(ref2)))
+        for value, err, ref, terms in rows:
+            bound = err + ORACLE_REL * terms
+            assert np.all(np.abs(value - ref) <= bound), (model, nu, lags, value, ref, err)
+            checks += np.size(value)
+    assert checks > 900, checks

@@ -193,6 +193,17 @@ def test_laplace_form_reproduces_density():
     assert kinds == [("power", 2.0), ("shifted", 1.7)]
 
 
+def test_axis_inverse_undoes_its_term():
+    # power axes of several exponents and shifted ones with small and large
+    # shifts, from levels far below the shift's scale to far above it
+    axes = (laplace_form(canonical_c((0.3, 1.0, 2.5), 4.0)).axes
+            + laplace_form(stein((0.2, 3.0), (1e-3, 50.0), (0.4, 1.3), 4.0)).axes)
+    lam = 10.0 ** np.linspace(-6.0, 6.0, 49)
+    for ax in axes:
+        np.testing.assert_allclose(ax.inverse(ax.term(lam)), lam, rtol=1e-12, atol=0)
+    assert laplace_form(stein((1.0,), (2.0,), (0.7,), 4.0)).axes[0].inverse(0.0) == 0.0
+
+
 def test_boolean_is_not_a_dimension():
     for dims in (True, False):
         with pytest.raises(ModelError):
