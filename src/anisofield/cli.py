@@ -34,7 +34,7 @@ from .fileio import (read_csv, read_json, write_field_afld, write_field_csv,
                      write_json, write_prediction_csv, write_variogram_csv)
 from .fractal import dimension_report, gneiting_dimensions
 from .kriging import Observations, krige_many
-from .models import legitimacy_check, model_from_dict, model_to_dict
+from .models import check_legitimate, model_from_dict, model_to_dict
 from .quadrature import QuadratureSpec
 from .simulate import Grid, multi_copy_field
 from .smoothness import ms_derivative_report
@@ -195,9 +195,7 @@ def _quad_spec(args):
 def _load_model(args):
     path = _resolve(args, "model", required=True)
     model = model_from_dict(read_json(path))
-    verdict = legitimacy_check(model)
-    if not verdict.ok:
-        raise ModelError(f"illegitimate model: {verdict.reason}")
+    check_legitimate(model)
     return model
 
 

@@ -312,6 +312,8 @@ def read_field_afld(path):
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         raise FileFormatError(f"{path}: bad AFLD1 header ({exc})") from None
+    if channels < 1:
+        raise FileFormatError(f"{path}: header has {channels} channels, need at least 1")
     values = np.frombuffer(raw, dtype="<f8", offset=9 + hlen)
     expected = grid.npoints * channels
     if values.size != expected:

@@ -242,15 +242,20 @@ def legitimacy_check(model):
         f"sum(1/beta) = {form.power - form.margin:g}"))
 
 
+def check_legitimate(model):
+    """ModelError unless the model passes :func:`legitimacy_check`."""
+    verdict = legitimacy_check(model)
+    if not verdict.ok:
+        raise ModelError(f"illegitimate model: {verdict.reason}")
+
+
 def smoothness_exponents(model):
     """Per-axis exponents H_j = (beta_j / 2) * margin of the induced field.
 
     Raises ModelError when the model fails the legitimacy check, since
     the exponents are only defined for integrable densities.
     """
-    verdict = legitimacy_check(model)
-    if not verdict.ok:
-        raise ModelError(f"illegitimate model: {verdict.reason}")
+    check_legitimate(model)
     form = laplace_form(model)
     h = tuple(0.5 * ax.growth * form.margin for ax in form.axes)
     q = sum(1.0 / v for v in h)

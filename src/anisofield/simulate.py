@@ -31,22 +31,22 @@ the half-space lambda_0 > 0 is enumerated; the mirror cells are folded
 into the masses.
 
 Both the lattice and the grid are tensor products, so the sum factors
-axis by axis.  With C_k = sqrt(2 F_k) (xi_k - i eta_k) and per-axis
+axis by axis.  With C_k = sqrt(2 F_k) (xi_k + i eta_k) and per-axis
 phases theta_a = t_a lambda_a, the telescoped identity
 
-    e^{i sum_a theta_a} - 1 = sum_a (e^{i theta_a} - 1) prod_{b<a} e^{i theta_b}
+    e^{-i sum_a theta_a} - 1 = sum_a (e^{-i theta_a} - 1) prod_{b<a} e^{-i theta_b}
 
-turns X(t) = Re sum_k C_k (e^{i<t, lambda_k>} - 1) into one term per
-axis, each a chain of per-axis contractions of C with cos and sin
-tables.  Every term carries the factor e^{i theta_a} - 1, which the
-tables hold exactly 0 at t_a = 0, so the origin stays pinned.
+turns X(t) = Re sum_k C_k (e^{-i<t, lambda_k>} - 1) into one term per
+axis, each a chain of complex contractions of C with per-axis tables of
+e^{-i theta} - 1.  Every term carries the factor e^{-i theta_a} - 1,
+which the tables hold exactly 0 at t_a = 0, so the origin stays pinned.
 
 The work is arranged to touch little fresh memory.  Cell masses are
 integrated over blocks of first-axis cells whose work arrays stay on
 the heap, with the same values as one pass over the whole node grid.
-The trig tables come from angle addition: with k = B q + r (B = 8),
-e^{i k s lambda} = e^{i B q s lambda} e^{i r s lambda}, so an axis of n
-points needs cos and sin of about n/B + B rows rather than n.
+The tables come from angle addition: with k = B q + r (B = 8),
+e^{-i k s lambda} = e^{-i B q s lambda} e^{-i r s lambda}, so an axis of
+n points needs complex exponentials of about n/B + B rows rather than n.
 
 Randomness is counter-based: channel c of seed s draws its coefficients
 from an independent stream keyed (s, c), and the jitter stream has its
@@ -153,6 +153,8 @@ class FieldSample:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape[:-1] != self.grid.shape:
             raise ModelError("values must have shape grid.shape + (channels,)")
+        if vals.shape[-1] < 1:
+            raise ModelError("a field needs at least one channel")
         if not np.all(np.isfinite(vals)):
             raise ModelError("field values must be finite")
         vals.flags.writeable = False
@@ -350,14 +352,13 @@ class _DrawRing:
         self._free.release()
         self._thread.join()
 
-    def scale(self, c, amp, re_c, im_c):
-        """amp times channel c's two draws, into re_c and im_c; frees the slot."""
+    def scale(self, c, amp, coef):
+        """amp (xi + i eta) from channel c's draws, into coef; frees the slot."""
         self._ready.acquire()
         if self._error is not None:
             raise self._error
-        draws = self._slots[c % 2]
-        np.multiply(amp, draws[..., 0], out=re_c)
-        np.multiply(amp, draws[..., 1], out=im_c)
+        # a slot's trailing (xi, eta) float64 pair is laid out as one complex128
+        np.multiply(amp, self._slots[c % 2].view(complex)[..., 0], out=coef)
         self._free.release()
 
 
@@ -367,7 +368,7 @@ def _active_axes(grid):
 
 
 def _contract(table, x, axis):
-    """Apply an (n, K) table along `axis` of x by real GEMMs; the axes
+    """Apply an (n, K) table along `axis` of x by GEMMs; the axes
     before and after `axis` merge into one stride each, so BLAS reads x in
     place."""
     lead, rest = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
@@ -379,67 +380,43 @@ def _contract(table, x, axis):
 
 
 def _trig_table(grid, axis, lam):
-    """cos - 1 and sin of t lam for the coordinates t of a grid axis.
+    """e^{-i t lam} - 1 for the coordinates t of a grid axis, shape (points, cells).
 
-    Returns them stacked, shape (2, points, cells).  Angle addition: with
-    origin o, spacing s and k = B q + r, the phase of point k is
-    (o + r s) lam + B q s lam, so about n/B + B rows of cos and sin give
-    the whole table by complex products, formed block by block of B
-    rows.  Entries at a coordinate of exactly 0 are set to 0 so the
-    origin stays pinned.
+    Angle addition: with origin o, spacing s and k = B q + r, the phase of
+    point k is B q s lam + (o + r s) lam, so about n/B + B rows of complex
+    exponentials give the whole table by one broadcast product.  Rows at a
+    coordinate of exactly 0 are set to 0 so the origin stays pinned.
     """
     n, s, o = grid.shape[axis], grid.spacing[axis], grid.origin[axis]
-    coarse = np.multiply.outer(s * np.arange(0, n, _ANGLE_BLOCK), lam)
-    fine = np.multiply.outer(s * np.arange(min(n, _ANGLE_BLOCK)), lam)
-    cos_q, sin_q = np.cos(coarse), np.sin(coarse)
-    cos_r, sin_r = np.cos(fine), np.sin(fine)
-    if o != 0.0:
-        cos_o, sin_o = np.cos(o * lam), np.sin(o * lam)
-        cos_r, sin_r = cos_r * cos_o - sin_r * sin_o, sin_r * cos_o + cos_r * sin_o
-    # one allocation for both tables: freed and reallocated whole, it stays
-    # on the heap across calls instead of being page-faulted in afresh
-    table = np.empty((2, coarse.shape[0]) + fine.shape)
-    cos, sin = table
-    tmp = np.empty_like(fine)
-    for q in range(coarse.shape[0]):
-        np.multiply(cos_r, cos_q[q], out=cos[q])
-        cos[q] -= np.multiply(sin_r, sin_q[q], out=tmp)
-        np.multiply(sin_r, cos_q[q], out=sin[q])
-        sin[q] += np.multiply(cos_r, sin_q[q], out=tmp)
-    cos -= 1.0
-    table = table.reshape(2, -1, lam.size)[:, :n]
-    table[:, grid.axis_coords(axis) == 0.0] = 0.0
+    coarse = np.exp(-1j * np.multiply.outer(s * np.arange(0, n, _ANGLE_BLOCK), lam))
+    fine = np.exp(-1j * np.multiply.outer(o + s * np.arange(min(n, _ANGLE_BLOCK)), lam))
+    table = (coarse[:, None] * fine).reshape(-1, lam.size)[:n] - 1.0
+    table[grid.axis_coords(axis) == 0.0] = 0.0
     return table
 
 
-def _evaluate(tables, re_c, im_c):
-    """Re sum_k (re_c - i im_c)_k (e^{i<t, lambda_k>} - 1) over the grid.
+def _evaluate(tables, coef):
+    """Re sum_k coef_k (e^{-i<t, lambda_k>} - 1) over the grid.
 
-    tables holds one (cos - 1, sin) pair per axis, each of shape
-    (points, cells) over the axis's signed cells; re_c and im_c have one
+    tables holds one e^{-i theta} - 1 table per axis, each of shape
+    (points, cells) over the axis's signed cells; coef is complex with one
     axis per table.  Term a of the telescoped sum sums the axes above a,
-    contracts axis a with e^{i theta} - 1 and the axes below it with
-    e^{i theta}, that is with e^{i theta} - 1 plus the sum over the
-    cells, keeping only the real part at the last contraction.
+    contracts axis a with e^{-i theta} - 1 and the axes below it with
+    e^{-i theta}, that is with e^{-i theta} - 1 plus the sum over the
+    cells, and keeps the real part.
     """
     ndim = len(tables)
     out = np.zeros(())
     for a in reversed(range(ndim)):
         if a < ndim - 1:
-            re_c = re_c.sum(axis=a + 1)
-            im_c = im_c.sum(axis=a + 1)
-        re, im = re_c, im_c
+            coef = coef.sum(axis=a + 1)
+        c = coef
         for b in reversed(range(a + 1)):
-            cosm1, sin = tables[b]
-            re_b, im_b = re, im
-            re = _contract(cosm1, re_b, b) + _contract(sin, im_b, b)
+            c_b = c
+            c = _contract(tables[b], c_b, b)
             if b < a:
-                re += re_b.sum(axis=b, keepdims=True)
-            if b > 0:
-                im = _contract(cosm1, im_b, b) - _contract(sin, re_b, b)
-                if b < a:
-                    im += im_b.sum(axis=b, keepdims=True)
-        term = re.reshape(re.shape + (1,) * (ndim - 1 - a))
+                c += c_b.sum(axis=b, keepdims=True)
+        term = c.real.reshape(c.shape + (1,) * (ndim - 1 - a))
         out = term if a == ndim - 1 else out + term
     return out
 
@@ -496,10 +473,10 @@ def multi_copy_field(model, grid, lattice=4096, channels=1, seed=0):
         # one channel at a time: BLAS rounding depends on the GEMM shape, so
         # channels as GEMM columns would let the channel count move the bits
         out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
-        re_c, im_c = np.empty(amp.shape), np.empty(amp.shape)
+        coef = np.empty(amp.shape, complex)
         for c in range(channels):
-            ring.scale(c, amp, re_c, im_c)
-            out[..., c] = _evaluate(tables, re_c, im_c)
+            ring.scale(c, amp, coef)
+            out[..., c] = _evaluate(tables, coef)
 
     meta = {"method": "spectral-lattice", "lattice": lattice,
             "n_cells": n_cells, "jitter": True,

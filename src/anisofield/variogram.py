@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError
-from .models import check_fields, check_integer, laplace_form, legitimacy_check
+from .models import check_fields, check_integer, check_legitimate, laplace_form
 from .quadrature import certify, spectral_integral
 
 
@@ -142,9 +142,7 @@ def variogram_table(model, lags, quad=None):
         Before any quadrature, if the model fails the legitimacy check,
         or a lag has the wrong shape or a non-finite entry.
     """
-    verdict = legitimacy_check(model)
-    if not verdict.ok:
-        raise ModelError(f"illegitimate model: {verdict.reason}")
+    check_legitimate(model)
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     values, errs = spectral_integral(laplace_form(model), lags)
     values, errs = 2.0 * values, 2.0 * errs

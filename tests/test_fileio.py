@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import struct
 import sys
 import threading
 import tracemalloc
@@ -353,6 +354,15 @@ def test_afld_rejects_corruption(tmp_path):
     short_header.write_bytes(raw[:7])
     with pytest.raises(FileFormatError):
         read_field_afld(short_header)
+
+    # a header promising no channels, with the empty payload that matches
+    for channels in (0, -1):
+        blob = json.dumps({"origin": [0.0], "spacing": [1.0], "shape": [4],
+                           "channels": channels}).encode()
+        no_channels = tmp_path / f"channels{channels}.afld"
+        no_channels.write_bytes(fileio.AFLD_MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(FileFormatError, match="channels"):
+            read_field_afld(no_channels)
 
 
 def test_writes_are_atomic_overwrites(tmp_path):

@@ -56,6 +56,8 @@ def test_field_sample_validation():
         FieldSample(grid=grid, values=np.zeros((5, 1)), seed=0)
     with pytest.raises(ModelError):
         FieldSample(grid=grid, values=np.full((4, 1), np.nan), seed=0)
+    with pytest.raises(ModelError):
+        FieldSample(grid=grid, values=np.zeros((4, 0)), seed=0)
     fs = FieldSample(grid=grid, values=np.zeros((4, 1)), seed=0)
     with pytest.raises(ValueError):
         fs.values[0] = 1.0
@@ -183,6 +185,11 @@ def test_axis_cutoffs_equalize_the_increment_level():
     # 2-D with both axes active, each crossing 0 at the same point
     (canonical_c(beta=(1.0, 2.0), gamma=4.0),
      Grid(origin=(-0.5, -0.75), spacing=(0.25, 0.25), shape=(5, 7)), 2, 1),
+    # 1-D: 65 points end in a partial angle block of one row
+    (BM, GRID65, 2, 1),
+    # 2-D stein, origin off the grid
+    (stein((1.0, 1.0), (1.0, 2.0), (0.8, 1.4), 2.0),
+     Grid(origin=(0.35, -0.6), spacing=(0.1, 0.15), shape=(6, 7)), 2, 0),
 ])
 def test_separable_evaluation_matches_direct_sum(model, grid, channels,
                                                  origins):
@@ -246,8 +253,8 @@ def _serial_field(model, grid, lattice, channels, seed):
     out = np.empty(tuple(grid.shape[j] for j in active) + (channels,))
     for c in range(channels):
         draws = Generator(Philox(key=(seed, c))).standard_normal(masses.shape + (2,))
-        re_c, im_c = amp * draws[..., 0], amp * draws[..., 1]
-        out[..., c] = simulate._evaluate(tables, re_c, im_c)
+        coef = amp * (draws[..., 0] + 1j * draws[..., 1])
+        out[..., c] = simulate._evaluate(tables, coef)
     return out.reshape(grid.shape + (channels,))
 
 
