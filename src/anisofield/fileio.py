@@ -8,10 +8,12 @@ versions did.  A field CSV formats each grid coordinate and channel
 index once and joins its row templates from those texts, so only the
 values go through the bulk format; its bytes are unchanged too.  JSON
 reports use Python's shortest round-trip float representation and
-sorted keys, so reruns with the same inputs are byte-identical.  Large fields use the AFLD1 container: the 5-byte magic
-``AFLD1``, a little-endian uint32 header length, a UTF-8 JSON header
-carrying the grid and provenance, then the sample values as
-little-endian float64 in row-major order with the channel axis fastest.
+sorted keys, so reruns with the same inputs are byte-identical.
+
+Large fields use the AFLD1 container: the 5-byte magic ``AFLD1``, a
+little-endian uint32 header length, a UTF-8 JSON header carrying the
+grid and provenance, then the sample values as little-endian float64 in
+row-major order with the channel axis fastest.
 
 A CSV is read as UTF-8 bytes, a leading byte-order mark dropped, in one
 of two routes chosen from the text alone.  Text with no quote character
@@ -42,6 +44,7 @@ import struct
 import numpy as np
 
 from .errors import FileFormatError
+from .models import check_integer
 
 AFLD_MAGIC = b"AFLD1"
 # Decimal text at 10 significant digits, for single values and CSV rows.
@@ -307,13 +310,12 @@ def read_field_afld(path):
         grid = Grid(origin=tuple(header["origin"]),
                     spacing=tuple(header["spacing"]),
                     shape=tuple(header["shape"]))
-        channels = int(header["channels"])
-        seed = int(header.get("seed", 0))
+        # JSON integers, not booleans; a seed in the range multi_copy_field takes
+        channels = check_integer(header["channels"], "channels", 1)
+        seed = check_integer(header.get("seed", 0), "seed", 0, 2**63)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+            ValueError) as exc:  # a ModelError is a ValueError
         raise FileFormatError(f"{path}: bad AFLD1 header ({exc})") from None
-    if channels < 1:
-        raise FileFormatError(f"{path}: header has {channels} channels, need at least 1")
     values = np.frombuffer(raw, dtype="<f8", offset=9 + hlen)
     expected = grid.npoints * channels
     if values.size != expected:

@@ -31,14 +31,15 @@ error at t0.  The rows of a batch share a grid per K, and the engine
 integrates them in blocks of rows on one grid, in one pass: a closed
 axis evaluates the whole grid in one call per ufunc, a numeric axis
 calls its 1-D rule on the nodes and again on every other node for the
-error estimate.  The t-only work (the grid, its weights, log t, the
-weight m(t) and the log E of the leading closed axes) is cached per
-(form, K, h), read-only (``_t_grid``), as are the small-t power law,
-the step h and its trapezoid factors per (form, axis, order).  A block
-holds as many rows as keep each (rows x t nodes) work array within
-_BLOCK_BYTES, so the arrays are recycled from the heap rather than
-page-faulted in afresh.  The grid is the one a row would have alone, so
-its result does not depend on the batch, nor on what the caches hold.
+error estimate; one function (``_axis_ratios``) makes that choice.  The
+t-only work (the grid, its weights, log t, the weight m(t) and the log E
+of every closed axis) is cached per (form, K, h), read-only
+(``_t_grid``), as are the small-t power law, the step h and its
+trapezoid factors per (form, axis, order).  A block holds as many rows
+as keep each (rows x t nodes) work array within _BLOCK_BYTES, so the
+arrays are recycled from the heap rather than page-faulted in afresh.
+The grid is the one a row would have alone, so its result does not
+depend on the batch, nor on what the caches hold.
 
 The 1-D rule of a numeric axis splits it at a truncation point L, set by
 the axis's own lag component (64/|h_j|, 256/|h_j| for the partials) but
@@ -324,7 +325,7 @@ def _closed_log_e(axis, log_t):
     return 0.5 * (math.log(0.25 * math.pi / axis.coef) - log_t)
 
 
-def _closed_axis(axis, h, t, log_t, moment=None, with_c=True):
+def _closed_axis(axis, h, t, log_t, moment=None):
     """Two ratios of a closed axis (_is_closed), in closed form.
 
     With u = coef * t: exponent 1 gives E = 1/u, C = u/(u^2+h^2) and
@@ -333,14 +334,14 @@ def _closed_axis(axis, h, t, log_t, moment=None, with_c=True):
     Without a moment the ratios are C/E and D/E.  With moment k they are
     K_k/E and P_k/E, where K_0 = C, K_1 = -dC/dh and K_2 = -d^2C/dh^2 are
     the transforms of cos(h l), l sin(h l) and l^2 cos(h l), and P_k is
-    that of l^k.  Elementwise in h and t; ``log_t`` is log t.  Without
-    ``with_c`` a pass that never reads C/E gets None in its place.
+    that of l^k.  Elementwise in h and t; ``log_t`` is log t.  log E
+    itself is t-only, so the t grid holds it (_t_grid).
     """
     if axis.expo == 1.0:
         if moment is None:
             h2 = h**2
             d_r = h2 / ((axis.coef * t)**2 + h2)
-            return 1.0 - d_r if with_c else None, d_r
+            return 1.0 - d_r, d_r
         u = axis.coef * t
         q = u**2 + h**2
         k_r = u**2 / q
@@ -349,7 +350,7 @@ def _closed_axis(axis, h, t, log_t, moment=None, with_c=True):
         return k_r, math.factorial(moment) / u**moment
     if moment is None:
         d_r = -np.expm1(h**2 / (-4.0 * axis.coef) / t)
-        return 1.0 - d_r if with_c else None, d_r
+        return 1.0 - d_r, d_r
     u = axis.coef * t
     k_r = np.exp(h**2 / (-4.0 * u))
     if moment:
@@ -425,6 +426,19 @@ def _numeric_axis(axis, lags, t, order, t_lo, t_hi, moment=None):
                 out[1][i] = (sums[:, -1] + corr) / E
             out[3][i] = err / E
     return out
+
+
+def _axis_ratios(axis, h, grid, moment):
+    """log E, two ratios and the tail error over E of one axis, on every
+    column of ``grid``: 0, the closed forms and 0 on a closed axis, whose
+    log E the grid holds; else _numeric_axis on the rule's nodes at the
+    value's lambda order, then on those of the rule at step 2h at the
+    estimate's."""
+    if _is_closed(axis):
+        return (0.0, *_closed_axis(axis, h[:, None], grid.t, grid.log_t, moment), 0.0)
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*(
+        _numeric_axis(axis, h, grid.t[0, seg], lam_order, *grid.ends, moment)
+        for seg, lam_order in zip((slice(0, grid.w.size), grid.lo), _LAMBDA_ORDERS))))
 
 
 @functools.lru_cache(maxsize=64)
@@ -604,7 +618,7 @@ def _t_top(lap):
 # where a numeric axis evaluates them again, every other one; ``lo`` is
 # the slice of ``t`` that the rule at step 2h reads, ``w`` and ``w_lo``
 # are the weights of the two rules, and ``ends`` is (t0, T).
-_TGrid = collections.namedtuple("_TGrid", "t log_t log_f scale folded ends lo w w_lo")
+_TGrid = collections.namedtuple("_TGrid", "t log_t log_f ends lo w w_lo")
 
 
 @functools.lru_cache(maxsize=32)
@@ -613,57 +627,38 @@ def _t_grid(lap, count, step):
     by every block of rows on it.
 
     ``log_f`` is the weight's log m(t) + log(2^N prefactor), plus, in axis
-    order, log E of each closed axis (_is_closed) up to the first numeric
-    one (``folded`` axes); ``scale`` is exp(log_f) when every axis is
-    closed, else None.  Read-only, as cached per (form, K, h).
+    order, log E of every closed axis (_is_closed), which depends on t
+    alone.  Read-only, as cached per (form, K, h).
     """
     n = count + 1
     log_t = math.log(_t_top(lap)) - step * np.arange(float(n))
-    closed = all(_is_closed(ax) for ax in lap.axes)
+    closed = all(map(_is_closed, lap.axes))
     lo = slice(0, n, 2) if closed else slice(n, n + count // 2 + 1)
     log_t = (log_t if closed else np.concatenate([log_t, log_t[::2]]))[None]
     t = np.exp(log_t)
     log_f = _log_pref(lap) + (lap.power - 1.0) * log_t - lap.rate * t
-    folded = 0
-    for ax in lap.axes:
-        if not _is_closed(ax):
-            break
+    for ax in filter(_is_closed, lap.axes):
         log_f = log_f + _closed_log_e(ax, log_t)
-        folded += 1
-    scale = np.exp(log_f) if closed else None
     w, w_lo = step * t[0, :n], 2.0 * step * t[0, lo]
     for a in (w, w_lo):
         a[[0, -1]] *= 0.5
-    for a in (t, log_t, log_f, scale, w, w_lo):
-        if a is not None:
-            a.setflags(write=False)
-    return _TGrid(t, log_t, log_f, scale, folded, (t[0, count], t[0, 0]), lo, w, w_lo)
+    for a in (t, log_t, log_f, w, w_lo):
+        a.setflags(write=False)
+    return _TGrid(t, log_t, log_f, (t[0, count], t[0, 0]), lo, w, w_lo)
 
 
 def _block_pass(lap, grid, h_rows, axis, order, law):
     """Value and error estimate of each row of ``h_rows`` on one t grid, with
-    ``law`` the _small_t_law (_laplace_increment)."""
-    axes = lap.axes
-    n = len(axes)
-    t, log_t, log_f = grid.t, grid.log_t, grid.log_f
+    ``law`` the _small_t_law (_laplace_increment); each axis's log E and
+    ratios come from one _axis_ratios call."""
+    n = len(lap.axes)
+    log_f = grid.log_f
     n_t = grid.w.size
-    for j, (h, ax) in enumerate(zip(h_rows.T, axes)):
+    for j, (h, ax) in enumerate(zip(h_rows.T, lap.axes)):
         # a partial's own axis takes its moment, every other axis C (moment 0)
         moment = (order if j == axis else 0) if order else None
-        if _is_closed(ax):
-            # order 0 reads no carry of its last axis
-            c_r, d_r = _closed_axis(ax, h[:, None], t, log_t, moment,
-                                    with_c=bool(order) or j < n - 1)
-            e_r = 0.0
-            if j >= grid.folded:
-                log_f = log_f + _closed_log_e(ax, log_t)
-        else:
-            # the rule's nodes at the value's lambda order, then those of
-            # the rule at step 2h at the estimate's
-            log_e, c_r, d_r, e_r = (np.concatenate(parts, axis=1) for parts in zip(*(
-                _numeric_axis(ax, h, t[0, seg], lam_order, *grid.ends, moment)
-                for seg, lam_order in zip((slice(0, n_t), grid.lo), _LAMBDA_ORDERS))))
-            log_f = log_f + log_e
+        log_e, c_r, d_r, e_r = _axis_ratios(ax, h, grid, moment)
+        log_f = log_f + log_e
         if j == 0:
             ratio, carry, ibp = d_r, c_r, e_r
         elif order == 0:
@@ -679,7 +674,7 @@ def _block_pass(lap, grid, h_rows, axis, order, law):
             carry = carry * c_r
         if order and j == axis:
             envelope = d_r
-    scale = np.exp(log_f) if grid.scale is None else grid.scale
+    scale = np.exp(log_f)
     F = scale * (carry if order else ratio)
     terms, terms_lo = grid.w * F[:, :n_t], grid.w_lo * F[:, grid.lo]
     value, value_lo = terms.cumsum(axis=1)[:, -1], terms_lo.cumsum(axis=1)[:, -1]
@@ -690,7 +685,7 @@ def _block_pass(lap, grid, h_rows, axis, order, law):
     # its deviation at t0; a lagged partial takes none, charged t0 |F(t0)|
     lead_power, log_lead, _, (head, head_lo, inv_p) = law
     t0 = grid.ends[0]
-    g0 = np.exp(log_lead + lead_power * log_t[0, n_t - 1])
+    g0 = np.exp(log_lead + lead_power * grid.log_t[0, n_t - 1])
     if order:
         power_law = ~h_rows.any(axis=1)
         g0, inv_p = np.where(power_law, g0, 0.0), np.where(power_law, inv_p, 1.0)

@@ -165,9 +165,8 @@ class FieldSample:
         return self.values.shape[-1]
 
 
-def _axis_partition(cutoff, cells, octaves):
-    """Cell edges on (0, cutoff]: `octaves` dyadic shells, split evenly."""
-    per = max(1, -(-int(cells) // octaves))
+def _axis_partition(cutoff, per, octaves):
+    """Cell edges on (0, cutoff]: `octaves` dyadic shells of `per` cells each."""
     edges = [cutoff * 2.0 ** (-octaves)]
     for o in range(octaves, 0, -1):
         bot = cutoff * 2.0 ** (-o)
@@ -220,14 +219,18 @@ def _cell_masses(form, partitions):
     return masses
 
 
+def _per_octave(lattice):
+    """Cells per octave of a `lattice`-cell budget over _OCTAVES octaves."""
+    return max(1, -(-lattice // _OCTAVES))
+
+
 @functools.lru_cache(maxsize=8)
 def _partitions(cutoffs, extensions, lattice):
     """Per-axis cell edges: `lattice` cells over _OCTAVES octaves below the
     cutoff, and as many per octave on the axis's extra octaves; read-only,
     as cached."""
-    per = max(1, -(-lattice // _OCTAVES))
-    return tuple(_axis_partition(c, per * (_OCTAVES + ext), _OCTAVES + ext)
-                 for c, ext in zip(cutoffs, extensions))
+    per = _per_octave(lattice)
+    return tuple(_axis_partition(c, per, _OCTAVES + ext) for c, ext in zip(cutoffs, extensions))
 
 
 @functools.lru_cache(maxsize=8)
@@ -293,8 +296,7 @@ def _lattice_plan(model, grid, lattice):
     oversample = _OVERSAMPLE_ROUGH if rough else _OVERSAMPLE_SMOOTH
     base = [oversample * np.pi / s for s in grid.spacing]
     cutoffs, extensions = _axis_cutoffs(model, base)
-    per = max(1, -(-lattice // _OCTAVES))
-    cells = [per * (_OCTAVES + ext) for ext in extensions]
+    cells = [_per_octave(lattice) * (_OCTAVES + ext) for ext in extensions]
     total = math.prod(c * _MASS_NODES for c in cells)
     if total > _MAX_MASS_NODES:
         raise ModelError(

@@ -355,14 +355,21 @@ def test_afld_rejects_corruption(tmp_path):
     with pytest.raises(FileFormatError):
         read_field_afld(short_header)
 
-    # a header promising no channels, with the empty payload that matches
-    for channels in (0, -1):
-        blob = json.dumps({"origin": [0.0], "spacing": [1.0], "shape": [4],
-                           "channels": channels}).encode()
-        no_channels = tmp_path / f"channels{channels}.afld"
-        no_channels.write_bytes(fileio.AFLD_MAGIC + struct.pack("<I", len(blob)) + blob)
-        with pytest.raises(FileFormatError, match="channels"):
-            read_field_afld(no_channels)
+    # a header promising no channels, with the empty payload that matches,
+    # and channel counts or seeds that are not JSON integers in range, with
+    # the payload of one channel
+    payload = np.zeros(4).astype("<f8").tobytes()
+    bad = [("channels", 0, b""), ("channels", -1, b"")]
+    bad += [("channels", value, payload) for value in (1.7, True, "1")]
+    bad += [("seed", value, payload) for value in (2.9, True, "7", -3, 2**63)]
+    for i, (field, value, body) in enumerate(bad):
+        header = {"origin": [0.0], "spacing": [1.0], "shape": [4], "channels": 1}
+        header[field] = value
+        blob = json.dumps(header).encode()
+        bad_header = tmp_path / f"header{i}.afld"
+        bad_header.write_bytes(fileio.AFLD_MAGIC + struct.pack("<I", len(blob)) + blob + body)
+        with pytest.raises(FileFormatError, match=field):
+            read_field_afld(bad_header)
 
 
 def test_writes_are_atomic_overwrites(tmp_path):
