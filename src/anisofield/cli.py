@@ -39,7 +39,6 @@ from .quadrature import QuadratureSpec
 from .simulate import Grid, multi_copy_field
 from .smoothness import ms_derivative_report
 from .variogram import gneiting_from_dict, gneiting_to_dict, variogram_table
-from .verify import format_table, run_suites
 
 _DEFAULTS = {
     "seed": 0,
@@ -348,6 +347,9 @@ def _cmd_dims(args):
 
 
 def _cmd_verify(args):
+    # the acceptance battery is imported by this subcommand alone
+    from .verify import format_table, run_suites
+
     suite = str(_resolve(args, "suite"))
     results = run_suites([s.strip() for s in suite.split(",") if s.strip()])
     print(format_table(results))

@@ -13,10 +13,10 @@ with k running over the observation sites and the origin.
 
 The covariance matrix depends only on the observation sites, so
 :func:`krige_many` assembles and factors it once for a whole batch of
-targets.  It collects the distinct lags (up to sign) behind the matrix
-and every target, integrates them in one variogram table and fills the
-matrix and every covariance vector from it; :func:`krige` is the batch
-of one.
+targets; :func:`krige` is the batch of one.  One variogram table holds
+the distinct lags (up to sign) of four sets: the sites s_i, the targets
+u, the site differences s_i - s_j (i < j) and u - s_i.  Then
+Sigma_ii = v(s_i), and the pinned form gives Sigma_ij and c(u)_i.
 """
 
 from dataclasses import dataclass, field
@@ -192,9 +192,9 @@ def krige_many(obs, targets, quad=None):
         C(u,u) - c(u)^T Sigma^{-1} c(u) (clamped at zero; values below
         -1e-10 raise), the solved weights and the jitter that was needed.
         ``meta`` holds ``variogram_evals`` (distinct lags integrated in
-        the batch), ``cache_hits`` (nonzero variogram lookups of the
-        pinned covariances beyond those) and ``max_variogram_err`` (worst
-        error estimate behind this result).
+        the batch), ``cache_hits`` (nonzero rows of the four lag sets
+        beyond those) and ``max_variogram_err`` (worst error estimate
+        behind this result).
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.shape[1] != obs.model.dims:
@@ -203,25 +203,22 @@ def krige_many(obs, targets, quad=None):
     if not np.all(np.isfinite(targets)):
         raise ModelError("target sites must be finite")
     sites, n, m = obs.sites, len(obs), len(targets)
-    # v(s), v(t) and v(s - t) of each C(s, t): Sigma's upper triangle,
-    # then every target's prior v(u) and its C(u, site) for every site
-    row, col = np.triu_indices(n)
-    u, s = np.repeat(targets, n, axis=0), np.tile(sites, (m, 1))
-    blocks = [sites[row], sites[col], sites[row] - sites[col],
-              targets, u, s, u - s]
-    distinct, index = _distinct_lags(np.concatenate(blocks))
+    # four lag sets: the sites, the targets, the site differences
+    # s_i - s_j (i < j) and every target's u - s_i
+    row, col = np.triu_indices(n, 1)
+    us = (targets[:, None, :] - sites).reshape(-1, obs.model.dims)
+    distinct, index = _distinct_lags(
+        np.concatenate([sites, targets, sites[row] - sites[col], us]))
     table = variogram_table(obs.model, distinct, quad)
-    bounds = np.cumsum([len(b) for b in blocks])[:-1]
+    bounds = np.cumsum([n, m, len(row)])
     # index -1 (a zero lag) picks the appended v = err = 0
-    v_row, v_col, v_diff, prior, v_u, v_s, v_us = np.split(
-        np.append(table.values, 0.0)[index], bounds)
-    e_sigma, e_prior, e_cov = np.split(
-        np.append(table.errs, 0.0)[index], [bounds[2], bounds[3]])
-    sigma = np.empty((n, n))
-    sigma[row, col] = sigma[col, row] = 0.5 * (v_row + v_col - v_diff)
-    cov = 0.5 * (v_u + v_s - v_us).reshape(m, n)
-    errs = np.maximum(e_prior, np.max(e_cov.reshape(3, m, n), axis=(0, 2), initial=0.0))
-    errs = np.maximum(errs, np.max(e_sigma, initial=0.0))
+    v_s, prior, v_diff, v_us = np.split(np.append(table.values, 0.0)[index], bounds)
+    e_s, e_prior, e_diff, e_us = np.split(np.append(table.errs, 0.0)[index], bounds)
+    sigma = np.diag(v_s)
+    sigma[row, col] = sigma[col, row] = 0.5 * (v_s[row] + v_s[col] - v_diff)
+    cov = 0.5 * (prior[:, None] + v_s - v_us.reshape(m, n))
+    errs = np.maximum(e_prior, np.max(e_us.reshape(m, n), axis=1, initial=0.0))
+    errs = np.maximum(errs, np.max(np.append(e_s, e_diff), initial=0.0))
     try:
         factor, jitter = _factor_with_jitter(sigma)
     except FactorizationError as exc:
@@ -245,12 +242,13 @@ def krige_many(obs, targets, quad=None):
 
 
 def _closest_pair(sites):
+    # the first pair (i < k, in row order) at the least max-norm distance
     best = (np.inf, 0, 1)
-    for i in range(len(sites)):
-        for k in range(i + 1, len(sites)):
-            d = float(np.max(np.abs(sites[i] - sites[k])))
-            if d < best[0]:
-                best = (d, i, k)
+    for i in range(len(sites) - 1):
+        d = np.max(np.abs(sites[i + 1:] - sites[i]), axis=1)
+        k = int(np.argmin(d))
+        if d[k] < best[0]:
+            best = (d[k], i, i + 1 + k)
     return sites[best[1]], sites[best[2]]
 
 

@@ -649,8 +649,8 @@ def _t_grid(lap, count, step):
 
 def _block_pass(lap, grid, h_rows, axis, order, law):
     """Value and error estimate of each row of ``h_rows`` on one t grid, with
-    ``law`` the _small_t_law (_laplace_increment); each axis's log E and
-    ratios come from one _axis_ratios call."""
+    ``law`` the _small_t_law (_laplace_increment); one _axis_ratios call per
+    axis, and each row's t sums are pairwise sums along that row alone."""
     n = len(lap.axes)
     log_f = grid.log_f
     n_t = grid.w.size
@@ -677,9 +677,9 @@ def _block_pass(lap, grid, h_rows, axis, order, law):
     scale = np.exp(log_f)
     F = scale * (carry if order else ratio)
     terms, terms_lo = grid.w * F[:, :n_t], grid.w_lo * F[:, grid.lo]
-    value, value_lo = terms.cumsum(axis=1)[:, -1], terms_lo.cumsum(axis=1)[:, -1]
-    mass = np.abs(terms_lo).cumsum(axis=1)[:, -1]
-    ibp_err = (grid.w * (scale * ibp)[:, :n_t]).cumsum(axis=1)[:, -1] if np.ndim(ibp) else 0.0
+    value, value_lo = terms.sum(axis=1), terms_lo.sum(axis=1)
+    mass = np.abs(terms_lo).sum(axis=1)
+    ibp_err = (grid.w * (scale * ibp)[:, :n_t]).sum(axis=1) if np.ndim(ibp) else 0.0
     f_hi = F[:, 0] if order == 0 else scale[:, 0] * envelope[:, 0]
     # below t0: the power law's trapezoid sums at both steps, charged with
     # its deviation at t0; a lagged partial takes none, charged t0 |F(t0)|

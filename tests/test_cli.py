@@ -428,6 +428,11 @@ def test_cli_import_loads_no_scipy():
     assert _after_cli_import("'scipy' in sys.modules") == "False"
 
 
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify subcommand runs the acceptance battery
+    assert _after_cli_import("'anisofield.verify' in sys.modules") == "False"
+
+
 def test_cli_import_does_no_per_call_work(tmp_path, bm_model):
     # the Gauss rules are a table, and parsers and rules are built on first use
     assert _after_cli_import("'numpy.polynomial' in sys.modules") == "False"

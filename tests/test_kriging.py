@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisofield import kriging
-from anisofield.errors import ModelError
+from anisofield.errors import FactorizationError, ModelError
 from anisofield.kriging import (Observations, krige, krige_many,
                                 prediction_error_envelope,
                                 scaling_exponent_check)
@@ -70,12 +70,15 @@ def _canonical(lag):
 
 
 def _sigma_lags(sites):
-    return [lag for i in range(len(sites)) for k in range(i, len(sites))
-            for lag in (sites[i], sites[k], sites[i] - sites[k])]
+    # v(s_i) and v(s_i - s_k), i < k: Sigma_ii = v(s_i), and
+    # Sigma_ik = (v(s_i) + v(s_k) - v(s_i - s_k)) / 2
+    return list(sites) + [sites[i] - sites[k] for i in range(len(sites))
+                          for k in range(i + 1, len(sites))]
 
 
 def _target_lags(u, sites):
-    return [u] + [lag for s in sites for lag in (u, s, u - s)]
+    # v(u) and v(u - s): c(u)_i = (v(u) + v(s_i) - v(u - s_i)) / 2
+    return [u] + [u - s for s in sites]
 
 
 def _distinct_nonzero_lags(sites, targets):
@@ -145,6 +148,46 @@ def test_krige_many_reports_variogram_diagnostics():
         {"variogram_evals": 1, "cache_hits": 1,
          "max_variogram_err": errs[(0.4, 0.4)]}] * 2 + [
         {"variogram_evals": 1, "cache_hits": 1, "max_variogram_err": 0.0}]
+
+
+def test_krige_many_integrates_each_lag_kind_once(monkeypatch):
+    # the rows behind one batch: n sites, m targets, n(n-1)/2 site
+    # differences and m n target-site differences
+    rng = np.random.default_rng(24)
+    obs = Observations(sites=rng.uniform(0.05, 1.0, (8, 2)),
+                       values=rng.standard_normal(8), model=PLANE)
+    rows = []
+    real = kriging._distinct_lags
+
+    def spy(lags):
+        rows.append(len(lags))
+        return real(lags)
+
+    monkeypatch.setattr(kriging, "_distinct_lags", spy)
+    krige_many(obs, rng.uniform(0.05, 1.0, (4, 2)))
+    assert rows == [8 + 4 + 28 + 32]
+
+
+def test_factorization_failure_names_the_closest_pair(monkeypatch):
+    def fail(matrix):
+        raise FactorizationError("covariance factorization failed",
+                                 min_eigenvalue=-1.0)
+
+    monkeypatch.setattr(kriging, "_factor_with_jitter", fail)
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 5, 7, 12, 20):
+        # distinct sites on a coarse grid, in random order, so that distances tie
+        sites = np.unique(rng.integers(1, 5, (n, 2)), axis=0) / 4.0
+        sites = sites[rng.permutation(len(sites))]
+        obs = Observations(sites=sites, values=np.zeros(len(sites)), model=PLANE)
+        pairs = [(np.max(np.abs(a - b)), i, k) for i, a in enumerate(sites)
+                 for k, b in enumerate(sites) if i < k]
+        _, i, k = min(pairs, key=lambda pair: pair[0])
+        with pytest.raises(FactorizationError) as info:
+            krige_many(obs, [[0.5, 0.5]])
+        assert str(info.value).endswith(
+            f"(closest sites: {sites[i].tolist()} and {sites[k].tolist()})")
+        assert info.value.min_eigenvalue == -1.0
 
 
 SPACETIME = canonical_c(beta=(1.0, 2.0, 2.0), gamma=4.0)
